@@ -32,6 +32,10 @@ def atomic_write_text(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".photonlab-", suffix=".tmp")
     try:
+        # mkstemp's 0600 would survive the rename; give open()'s 0666 & ~umask
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)

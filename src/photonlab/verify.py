@@ -67,6 +67,13 @@ def _synth_triplet(m, grid, t0, dt, omega_scale):
             synthesize(m, grid, t0 + dt, omega_scale=omega_scale))
 
 
+def _worst_point(res, grid) -> str:
+    """Flat grid index and position of the largest |res| entry."""
+    i = int(np.argmax(np.abs(res).reshape(grid.n_points, -1).max(axis=1)))
+    x = grid.axis_positions()[list(np.unravel_index(i, grid.field_shape()))]
+    return f"index {i} at ({', '.join(f'{v:.6g}' for v in x)})"
+
+
 # ---------------------------------------------------------------------------
 # check blocks
 
@@ -89,50 +96,56 @@ def _norm_block(tol, scale):
 def _continuity_block(tol, scale):
     g = KGrid(n_per_axis=16, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
     m = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
+    t0 = 1.0
 
     def level(n_x):
         sg = dual_grid(g, n_x)
         dt = sg.spacing / 2.0
-        prev, now, nxt = _synth_triplet(m, sg, 1.0, dt, scale)
+        prev, now, nxt = _synth_triplet(m, sg, t0, dt, scale)
         cfs = [photon_current(s) for s in (prev, now, nxt)]
         res = continuity_residual(*cfs)
         drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
-        return np.abs(res).max(), drho
+        return np.abs(res).max(), drho, _worst_point(res, sg)
 
-    r_coarse, _ = level(2048)
-    r_fine, drho_fine = level(4096)
+    r_coarse, _, _ = level(2048)
+    r_fine, drho_fine, where = level(4096)
     order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
     rel = r_fine / drho_fine if drho_fine > 0 else float("inf")
     checks = [check_ge("continuity_order", order, tol["continuity_order"]),
               check_le("continuity_residual", rel, tol["continuity_residual"],
                        order=order)]
     info = [f"continuity residual coarse/fine = {r_coarse:.6g} / {r_fine:.6g}",
-            f"max |d rho/dt| at fine level = {drho_fine:.6g}"]
+            f"max |d rho/dt| at fine level = {drho_fine:.6g}",
+            f"continuity worst fine-level residual at t = {t0:g}: {where}"]
     return checks, info
 
 
 def _maxwell_block(tol, scale):
     g = KGrid(n_per_axis=8, spacing=0.25, dimension=3, center=(0.0, 0.0, 1.0))
     m = gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, 1)
+    t0 = 0.5
 
     def level(n_x):
         sg = dual_grid(g, n_x)
         dt = sg.spacing / 2.0
-        prev, now, nxt = _synth_triplet(m, sg, 0.5, dt, scale)
+        prev, now, nxt = _synth_triplet(m, sg, t0, dt, scale)
         gauss, ampere = maxwell_residual(prev, now, nxt)
         divb = divergence(now.b_plus.reshape(sg.field_shape(3)), sg.spacing,
                           sg.dimension, now.twists())
-        return (np.abs(gauss).max(), np.abs(ampere).max(), np.abs(divb).max())
+        res = (gauss, ampere, divb)
+        return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
 
-    coarse = level(48)
-    fine = level(96)
+    coarse, _ = level(48)
+    fine, where = level(96)
     orders = [math.log2(a / b) if b > 0 else float("inf")
               for a, b in zip(coarse, fine)]
     checks = [check_ge("maxwell_gauss_order", orders[0], tol["maxwell_order"]),
               check_ge("maxwell_ampere_order", orders[1], tol["maxwell_order"]),
               check_ge("maxwell_divb_order", orders[2], tol["maxwell_order"])]
     info = [f"maxwell residual fine level: gauss {fine[0]:.6g}, "
-            f"ampere {fine[1]:.6g}, divB {fine[2]:.6g}"]
+            f"ampere {fine[1]:.6g}, divB {fine[2]:.6g}",
+            f"maxwell worst fine-level residual at t = {t0:g}: gauss {where[0]}; "
+            f"ampere {where[1]}; divB {where[2]}"]
     return checks, info
 
 

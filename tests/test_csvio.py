@@ -170,6 +170,20 @@ def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_write_mode_follows_umask(tmp_path):
+    # the temp file starts 0600; the renamed product must get 0666 & ~umask
+    previous = os.umask(0o022)
+    try:
+        path = str(tmp_path / "out.txt")
+        atomic_write_text(path, "x\n")
+        assert os.stat(path).st_mode & 0o777 == 0o644
+        os.umask(0o027)
+        atomic_write_text(path, "y\n")
+        assert os.stat(path).st_mode & 0o777 == 0o640
+    finally:
+        os.umask(previous)
+
+
 def test_writes_are_deterministic(tmp_path):
     snap = field_snapshot()
     cf = photon_current(snap, with_helicity=True)

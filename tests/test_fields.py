@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from photonlab import (
     FourVector,
@@ -19,8 +21,8 @@ from photonlab import (
     measure_weight,
     synthesize,
 )
-from photonlab.fields import AMPLITUDE_SCALE, is_dual
-from photonlab.modes import lambda_row, zero_state
+from photonlab.fields import AMPLITUDE_SCALE, _mode_sum, is_dual
+from photonlab.modes import kvectors, lambda_row, zero_state
 from photonlab.relativity import polarization_basis
 
 
@@ -265,3 +267,50 @@ def test_dimension_mismatch_rejected():
     m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, 1)
     with pytest.raises(ValueError, match="dimension"):
         synthesize(m, SpatialGrid(4, 0.5, 3, 0.0), 0.0)
+
+
+def direct_mode_sum(coeffs, k, grid):
+    """Oracle: sum_m coeffs[m, :] e^{i k_m . x}, one full plane wave per mode."""
+    x = grid.axis_positions()
+    if grid.dimension == 1:
+        plane = np.exp(1j * np.outer(k[:, 2], x))
+    else:
+        px, py, pz = (np.exp(1j * np.outer(k[:, a], x)) for a in range(3))
+        plane = (px[:, :, None, None] * py[:, None, :, None]
+                 * pz[:, None, None, :]).reshape(k.shape[0], -1)
+    return coeffs.T @ plane
+
+
+@st.composite
+def mode_sum_cases(draw):
+    dim = draw(st.sampled_from((1, 3)))
+    n_k = draw(st.integers(1, 17 if dim == 1 else 6))
+    # n_x both below (aliased) and above n_k
+    n_x = draw(st.integers(2, 40 if dim == 1 else 10))
+    dk = draw(st.floats(0.05, 1.0))
+    k0 = [draw(st.floats(-3.0, 3.0)) if dim == 3 else 0.0 for _ in range(2)]
+    k0.append(draw(st.floats(-3.0, 3.0)))
+    try:
+        kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=dim, center=tuple(k0))
+    except ValueError:
+        assume(False)  # the lattice hit k = 0
+    if draw(st.booleans()):
+        grid = dual_grid(kgrid, n_x)
+    else:
+        grid = SpatialGrid(n_per_axis=n_x, spacing=draw(st.floats(0.05, 2.0)),
+                           dimension=dim, origin=draw(st.floats(-5.0, 5.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (kgrid.n_points, draw(st.integers(1, 16)))
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    coeffs[rng.random(kgrid.n_points) < 0.3] = 0.0  # dead modes
+    return coeffs, kgrid, grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(mode_sum_cases())
+def test_separable_mode_sum_matches_direct_sum(case):
+    coeffs, kgrid, grid = case
+    fast = _mode_sum(coeffs, kgrid, grid)
+    slow = direct_mode_sum(coeffs, kvectors(kgrid), grid)
+    assert fast.shape == slow.shape == (coeffs.shape[1], grid.n_points)
+    assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
