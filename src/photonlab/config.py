@@ -229,6 +229,9 @@ def _as_float_or(words):
 def _as_path(raw: str, key: str) -> str:
     if not raw:
         raise ConfigError("expected a directory path", field_name=key)
+    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
+        # quotes are not syntax here; taken verbatim they would name a directory
+        raise ConfigError(f"expected an unquoted directory path, got {raw!r}", field_name=key)
     return raw
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 import tempfile
 
@@ -22,6 +23,8 @@ CURRENT_COLUMNS = ("t", "x", "y", "z", "rho", "jx", "jy", "jz",
 LIFECYCLE_COLUMNS = ("t", "norm", "residual_max", "peak_z")
 REPORT_COLUMNS = ("check", "measured", "tolerance", "order", "passed")
 
+_BLOCK_ROWS = 1 << 14  # rows per '%' call; bounds the strings held at once
+
 
 def fmt(x) -> str:
     return format(float(x), ".17g")
@@ -29,6 +32,14 @@ def fmt(x) -> str:
 
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the same directory, then rename into place."""
+    atomic_write_chunks(path, (text,))
+
+
+def atomic_write_chunks(path: str, chunks):
+    """Write an iterable of strings, in order, through the same temp file and rename.
+
+    If the iterable raises, path is left as it was and the temp file is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".photonlab-", suffix=".tmp")
     try:
@@ -37,7 +48,8 @@ def atomic_write_text(path: str, text: str):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,14 +57,32 @@ def atomic_write_text(path: str, text: str):
         raise
 
 
-def _write_rows(path: str, header, rows):
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    atomic_write_text(path, buf.getvalue())
+def _write_table(path: str, columns, lines):
+    """Header row, then the lines as they are produced, through one atomic write."""
+    atomic_write_chunks(path, itertools.chain((",".join(columns) + "\n",), lines))
+
+
+def _lines(prefixes, values):
+    """Yield lines prefixes[i] + values[i] as CSV, one '%' per block of _BLOCK_ROWS rows.
+
+    '%.17g' % x is fmt(x) byte for byte, nan, inf, -0 and subnormals included.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n, ncol = values.shape
+    row = "%s" + ",".join(["%.17g"] * ncol) + "\n"
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        cells = np.empty((hi - lo, ncol + 1), dtype=object)
+        cells[:, 0] = prefixes[lo:hi]
+        cells[:, 1:] = values[lo:hi]
+        yield (row * (hi - lo)) % tuple(cells.ravel().tolist())
+
+
+def _point_prefixes(grid, axis_values) -> np.ndarray:
+    """"x,y,z," per grid point in C order, each axis value formatted once; 1D gives "0,0,z,"."""
+    axes = [axis_values(a) if grid.dimension == 3 or a == 2 else (0.0,) for a in range(3)]
+    x, y, z = (np.array([fmt(v) + "," for v in ax], dtype=object) for ax in axes)
+    return (x[:, None, None] + y[None, :, None] + z[None, None, :]).ravel()
 
 
 def write_modes_csv(path: str, m: ModeAmplitudes):
@@ -60,18 +90,16 @@ def write_modes_csv(path: str, m: ModeAmplitudes):
 
     Amplitudes are always written in the internal natural normalization.
     """
-    from .modes import kvectors
-    kv = kvectors(m.grid)
     labels = {1: "+1", -1: "-1", "par": "par"}
-    rows = []
-    for pol in POLARIZATIONS:
-        amps = m.amps[lambda_row(pol)]
-        if not np.any(amps):
-            continue
-        for i in range(kv.shape[0]):
-            rows.append((fmt(kv[i, 0]), fmt(kv[i, 1]), fmt(kv[i, 2]),
-                         labels[pol], fmt(amps[i].real), fmt(amps[i].imag)))
-    _write_rows(path, MODES_COLUMNS, rows)
+    kpoints = _point_prefixes(m.grid, m.grid.axis_values)
+
+    def lines():
+        for pol in POLARIZATIONS:
+            amps = m.amps[lambda_row(pol)]
+            if np.any(amps):
+                yield from _lines(kpoints + (labels[pol] + ","),
+                                  amps.reshape(-1, 1).view(np.float64))
+    _write_table(path, MODES_COLUMNS, lines())
 
 
 def read_modes_csv(path: str, grid, speed: float = 1.0) -> ModeAmplitudes:
@@ -94,68 +122,41 @@ def read_modes_csv(path: str, grid, speed: float = 1.0) -> ModeAmplitudes:
 
 def write_fields_csv(path: str, snap, units: UnitSystem = NATURAL):
     grid = snap.grid
-    pts = _positions(grid)
+    n = grid.n_points
     ka, ke = units.a_field, units.e_field
-    a = (ka * snap.a_plus).reshape(-1, 3)
-    e = (ke * snap.e_plus).reshape(-1, 3)
-    b = (ka * snap.b_plus).reshape(-1, 3)
-    phi = (ke * snap.phi_plus).reshape(-1)
-    rows = []
-    for i in range(pts.shape[0]):
-        row = [fmt(pts[i, 0]), fmt(pts[i, 1]), fmt(pts[i, 2])]
-        for vec in (a, e, b):
-            for comp in range(3):
-                row.append(fmt(vec[i, comp].real))
-                row.append(fmt(vec[i, comp].imag))
-        row.append(fmt(phi[i].real))
-        row.append(fmt(phi[i].imag))
-        rows.append(row)
-    _write_rows(path, FIELDS_COLUMNS, rows)
+    # complex columns viewed as float64 pairs give the re_*, im_* order
+    cols = np.concatenate([(ka * snap.a_plus).reshape(n, 3), (ke * snap.e_plus).reshape(n, 3),
+                           (ka * snap.b_plus).reshape(n, 3), (ke * snap.phi_plus).reshape(n, 1)],
+                          axis=1).view(np.float64)
+    points = _point_prefixes(grid, lambda a: grid.axis_positions())
+    _write_table(path, FIELDS_COLUMNS, _lines(points, cols))
 
 
 def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
-    """blocks: iterable of (time, CurrentField, residual array or None)."""
-    rows = []
-    for time, cf, residual in blocks:
-        pts = _positions(cf.grid)
-        t = fmt(units.time_out * time)
-        rho = cf.rho.reshape(-1)
-        j = (units.current * cf.j).reshape(-1, 3)
-        s = None if cf.s_hel is None else (units.helicity * cf.s_hel).reshape(-1, 3)
-        r = None if residual is None else \
-            (units.residual * np.asarray(residual)).reshape(-1)
-        for i in range(pts.shape[0]):
-            srow = ("0", "0", "0") if s is None else tuple(fmt(s[i, c]) for c in range(3))
-            res = "0" if r is None else fmt(r[i])
-            rows.append((t, fmt(pts[i, 0]), fmt(pts[i, 1]), fmt(pts[i, 2]),
-                         fmt(rho[i]), fmt(j[i, 0]), fmt(j[i, 1]), fmt(j[i, 2]),
-                         *srow, res))
-    _write_rows(path, CURRENT_COLUMNS, rows)
+    """blocks: iterable of (time, CurrentField, residual array or None).
+
+    Each block is formatted and written before the next is read; absent
+    helicity or residual columns are written as 0.
+    """
+    def lines():
+        for time, cf, residual in blocks:
+            grid = cf.grid
+            cols = np.zeros((grid.n_points, 8))
+            cols[:, 0] = cf.rho.reshape(-1)
+            cols[:, 1:4] = (units.current * cf.j).reshape(-1, 3)
+            if cf.s_hel is not None:
+                cols[:, 4:7] = (units.helicity * cf.s_hel).reshape(-1, 3)
+            if residual is not None:
+                cols[:, 7] = (units.residual * np.asarray(residual)).reshape(-1)
+            points = _point_prefixes(grid, lambda a: grid.axis_positions())
+            yield from _lines(fmt(units.time_out * time) + "," + points, cols)
+    _write_table(path, CURRENT_COLUMNS, lines())
 
 
 def write_lifecycle_csv(path: str, report, units: UnitSystem = NATURAL):
-    rows = []
-    for i in range(report.times.size):
-        rows.append((fmt(units.time_out * report.times[i]),
-                     fmt(report.norm[i]),
-                     fmt(units.residual * report.residual_max[i]),
-                     fmt(report.peak_z[i])))
-    _write_rows(path, LIFECYCLE_COLUMNS, rows)
-
-
-def _positions(grid) -> np.ndarray:
-    """Sample coordinates as (n_points, 3), zeros on unused axes."""
-    pts = np.zeros((grid.n_points, 3))
-    ax = grid.axis_positions()
-    if grid.dimension == 1:
-        pts[:, 2] = ax
-    else:
-        n = grid.n_per_axis
-        xs, ys, zs = np.meshgrid(ax, ax, ax, indexing="ij")
-        pts[:, 0] = xs.ravel()
-        pts[:, 1] = ys.ravel()
-        pts[:, 2] = zs.ravel()
-    return pts
+    cols = np.stack([units.time_out * report.times, report.norm,
+                     units.residual * report.residual_max, report.peak_z], axis=1)
+    _write_table(path, LIFECYCLE_COLUMNS, _lines(np.full(len(cols), "", dtype=object), cols))
 
 
 def report_text(title: str, header_lines, checks, info_lines) -> str:
@@ -189,10 +190,9 @@ def write_report_files(outdir: str, title: str, header_lines, checks, info_lines
     txt_path = os.path.join(outdir, "report.txt")
     csv_path = os.path.join(outdir, "report.csv")
     atomic_write_text(txt_path, report_text(title, header_lines, checks, info_lines))
-    rows = []
-    for c in checks:
-        rows.append((c.name, fmt(c.measured), fmt(c.tolerance),
-                     "" if c.order is None else fmt(c.order),
-                     "true" if c.passed else "false"))
-    _write_rows(csv_path, REPORT_COLUMNS, rows)
+    # check names are fixed identifiers, so no field needs CSV quoting
+    _write_table(csv_path, REPORT_COLUMNS, (
+        f"{c.name},{fmt(c.measured)},{fmt(c.tolerance)},"
+        f"{'' if c.order is None else fmt(c.order)},{'true' if c.passed else 'false'}\n"
+        for c in checks))
     return txt_path, csv_path

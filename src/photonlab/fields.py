@@ -30,7 +30,7 @@ AMPLITUDE_SCALE = 1j * math.sqrt(2.0)
 _COLS_A = slice(0, 3)
 _COLS_E = slice(3, 6)
 _COLS_B = slice(6, 9)
-_COL_PHI = 9
+_COLS_PHI = slice(9, 10)
 _COLS_APAR = slice(10, 13)
 _COLS_EPAR = slice(13, 16)
 _NCOMP = 16
@@ -155,7 +155,7 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
         if pol == "par":
             # phi = c A_par with c = 1; E_par = i(omega - |k|) s e_k is an
             # exact zero on shell in vacuum.
-            coeffs[:, _COL_PHI] += s
+            coeffs[:, _COLS_PHI] += s[:, None]
             coeffs[:, _COLS_APAR] += a_coef
             e_par = (1j * (omega * omega_scale - kmag))[:, None] * a_coef
             coeffs[:, _COLS_EPAR] += e_par
@@ -164,17 +164,16 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
             coeffs[:, _COLS_E] += (1j * omega * omega_scale)[:, None] * a_coef
             coeffs[:, _COLS_B] += (pol * kmag)[:, None] * a_coef
 
-    out = np.zeros((_NCOMP, grid.n_points), dtype=np.complex128)
-    live_cols = np.flatnonzero(np.any(coeffs != 0.0, axis=0))
-    out[live_cols] = _mode_sum(coeffs[:, live_cols], m.grid, grid)
+    live_cols = np.flatnonzero(np.any(coeffs != 0.0, axis=0)).tolist()
+    summed = dict(zip(live_cols, _mode_sum(coeffs[:, live_cols], m.grid, grid)))
 
-    shape = grid.field_shape()
-
-    def vec(sl):
-        return np.moveaxis(out[sl], 0, -1).reshape(shape + (3,)).copy()
-
-    def sca(i):
-        return out[i].reshape(shape).copy()
+    def field(sl, shape):
+        # each live component is copied once out of the sum; dead ones stay fresh zeros
+        arr = np.zeros((grid.n_points, sl.stop - sl.start), dtype=np.complex128)
+        for j, col in enumerate(range(sl.start, sl.stop)):
+            if col in summed:
+                arr[:, j] = summed[col]
+        return arr.reshape(shape)
 
     bloch = None
     if is_dual(grid, m.grid):
@@ -186,12 +185,12 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     return FieldSnapshot(
         grid=grid,
         time=float(t),
-        a_plus=vec(_COLS_A),
-        e_plus=vec(_COLS_E),
-        b_plus=vec(_COLS_B),
-        phi_plus=sca(_COL_PHI),
-        a_par_plus=vec(_COLS_APAR),
-        e_par_plus=vec(_COLS_EPAR),
+        a_plus=field(_COLS_A, grid.field_shape(3)),
+        e_plus=field(_COLS_E, grid.field_shape(3)),
+        b_plus=field(_COLS_B, grid.field_shape(3)),
+        phi_plus=field(_COLS_PHI, grid.field_shape()),
+        a_par_plus=field(_COLS_APAR, grid.field_shape(3)),
+        e_par_plus=field(_COLS_EPAR, grid.field_shape(3)),
         speed=m.speed,
         bloch=bloch,
         lambdas_present=frozenset(present),

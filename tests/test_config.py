@@ -204,6 +204,16 @@ def test_units_enum():
     assert "expected one of {natural, si}" in str(e)
 
 
+@pytest.mark.parametrize("quote", ['"', "'"])
+def test_quoted_output_path_rejected(quote):
+    e = err(f"[fock]\noutput = {quote}/some/dir{quote}\n")
+    assert e.field_name == "output"
+    assert "expected an unquoted directory path" in str(e)
+    # a quote inside the path, or an unmatched one, is part of the name
+    assert parse_config(f"[fock]\noutput = some{quote}dir\n").output == f"some{quote}dir"
+    assert parse_config(f"[fock]\noutput = {quote}dir\n").output == f"{quote}dir"
+
+
 def test_fock_bounds():
     cfg = parse_config("[fock]\n")
     assert cfg.n_states == 32

@@ -47,6 +47,19 @@ def test_zero_amplitudes_zero_snapshot():
     assert snap.lambdas_present == frozenset()
 
 
+def test_transverse_snapshot_arrays_are_separate_and_dead_parts_zero():
+    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=(0.25, 0.25, 1.25))
+    snap = synthesize(gaussian_packet(grid, (0.25, 0.25, 1.25), 0.4, 1), dual_grid(grid, 6), 0.3)
+    for dead in (snap.a_par_plus, snap.e_par_plus, snap.phi_plus):
+        assert dead.dtype == np.complex128 and np.all(dead == 0.0)
+    assert np.any(snap.a_plus) and np.any(snap.e_plus) and np.any(snap.b_plus)
+    arrays = [snap.a_plus, snap.e_plus, snap.b_plus, snap.phi_plus,
+              snap.a_par_plus, snap.e_par_plus]
+    for i, first in enumerate(arrays):
+        for second in arrays[i + 1:]:
+            assert not np.shares_memory(first, second)
+
+
 def test_single_transverse_mode_closed_form():
     # one mode at k = 2 z-hat: A+ = scale * w * c * e_lambda * exp(i(kz - wt))
     kz, c, t = 2.0, 0.7 + 0.3j, 0.45
