@@ -145,11 +145,25 @@ def source_field(events, grid: SpatialGrid, t: float):
     rho_es = np.zeros(grid.n_points)
     source = np.zeros(grid.n_points)
     for ev in events:
-        s_z = trunc_gauss(z - ev.center, ev.width)
-        rho_es += ev.sign * ev.strength * s_z * trunc_gauss_cdf(t - ev.time, ev.duration)
-        source += ev.sign * ev.strength * s_z * float(trunc_gauss(t - ev.time, ev.duration))
+        profile = _source_profile(ev, z)
+        rho_es += profile * trunc_gauss_cdf(t - ev.time, ev.duration)
+        source += profile * _source_rate(ev, t)
     j_es = np.zeros((grid.n_points, 3))
     return rho_es, j_es, source
+
+
+def _source_profile(ev: SourceEvent, z):
+    """Signed spatial factor sign strength s_z(z - z0) of an event's source."""
+    return ev.sign * ev.strength * trunc_gauss(z - ev.center, ev.width)
+
+
+def _source_rate(ev: SourceEvent, t) -> float:
+    """Temporal factor s_t(t - t0) of an event's source at one time.
+
+    Scalar on purpose: squaring a 0-d array rounds differently from the array
+    path for some arguments, and lifecycle_1d's residual is pinned to this form.
+    """
+    return float(trunc_gauss(t - ev.time, ev.duration))
 
 
 def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
@@ -198,12 +212,36 @@ def green_response_1d(tp: float, zp: float, med: MediumSpec, grid1d: SpatialGrid
         if times.size < 2:
             raise ValueError("need at least two output times to default sigma_t")
         sigma_t = 4.0 * (times[1] - times[0])
+    rho = np.zeros((times.size, grid1d.n_points))
+    _add_pulse(rho, 1.0, zp, tp, sigma_z, sigma_t, med.v, grid1d, times)
+    return rho, med.v * rho
+
+
+def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
+               sigma_t: float, v: float, grid1d: SpatialGrid, times):
+    """rho += scale * advected pulse of one event, evaluated on its support only.
+
+    Row i of the pulse is exactly zero unless
+    |z - center - v (t_i - t0)| < 6 sigma_z + 6 v sigma_t, so it is evaluated
+    on a window of cells that follows the characteristic, clipped to the line.
+    Two cells and a rounding allowance of padding keep every nonzero cell in it.
+    """
+    n_z = grid1d.n_points
     z = grid1d.axis_positions()
-    v = med.v
-    xi = z[None, :] - zp - v * (times[:, None] - tp)
-    tau_max = (times - tp)[:, None]
-    rho = _advected_pulse(xi, tau_max, v, sigma_t, sigma_z)
-    return rho, v * rho
+    dz = grid1d.spacing
+    tau = times - t0
+    half = TRUNC_SIGMAS * (sigma_z + v * sigma_t)
+    scale_z = np.abs(z[[0, -1]]).max() + abs(center) + v * np.abs(tau).max(initial=0.0) + half
+    reach = half + 2.0 * dz + 64.0 * np.finfo(float).eps * scale_z
+    width = min(n_z, int(math.ceil(2.0 * reach / dz)) + 2)
+    first = np.floor((center + v * tau - reach - z[0]) / dz)
+    start = np.clip(first, 0, n_z - width).astype(np.intp)
+    cells = start[:, None] + np.arange(width)
+
+    xi = z[cells] - center - v * (times[:, None] - t0)
+    pulse = _advected_pulse(xi, tau[:, None], v, sigma_t, sigma_z)
+    cells += (np.arange(times.size) * n_z)[:, None]
+    rho.reshape(-1)[cells] += scale * pulse
 
 
 @dataclass(frozen=True)
@@ -231,6 +269,12 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     residual_max holds the finite-difference residual of
     d rho/dt + d(v rho)/dz - source per time (centered in the interior,
     one-sided at the ends).
+
+    Each pulse is evaluated only on a window of about 12 (sigma_z + v sigma_t)
+    cells per row that follows its characteristic (_add_pulse); the cells
+    outside are exact zeros, as in a full-line evaluation. The residual is
+    reduced in blocks of whole rows (_residual_max), so rho is the only
+    (times, z) array the solve holds.
     """
     if grid1d.dimension != 1:
         raise ValueError("the lifecycle scenario is one-dimensional")
@@ -250,36 +294,68 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     events = [emit] + ([detect] if detect is not None and not acausal else [])
     rho = np.zeros((times.size, z.size))
     for ev in events:
-        xi = z[None, :] - ev.center - v * (times[:, None] - ev.time)
-        tau_max = (times - ev.time)[:, None]
-        rho += ev.sign * ev.strength * _advected_pulse(xi, tau_max, v, ev.duration, ev.width)
+        _add_pulse(rho, ev.sign * ev.strength, ev.center, ev.time, ev.width,
+                   ev.duration, v, grid1d, times)
 
     dz = grid1d.spacing
     norm_t = rho.sum(axis=1) * dz
     peak_z = z[np.argmax(rho, axis=1)]
-
-    source = np.zeros_like(rho)
-    for i, t in enumerate(times):
-        for ev in events:
-            s_z = trunc_gauss(z - ev.center, ev.width)
-            source[i] += ev.sign * ev.strength * s_z * float(trunc_gauss(t - ev.time, ev.duration))
-
-    dzrho = (np.roll(rho, -1, axis=1) - np.roll(rho, 1, axis=1)) / (2.0 * dz)
-    residual = np.empty_like(rho)
-    dt = times[1] - times[0] if times.size > 1 else 1.0
+    residual_max = np.zeros(times.size)
     if times.size > 2:
-        residual[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dt) + v * dzrho[1:-1] - source[1:-1]
-        residual[0] = (rho[1] - rho[0]) / dt + v * dzrho[0] - source[0]
-        residual[-1] = (rho[-1] - rho[-2]) / dt + v * dzrho[-1] - source[-1]
-    else:
-        residual[:] = 0.0
+        residual_max = _residual_max(rho, events, z, times, v, dz)
 
     return LifecycleReport(
         times=times,
         norm=norm_t,
-        residual_max=np.max(np.abs(residual), axis=1),
+        residual_max=residual_max,
         peak_z=peak_z,
         rho=rho,
         acausal=acausal,
         final_norm=float(norm_t[-1]),
     )
+
+
+# Rows per block of the residual: about 2 MB of float64 per temporary.
+_BLOCK_CELLS = 1 << 18
+
+
+def _residual_max(rho, events, z, times, v: float, dz: float):
+    """max over z of |d rho/dt + v d rho/dz - source| per row, in row blocks.
+
+    Centred differences in z (periodic) and in t, one-sided in t on the first
+    and last rows; each block reads one halo row of rho on either side. The
+    source rate is zero outside its support, so it is evaluated only inside.
+    """
+    n_t, n_z = rho.shape
+    dt = times[1] - times[0]
+    terms = []
+    for ev in events:
+        profile = _source_profile(ev, z)
+        nonzero = np.flatnonzero(profile)
+        if nonzero.size == 0:
+            continue
+        rate = np.zeros(n_t)
+        for i in np.flatnonzero(np.abs(times - ev.time) <= TRUNC_SIGMAS * ev.duration):
+            rate[i] = _source_rate(ev, times[i])
+        cols = slice(nonzero[0], nonzero[-1] + 1)
+        terms.append((cols, profile[cols], rate))
+
+    out = np.empty(n_t)
+    rows_per_block = max(1, _BLOCK_CELLS // n_z)
+    for r0 in range(0, n_t, rows_per_block):
+        r1 = min(r0 + rows_per_block, n_t)
+        rows, block = np.arange(r0, r1), rho[r0:r1]
+        ends = (rows == 0) | (rows == n_t - 1)
+        res = rho[np.minimum(rows + 1, n_t - 1)] - rho[np.maximum(rows - 1, 0)]
+        res /= np.where(ends, dt, 2.0 * dt)[:, None]
+        dzrho = np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)
+        dzrho /= 2.0 * dz
+        dzrho *= v
+        res += dzrho
+        source = np.zeros_like(block)
+        for cols, profile, rate in terms:
+            source[:, cols] += profile * rate[rows, None]
+        res -= source
+        np.abs(res, out=res)
+        out[rows] = res.max(axis=1)
+    return out

@@ -266,7 +266,10 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
     outside = np.abs(z[None, :] - emit.center) > \
         v * np.maximum(times[:, None] - emit.time, 0.0) + pad
     if outside.any():
-        checks.append(check_le("causality", np.abs(rep.rho[outside]).max(),
+        # the two masked extremes bound |rho| without copying the masked cells
+        top = rep.rho.max(where=outside, initial=-np.inf)
+        bottom = rep.rho.min(where=outside, initial=np.inf)
+        checks.append(check_le("causality", max(abs(top), abs(bottom)),
                                tol["causality"]))
     if rep.acausal:
         info.append("acausal detection: detector fires before ballistic arrival")

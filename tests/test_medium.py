@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlab import (
     VACUUM,
@@ -22,14 +25,18 @@ from photonlab import (
     source_field,
     synthesize,
 )
+from photonlab.config import TOLERANCE_DEFAULTS
 from photonlab.current import CurrentField
 from photonlab.medium import (
     TRUNC_SIGMAS,
+    LifecycleReport,
+    _advected_pulse,
     arrival_time,
     trunc_gauss,
     trunc_gauss_cdf,
     validate_events,
 )
+from photonlab.verify import lifecycle_checks
 
 
 def line_grid(n=1024, z_min=-5.0, z_max=25.0):
@@ -297,3 +304,129 @@ def test_lifecycle_event_roles_enforced():
     grid3 = SpatialGrid(n_per_axis=8, spacing=0.5, dimension=3, origin=(0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="one-dimensional"):
         lifecycle_1d(emit, det, med, grid3, times)
+
+
+def full_grid_lifecycle_1d(emit, detect, med, grid1d, times):
+    """Oracle: lifecycle_1d evaluated on the whole (t, z) grid.
+
+    Every event's pulse and source is computed on every cell, and the residual
+    comes from full-grid np.roll copies; this is the solve the windowed one
+    must reproduce bit for bit.
+    """
+    times = np.asarray(times, dtype=float)
+    z = grid1d.axis_positions()
+    v = med.v
+
+    acausal = False
+    if detect is not None:
+        acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
+    events = [emit] + ([detect] if detect is not None and not acausal else [])
+    rho = np.zeros((times.size, z.size))
+    for ev in events:
+        xi = z[None, :] - ev.center - v * (times[:, None] - ev.time)
+        tau_max = (times - ev.time)[:, None]
+        rho += ev.sign * ev.strength * _advected_pulse(xi, tau_max, v, ev.duration, ev.width)
+
+    dz = grid1d.spacing
+    norm_t = rho.sum(axis=1) * dz
+    peak_z = z[np.argmax(rho, axis=1)]
+
+    source = np.zeros_like(rho)
+    for i, t in enumerate(times):
+        for ev in events:
+            s_z = trunc_gauss(z - ev.center, ev.width)
+            source[i] += ev.sign * ev.strength * s_z * float(trunc_gauss(t - ev.time, ev.duration))
+
+    dzrho = (np.roll(rho, -1, axis=1) - np.roll(rho, 1, axis=1)) / (2.0 * dz)
+    residual = np.empty_like(rho)
+    dt = times[1] - times[0] if times.size > 1 else 1.0
+    if times.size > 2:
+        residual[1:-1] = (rho[2:] - rho[:-2]) / (2.0 * dt) + v * dzrho[1:-1] - source[1:-1]
+        residual[0] = (rho[1] - rho[0]) / dt + v * dzrho[0] - source[0]
+        residual[-1] = (rho[-1] - rho[-2]) / dt + v * dzrho[-1] - source[-1]
+    else:
+        residual[:] = 0.0
+
+    return LifecycleReport(times=times, norm=norm_t,
+                           residual_max=np.max(np.abs(residual), axis=1),
+                           peak_z=peak_z, rho=rho, acausal=acausal,
+                           final_norm=float(norm_t[-1]))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def lifecycle_cases(draw):
+    n_z = draw(st.integers(8, 1024))
+    n_t = draw(st.integers(1, 160))
+    length = draw(st.floats(0.5, 40.0))
+    grid = SpatialGrid(n_per_axis=n_z, spacing=length / n_z, dimension=1,
+                       origin=draw(st.floats(-10.0, 10.0)))
+    t_start = draw(st.floats(-5.0, 5.0))
+    t_stop = t_start + draw(st.floats(0.5, 30.0))
+    times = np.linspace(t_start, t_stop, n_t)
+    step = (t_stop - t_start) / max(n_t - 1, 1)
+    med = MediumSpec(epsilon=draw(st.floats(1.0, 6.0)), mu=draw(st.floats(0.25, 4.0)))
+
+    def event(kind, max_strength=1.0):
+        # centres and times reach past both ends of the line and of the run;
+        # widths run from a tenth of a cell to 1259 cells, wider than any line drawn
+        z_lo, z_hi = grid.origin - 0.5 * length, grid.origin + 1.5 * length
+        return SourceEvent(kind=kind, center=draw(st.floats(z_lo, z_hi)),
+                           width=grid.spacing * 10.0 ** draw(st.floats(-1.0, 3.1)),
+                           time=draw(st.floats(t_start - 10.0, t_stop + 10.0)),
+                           duration=step * 10.0 ** draw(st.floats(-1.0, 1.5)),
+                           strength=draw(st.floats(0.05, max_strength)))
+
+    emit = event("emitter")
+    detect = draw(st.sampled_from(("absent", "drawn", "matched")))
+    if detect == "absent":
+        det = None
+    else:
+        det = event("detector")
+        if detect == "matched":
+            det = SourceEvent(kind="detector", center=det.center, width=det.width,
+                              time=arrival_time(emit, det.center, med.v),
+                              duration=det.duration, strength=det.strength)
+    return emit, det, med, grid, times
+
+
+@settings(max_examples=300, deadline=None)
+@given(lifecycle_cases())
+def test_windowed_lifecycle_matches_full_grid_oracle(case):
+    emit, det, med, grid, times = case
+    fast = lifecycle_1d(emit, det, med, grid, times)
+    slow = full_grid_lifecycle_1d(emit, det, med, grid, times)
+    for name in ("rho", "norm", "peak_z", "residual_max", "final_norm"):
+        assert same_bits(getattr(fast, name), getattr(slow, name)), name
+    assert fast.acausal is slow.acausal
+    # the single-event response shares the windowed pulse
+    rho, j = green_response_1d(emit.time, emit.center, med, grid, times,
+                               sigma_t=emit.duration, sigma_z=emit.width)
+    xi = grid.axis_positions()[None, :] - emit.center - med.v * (times[:, None] - emit.time)
+    full = _advected_pulse(xi, (times - emit.time)[:, None], med.v, emit.duration, emit.width)
+    assert same_bits(rho, full) and same_bits(j, med.v * full)
+
+
+def test_lifecycle_memory_stays_near_one_density_grid():
+    # the benchmark line: 8192 cells, 1601 times; only rho is full-size
+    med = MediumSpec(epsilon=2.0, mu=1.0)
+    grid = line_grid(n=8192)
+    times = np.linspace(0.0, 20.0, 1601)
+    width, duration = 4.0 * grid.spacing, 4.0 * (times[1] - times[0])
+    emit = SourceEvent(kind="emitter", center=0.0, width=width, time=0.0,
+                       duration=duration)
+    det = SourceEvent(kind="detector", center=10.0, width=width,
+                      time=arrival_time(emit, 10.0, med.v), duration=duration)
+    tracemalloc.start()
+    try:
+        rep = lifecycle_1d(emit, det, med, grid, times)
+        checks, _ = lifecycle_checks(rep, emit, det, med, grid, times, TOLERANCE_DEFAULTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= 1.5 * rep.rho.nbytes, peak / rep.rho.nbytes

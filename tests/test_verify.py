@@ -1,9 +1,14 @@
 import csv
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
-from photonlab import parse_config, run_verify, write_verify_report
+from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
+                       run_verify, write_verify_report)
+from photonlab.config import TOLERANCE_DEFAULTS
+from photonlab.verify import lifecycle_checks
 
 
 def test_run_verify_requires_verify_kind():
@@ -32,3 +37,27 @@ def test_dispersion_fault_is_caught_and_still_reported(tmp_path):
         rows = list(csv.reader(fh))
     assert len(rows) == len(names) + 1
     assert {row[4] for row in rows[1:]} == {"true", "false"}
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+def test_causality_check_catches_density_outside_the_cone(sign):
+    med = MediumSpec(epsilon=2.0, mu=1.0)
+    grid = SpatialGrid(n_per_axis=512, spacing=30.0 / 512, dimension=1, origin=-5.0)
+    times = np.linspace(0.0, 20.0, 101)
+    emit = SourceEvent(kind="emitter", center=0.0, width=4.0 * grid.spacing, time=0.0,
+                       duration=4.0 * (times[1] - times[0]))
+    rep = lifecycle_1d(emit, None, med, grid, times)
+    clean, _ = lifecycle_checks(rep, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    assert {c.name: c for c in clean}["causality"].passed
+
+    # early in the run, at the far end of the line: outside the padded cone
+    rho = rep.rho.copy()
+    i, cell = 10, grid.n_points - 1
+    pad = 6.0 * (emit.width + med.v * emit.duration)
+    assert abs(grid.axis_positions()[cell] - emit.center) > med.v * times[i] + pad
+    rho[i, cell] = sign * 1e-9
+    faulty = dataclasses.replace(rep, rho=rho)
+    checks, _ = lifecycle_checks(faulty, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    causality = {c.name: c for c in checks}["causality"]
+    assert not causality.passed
+    assert causality.measured == 1e-9
