@@ -124,10 +124,13 @@ def write_fields_csv(path: str, snap, units: UnitSystem = NATURAL):
     grid = snap.grid
     n = grid.n_points
     ka, ke = units.a_field, units.e_field
-    # complex columns viewed as float64 pairs give the re_*, im_* order
-    cols = np.concatenate([(ka * snap.a_plus).reshape(n, 3), (ke * snap.e_plus).reshape(n, 3),
-                           (ka * snap.b_plus).reshape(n, 3), (ke * snap.phi_plus).reshape(n, 1)],
-                          axis=1).view(np.float64)
+    # complex columns viewed as float64 pairs give the re_*, im_* order; the
+    # row-major target makes that view valid whatever the snapshot layout
+    cols = np.empty((n, 10), dtype=np.complex128)
+    np.concatenate([(ka * snap.a_plus).reshape(n, 3), (ke * snap.e_plus).reshape(n, 3),
+                    (ka * snap.b_plus).reshape(n, 3), (ke * snap.phi_plus).reshape(n, 1)],
+                   axis=1, out=cols)
+    cols = cols.view(np.float64)
     points = _point_prefixes(grid, lambda a: grid.axis_positions())
     _write_table(path, FIELDS_COLUMNS, _lines(points, cols))
 

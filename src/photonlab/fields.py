@@ -9,6 +9,11 @@ stay independent of the synthesis path. phi+ = c A+_par throughout.
 The k-lattice and the sample box are tensor products of 1D axes, so the mode
 sum factors into one contraction per axis with an n_k x n_x table of
 e^{i k_a x_a}: the direct sum reassociated, exact to rounding on every grid.
+
+Callers name the field groups they read (GROUPS: A, E, B, and the
+longitudinal sector phi, A_par, E_par); only those are summed, all in one
+contraction. Each group is a view of that component-major sum, so the sum is
+the only copy of the fields; a group that was not requested cannot be read.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ _COLS_PHI = slice(9, 10)
 _COLS_APAR = slice(10, 13)
 _COLS_EPAR = slice(13, 16)
 _NCOMP = 16
+
+# Field groups synthesize can be asked for, with their coefficient columns.
+# The longitudinal sector (phi, A_par, E_par in that order) is one group:
+# current_density reads all of it.
+GROUPS = {"a": _COLS_A, "e": _COLS_E, "b": _COLS_B,
+          "par": slice(_COLS_PHI.start, _COLS_EPAR.stop)}
 
 
 @dataclass(frozen=True)
@@ -94,25 +105,44 @@ def is_dual(grid: SpatialGrid, kgrid: KGrid) -> bool:
     return abs(grid.box_length * kgrid.spacing / (2.0 * math.pi) - 1.0) < 1e-9
 
 
+class _Field:
+    """Snapshot field whose read raises when it was not synthesized (stored None)."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, snap, owner=None):
+        if snap is None:
+            raise AttributeError(self.name)  # a required dataclass field, no default
+        value = snap.__dict__[self.name]
+        if value is None:
+            raise ValueError(f"{self.name} was not synthesized; request its field group")
+        return value
+
+    def __set__(self, snap, value):
+        snap.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class FieldSnapshot:
     """Complex positive-frequency fields sampled on a spatial grid at one time.
 
     Vector arrays carry a trailing component axis of 3; a_par_plus/e_par_plus
     hold the spectrally longitudinal parts so bilinears never need a position
-    space transverse split. bloch holds the per-axis quasi-periodic wrap
+    space transverse split. A field given as None was not synthesized and
+    raises ValueError when read. bloch holds the per-axis quasi-periodic wrap
     factors when the grid is the Fourier dual of the synthesizing k-lattice,
     else None (finite-difference stencils then refuse the snapshot).
     """
 
     grid: SpatialGrid
     time: float
-    a_plus: np.ndarray
-    e_plus: np.ndarray
-    b_plus: np.ndarray
-    phi_plus: np.ndarray
-    a_par_plus: np.ndarray
-    e_par_plus: np.ndarray
+    a_plus: np.ndarray = _Field()
+    e_plus: np.ndarray = _Field()
+    b_plus: np.ndarray = _Field()
+    phi_plus: np.ndarray = _Field()
+    a_par_plus: np.ndarray = _Field()
+    e_par_plus: np.ndarray = _Field()
     speed: float
     bloch: tuple | None
     lambdas_present: frozenset
@@ -123,11 +153,16 @@ class FieldSnapshot:
         return self.bloch
 
 
-def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: float = 1.0) -> FieldSnapshot:
-    """Evaluate A+, E+, B+, phi+ (and longitudinal parts) at time t.
+def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: float = 1.0,
+               groups=tuple(GROUPS)) -> FieldSnapshot:
+    """Evaluate the requested field groups of A+, E+, B+, phi+ at time t.
 
-    The polarization rows fold into one lattice-ordered coefficient array,
-    whose live components _mode_sum then sums one axis at a time.
+    groups names keys of GROUPS: "a" (a_plus), "e" (e_plus), "b" (b_plus)
+    and "par" (phi_plus, a_par_plus, e_par_plus); all by default. The
+    polarization rows fold into one lattice-ordered coefficient array. Every
+    requested group with a nonzero coefficient is summed in one _mode_sum
+    call and kept as a view of its rows; dead groups are zeros. Fields of
+    groups not requested are None and raise when read.
 
     omega_scale deliberately mis-scales the frequency used in the time
     derivative that builds E+ (a dispersion fault for verification drills);
@@ -135,6 +170,9 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     """
     if grid.dimension != m.grid.dimension:
         raise ValueError("mode grid and spatial grid dimensions differ")
+    unknown = set(groups) - GROUPS.keys()
+    if unknown:
+        raise ValueError(f"unknown field groups {sorted(unknown)}; choose from {list(GROUPS)}")
     k = kvectors(m.grid)
     kmag = np.sqrt(np.sum(k * k, axis=-1))
     omega = m.speed * kmag
@@ -164,16 +202,32 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
             coeffs[:, _COLS_E] += (1j * omega * omega_scale)[:, None] * a_coef
             coeffs[:, _COLS_B] += (pol * kmag)[:, None] * a_coef
 
-    live_cols = np.flatnonzero(np.any(coeffs != 0.0, axis=0)).tolist()
-    summed = dict(zip(live_cols, _mode_sum(coeffs[:, live_cols], m.grid, grid)))
+    # whole groups are summed, so every sum has at least three columns (numpy
+    # sends a single row through gemv, which rounds differently from gemm)
+    live = np.any(coeffs != 0.0, axis=0)
+    requested = [g for g in GROUPS if g in groups]
+    summed_groups = [g for g in requested if live[GROUPS[g]].any()]
+    cols = [c for g in summed_groups for c in range(GROUPS[g].start, GROUPS[g].stop)]
+    summed = _mode_sum(coeffs[:, cols], m.grid, grid)
+    summed[~live[cols]] = 0.0  # a dead column sums signed zeros; store +0
+    rows, start = {}, 0
+    for g in requested:
+        width = GROUPS[g].stop - GROUPS[g].start
+        if g in summed_groups:
+            rows[g] = summed[start:start + width]
+            start += width
+        else:
+            rows[g] = np.zeros((width, grid.n_points), dtype=np.complex128)
 
-    def field(sl, shape):
-        # each live component is copied once out of the sum; dead ones stay fresh zeros
-        arr = np.zeros((grid.n_points, sl.stop - sl.start), dtype=np.complex128)
-        for j, col in enumerate(range(sl.start, sl.stop)):
-            if col in summed:
-                arr[:, j] = summed[col]
-        return arr.reshape(shape)
+    def field(group, sl):
+        # component-major rows seen with a trailing component axis: no copy
+        if group not in rows:
+            return None
+        offset = GROUPS[group].start
+        block = rows[group][sl.start - offset:sl.stop - offset]
+        if len(block) == 1:
+            return block[0].reshape(grid.field_shape())
+        return np.moveaxis(block.reshape((3,) + grid.field_shape()), 0, -1)
 
     bloch = None
     if is_dual(grid, m.grid):
@@ -185,12 +239,12 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     return FieldSnapshot(
         grid=grid,
         time=float(t),
-        a_plus=field(_COLS_A, grid.field_shape(3)),
-        e_plus=field(_COLS_E, grid.field_shape(3)),
-        b_plus=field(_COLS_B, grid.field_shape(3)),
-        phi_plus=field(_COLS_PHI, grid.field_shape()),
-        a_par_plus=field(_COLS_APAR, grid.field_shape(3)),
-        e_par_plus=field(_COLS_EPAR, grid.field_shape(3)),
+        a_plus=field("a", _COLS_A),
+        e_plus=field("e", _COLS_E),
+        b_plus=field("b", _COLS_B),
+        phi_plus=field("par", _COLS_PHI),
+        a_par_plus=field("par", _COLS_APAR),
+        e_par_plus=field("par", _COLS_EPAR),
         speed=m.speed,
         bloch=bloch,
         lambdas_present=frozenset(present),
@@ -232,8 +286,15 @@ def maxwell_residual(prev: FieldSnapshot, now: FieldSnapshot, nxt: FieldSnapshot
     gauss = fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
     if rho_e is not None:
         gauss = gauss - np.asarray(rho_e) / eps0
-    dt_e = (nxt.e_plus - prev.e_plus) / (dt_lo + dt_hi)
-    ampere = dt_e - c * c * fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists)
+    # dE/dt is formed one component at a time in one buffer and taken from
+    # c^2 curl B in place, so no full vector temporary is built
+    ampere = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists)
+    ampere *= c * c
+    dt_e = np.empty_like(ampere[..., 0])
+    for comp in range(3):
+        np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e)
+        dt_e /= dt_lo + dt_hi
+        np.subtract(dt_e, ampere[..., comp], out=ampere[..., comp])
     if j_e is not None:
         ampere = ampere + np.asarray(j_e) / eps0
     return gauss, ampere

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .current import CurrentField, photon_current
 from .fields import FieldSnapshot, SpatialGrid
@@ -114,6 +113,8 @@ def trunc_gauss(u, sigma: float):
 
 def trunc_gauss_cdf(u, sigma: float):
     """Integral of trunc_gauss from -inf to u; exactly 0 / 1 outside support."""
+    from scipy.special import erf  # on use: importing scipy would double CLI start-up
+
     u = np.asarray(u, dtype=float)
     raw = 0.5 * (erf(u / (sigma * _ROOT_2)) - (-_TRUNC_MASS)) / _TRUNC_MASS
     return np.clip(raw, 0.0, 1.0)
@@ -175,6 +176,8 @@ def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
     difference over the support intersection; empty intersections give an
     exact zero.
     """
+    from scipy.special import erf  # on use: importing scipy would double CLI start-up
+
     xi = np.asarray(xi, dtype=float)
     tau_max = np.asarray(tau_max, dtype=float)
     edge_t = TRUNC_SIGMAS * sigma_t

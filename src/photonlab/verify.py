@@ -74,6 +74,15 @@ def _worst_point(res, grid) -> str:
     return f"index {i} at ({', '.join(f'{v:.6g}' for v in x)})"
 
 
+def _located_failures(checks, deviations, grid, t) -> list:
+    """One info line per failed check, naming the worst point of its deviation field.
+
+    Passing checks add nothing, so a passing report is unchanged.
+    """
+    return [f"{c.name} worst point at t = {t:g}: {_worst_point(d, grid)}"
+            for c, d in zip(checks, deviations) if not c.passed]
+
+
 # ---------------------------------------------------------------------------
 # check blocks
 
@@ -120,23 +129,33 @@ def _continuity_block(tol, scale):
     return checks, info
 
 
-def _maxwell_block(tol, scale):
+_MAXWELL_T0 = 0.5
+
+
+def _maxwell_packet():
     g = KGrid(n_per_axis=8, spacing=0.25, dimension=3, center=(0.0, 0.0, 1.0))
-    m = gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, 1)
-    t0 = 0.5
+    return gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, 1)
 
-    def level(n_x):
-        sg = dual_grid(g, n_x)
-        dt = sg.spacing / 2.0
-        prev, now, nxt = _synth_triplet(m, sg, t0, dt, scale)
-        gauss, ampere = maxwell_residual(prev, now, nxt)
-        divb = divergence(now.b_plus.reshape(sg.field_shape(3)), sg.spacing,
-                          sg.dimension, now.twists())
-        res = (gauss, ampere, divb)
-        return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
 
-    coarse, _ = level(48)
-    fine, where = level(96)
+def _maxwell_level(m, n_x, scale):
+    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box."""
+    sg = dual_grid(m.grid, n_x)
+    t0, dt = _MAXWELL_T0, sg.spacing / 2.0
+    # the residuals read E at t0 -+ dt and E, B at t0
+    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
+    now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
+    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
+    gauss, ampere = maxwell_residual(prev, now, nxt)
+    del prev, nxt
+    divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
+    res = (gauss, ampere, divb)
+    return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
+
+
+def _maxwell_block(tol, scale):
+    m = _maxwell_packet()
+    coarse, _ = _maxwell_level(m, 48, scale)
+    fine, where = _maxwell_level(m, 96, scale)
     orders = [math.log2(a / b) if b > 0 else float("inf")
               for a, b in zip(coarse, fine)]
     checks = [check_ge("maxwell_gauss_order", orders[0], tol["maxwell_order"]),
@@ -144,7 +163,7 @@ def _maxwell_block(tol, scale):
               check_ge("maxwell_divb_order", orders[2], tol["maxwell_order"])]
     info = [f"maxwell residual fine level: gauss {fine[0]:.6g}, "
             f"ampere {fine[1]:.6g}, divB {fine[2]:.6g}",
-            f"maxwell worst fine-level residual at t = {t0:g}: gauss {where[0]}; "
+            f"maxwell worst fine-level residual at t = {_MAXWELL_T0:g}: gauss {where[0]}; "
             f"ampere {where[1]}; divB {where[2]}"]
     return checks, info
 
@@ -156,7 +175,8 @@ def _helicity_block(tol, scale):
 
     m = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
     cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
-    dev = np.abs(cf.s_hel - cf.rho[:, None] * np.array([0.0, 0.0, 1.0])).max()
+    diff = cf.s_hel - cf.rho[:, None] * np.array([0.0, 0.0, 1.0])
+    dev = np.abs(diff).max()
     checks.append(check_le("helicity_pointwise", dev, tol["helicity_pointwise"]))
 
     m_par = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, "par")
@@ -164,6 +184,7 @@ def _helicity_block(tol, scale):
     checks.append(check_le("helicity_longitudinal", np.abs(s_par).max(),
                            tol["helicity_longitudinal"]))
     info.append(f"helicity deviation (lambda = +1) = {dev:.6g}")
+    info += _located_failures(checks[:1], [diff], sg, cf.time)
     return checks, info
 
 
@@ -216,11 +237,13 @@ def _medium_block(tol, scale):
     cfm = current_in_medium(snap, med)
     rho_free = number_density(snap)
 
-    pointwise = np.abs(cfm.rho - med.epsilon * rho_free).max()
+    rho_diff = cfm.rho - med.epsilon * rho_free
+    pointwise = np.abs(rho_diff).max()
     rescaled = CurrentField(grid=sg, time=cfm.time,
                             rho=density_rescale(cfm.rho, med), j=cfm.j)
     norm_dev = abs(position_norm(rescaled) - 1.0)
-    jdev = np.abs(cfm.j - med.v * cfm.rho[:, None] * np.array([0.0, 0.0, 1.0])).max()
+    j_diff = cfm.j - med.v * cfm.rho[:, None] * np.array([0.0, 0.0, 1.0])
+    jdev = np.abs(j_diff).max()
 
     m_vac = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
     snap_vac = synthesize(m_vac, sg, 0.8, omega_scale=scale)
@@ -235,6 +258,7 @@ def _medium_block(tol, scale):
               check_le("vacuum_reduction", vac_dev, tol["vacuum_reduction"])]
     info = [f"in-medium norm of rho_pm = {position_norm(cfm):.17g} "
             f"(epsilon_rel = {med.epsilon:g})"]
+    info += _located_failures([checks[0], checks[2]], [rho_diff, j_diff], sg, cfm.time)
     return checks, info
 
 
@@ -271,6 +295,12 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
         bottom = rep.rho.min(where=outside, initial=np.inf)
         checks.append(check_le("causality", max(abs(top), abs(bottom)),
                                tol["causality"]))
+        if not checks[-1].passed:
+            # located only on failure: this copies rho
+            row, cell = np.unravel_index(
+                np.argmax(np.where(outside, np.abs(rep.rho), 0.0)), rep.rho.shape)
+            info.append(f"causality worst density outside the cone: row {row} at "
+                        f"t = {times[row]:.6g}, cell {cell} at z = {z[cell]:.6g}")
     if rep.acausal:
         info.append("acausal detection: detector fires before ballistic arrival")
     return checks, info

@@ -94,3 +94,17 @@ def test_console_script_reports_version():
     res = subprocess.run(["photonlab", "--version"], capture_output=True, text=True)
     assert res.returncode == 0
     assert res.stdout.strip() == f"photonlab {photonlab.__version__}"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where erf is used; loading it would double CLI start-up
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, photonlab.cli; print(photonlab.cli.__file__); print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    where, loaded = res.stdout.split()
+    assert where.startswith(src)
+    assert loaded == "False"

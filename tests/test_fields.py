@@ -21,9 +21,10 @@ from photonlab import (
     measure_weight,
     synthesize,
 )
-from photonlab.fields import AMPLITUDE_SCALE, _mode_sum, is_dual
-from photonlab.modes import kvectors, lambda_row, zero_state
-from photonlab.relativity import polarization_basis
+from photonlab.fields import AMPLITUDE_SCALE, GROUPS, _mode_sum, is_dual
+from photonlab.modes import (POLARIZATIONS, kvectors, lambda_row, measure_weights,
+                             zero_state)
+from photonlab.relativity import polarization_bases, polarization_basis
 
 
 def single_mode(kz, pol, c):
@@ -327,3 +328,107 @@ def test_separable_mode_sum_matches_direct_sum(case):
     slow = direct_mode_sum(coeffs, kvectors(kgrid), grid)
     assert fast.shape == slow.shape == (coeffs.shape[1], grid.n_points)
     assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
+
+
+def eager_synthesize(m, grid, t, omega_scale=1.0):
+    """Oracle: every live component summed, then copied into interleaved arrays."""
+    k = kvectors(m.grid)
+    kmag = np.sqrt(np.sum(k * k, axis=-1))
+    omega = m.speed * kmag
+    w = measure_weights(m.grid, m.speed)
+    bases = polarization_bases(k)
+    phase_t = np.exp(-1j * omega * t)
+    coeffs = np.zeros((m.grid.n_points, 16), dtype=np.complex128)
+    for pol, c, unit in zip(POLARIZATIONS, m.amps, (bases.e_plus, bases.e_minus, bases.e_par)):
+        if not np.any(c):
+            continue
+        s = AMPLITUDE_SCALE * w * c * phase_t
+        a_coef = s[:, None] * unit
+        coeffs[:, 0:3] += a_coef
+        if pol == "par":
+            coeffs[:, 9:10] += s[:, None]
+            coeffs[:, 10:13] += a_coef
+            e_par = (1j * (omega * omega_scale - kmag))[:, None] * a_coef
+            coeffs[:, 13:16] += e_par
+            coeffs[:, 3:6] += e_par
+        else:
+            coeffs[:, 3:6] += (1j * omega * omega_scale)[:, None] * a_coef
+            coeffs[:, 6:9] += (pol * kmag)[:, None] * a_coef
+    live_cols = np.flatnonzero(np.any(coeffs != 0.0, axis=0)).tolist()
+    summed = dict(zip(live_cols, _mode_sum(coeffs[:, live_cols], m.grid, grid)))
+
+    def field(start, stop, shape):
+        arr = np.zeros((grid.n_points, stop - start), dtype=np.complex128)
+        for j, col in enumerate(range(start, stop)):
+            if col in summed:
+                arr[:, j] = summed[col]
+        return arr.reshape(shape)
+
+    vec, scalar = grid.field_shape(3), grid.field_shape()
+    return {"a_plus": field(0, 3, vec), "e_plus": field(3, 6, vec), "b_plus": field(6, 9, vec),
+            "phi_plus": field(9, 10, scalar), "a_par_plus": field(10, 13, vec),
+            "e_par_plus": field(13, 16, vec)}
+
+
+GROUP_FIELDS = {"a": ("a_plus",), "e": ("e_plus",), "b": ("b_plus",),
+                "par": ("phi_plus", "a_par_plus", "e_par_plus")}
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bytes: signed zeros count."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
+
+
+@st.composite
+def snapshot_cases(draw):
+    dim = draw(st.sampled_from((1, 3)))
+    n_k = draw(st.integers(1, 12 if dim == 1 else 5))
+    n_x = draw(st.integers(2, 48 if dim == 1 else 9))
+    dk = draw(st.floats(0.05, 1.0))
+    k0 = [draw(st.floats(-3.0, 3.0)) if dim == 3 else 0.0 for _ in range(2)]
+    k0.append(draw(st.floats(-3.0, 3.0)))
+    try:
+        kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=dim, center=tuple(k0))
+    except ValueError:
+        assume(False)  # the lattice hit k = 0
+    if draw(st.booleans()):
+        grid = dual_grid(kgrid, n_x)
+    else:
+        grid = SpatialGrid(n_per_axis=n_x, spacing=draw(st.floats(0.05, 2.0)),
+                           dimension=dim, origin=draw(st.floats(-5.0, 5.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # any mix of lambda = +1, -1 and par, including none
+    pols = draw(st.sets(st.sampled_from(POLARIZATIONS)))
+    amps = np.zeros((3, kgrid.n_points), dtype=np.complex128)
+    for pol in pols:
+        row = rng.normal(size=kgrid.n_points) + 1j * rng.normal(size=kgrid.n_points)
+        row[rng.random(kgrid.n_points) < 0.3] = 0.0
+        amps[lambda_row(pol)] = row
+    speed = draw(st.sampled_from((1.0, 0.7071067811865475)))
+    m = ModeAmplitudes(kgrid, amps, speed)
+    omega_scale = draw(st.sampled_from((1.0, 1.05, 0.9)))
+    groups = tuple(draw(st.sets(st.sampled_from(tuple(GROUPS)))))
+    return m, grid, draw(st.floats(-3.0, 3.0)), omega_scale, groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(snapshot_cases())
+def test_requested_groups_match_eager_synthesis(case):
+    m, grid, t, omega_scale, groups = case
+    snap = synthesize(m, grid, t, omega_scale=omega_scale, groups=groups)
+    oracle = eager_synthesize(m, grid, t, omega_scale)
+    for group, names in GROUP_FIELDS.items():
+        for name in names:
+            if group in groups:
+                assert same_bits(getattr(snap, name), oracle[name]), name
+            else:
+                with pytest.raises(ValueError, match="not synthesized"):
+                    getattr(snap, name)
+
+
+def test_unknown_group_refused():
+    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
+    m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, 1)
+    with pytest.raises(ValueError, match="unknown field groups"):
+        synthesize(m, dual_grid(grid, 8), 0.0, groups=("e", "phi"))

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
                        run_verify, write_verify_report)
 from photonlab.config import TOLERANCE_DEFAULTS
-from photonlab.verify import lifecycle_checks
+from photonlab.verify import _maxwell_level, _maxwell_packet, lifecycle_checks
 
 
 def test_run_verify_requires_verify_kind():
@@ -28,6 +29,10 @@ def test_dispersion_fault_is_caught_and_still_reported(tmp_path):
     assert {"norm_unity", "maxwell_ampere_order"} <= failed
     # the spatial-derivative laws never see the time scaling
     assert "maxwell_divb_order" not in failed
+    # the mis-scaled density no longer matches J / v; the line names where
+    assert "medium_current" in failed
+    assert any(line.startswith("medium_current worst point at t = 0.8: index ")
+               for line in rep.info)
 
     txt_path, csv_path = write_verify_report(rep, cfg)
     text = open(txt_path, encoding="utf-8").read()
@@ -47,8 +52,9 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     emit = SourceEvent(kind="emitter", center=0.0, width=4.0 * grid.spacing, time=0.0,
                        duration=4.0 * (times[1] - times[0]))
     rep = lifecycle_1d(emit, None, med, grid, times)
-    clean, _ = lifecycle_checks(rep, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    clean, clean_info = lifecycle_checks(rep, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
     assert {c.name: c for c in clean}["causality"].passed
+    assert not any(line.startswith("causality") for line in clean_info)
 
     # early in the run, at the far end of the line: outside the padded cone
     rho = rep.rho.copy()
@@ -57,7 +63,24 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     assert abs(grid.axis_positions()[cell] - emit.center) > med.v * times[i] + pad
     rho[i, cell] = sign * 1e-9
     faulty = dataclasses.replace(rep, rho=rho)
-    checks, _ = lifecycle_checks(faulty, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    checks, info = lifecycle_checks(faulty, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
     causality = {c.name: c for c in checks}["causality"]
     assert not causality.passed
     assert causality.measured == 1e-9
+    z = grid.axis_positions()[cell]
+    assert (f"causality worst density outside the cone: row {i} at t = {times[i]:.6g}, "
+            f"cell {cell} at z = {z:.6g}") in info
+
+
+def test_fine_maxwell_level_memory_stays_near_its_snapshots():
+    # E at t0 -+ dt and E, B at t0 are 12 components of 96^3 complex values;
+    # the residuals, one curl and one stencil temporary add 5 more
+    component = 96 ** 3 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        maxima, _ = _maxwell_level(_maxwell_packet(), 96, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(0.0 < r < 1e-3 for r in maxima)
+    assert peak <= 18 * component, peak / component
