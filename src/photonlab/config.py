@@ -497,6 +497,12 @@ def parse_config(text: str) -> ScenarioConfig:
         return ScenarioConfig(**base, packet=packet, times=times,
                               gauge_strength=vals["gauge_strength"])
     if kind == "medium1d":
+        if packet.pol == "par":
+            # with phi = A_par, E_par = i(v|k| - |k|) s e_k is nonzero in a medium
+            raise ConfigError("medium1d needs lambda = +1 or -1: its checks assume a "
+                              "transverse packet, and a longitudinal one has E_par != 0 "
+                              "in a medium",
+                              line=_line_of(text, kind, "lambda"), field_name="lambda")
         return ScenarioConfig(**base, packet=packet, times=times,
                               medium=_validate_medium(vals))
     return ScenarioConfig(**base, packet=packet, times=times)

@@ -25,6 +25,28 @@ _TRUNC_MASS = math.erf(TRUNC_SIGMAS / math.sqrt(2.0))
 _ROOT_2 = math.sqrt(2.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 
+# Cody's rational Chebyshev approximations (W. J. Cody, Math. Comp. 23 (1969)
+# 631; the coefficients of SPECFUN's CALERF): erf x R_A(x^2) on |x| <= 0.5,
+# erfc on 0.5 < |x| <= 4 by R_C(|x|) and beyond by (1/sqrt(pi) - R_P(1/x^2))/|x|,
+# each times exp(-x^2). Numerators list their leading coefficient last. The
+# erf form runs to Cody's 0.5, not CALERF's 0.46875: below 0.477 erf < 0.5 <
+# erfc, so 1 - erfc there loses a bit and reaches 6 ulp.
+_ERF_A = (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+          3.20937758913846947e03, 1.85777706184603153e-1)
+_ERF_B = (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+          2.84423683343917062e03)
+_ERF_C = (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+          2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+          2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8)
+_ERF_D = (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+          1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+          3.43936767414372164e03, 1.23033935480374942e03)
+_ERF_P = (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+          1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2)
+_ERF_Q = (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+          6.05183413124413191e-2, 2.33520497626869185e-3)
+_INV_SQRT_PI = 5.6418958354775628695e-1
+
 
 @dataclass(frozen=True)
 class MediumSpec:
@@ -111,12 +133,59 @@ def trunc_gauss(u, sigma: float):
     return np.where(np.abs(u) <= TRUNC_SIGMAS * sigma, g, 0.0)
 
 
+def _cody_ratio(u, num_c, den_c):
+    """Numerator and denominator of a Cody rational in u, by Horner's rule in CALERF's order."""
+    num = num_c[-1] * u
+    den = u.copy()
+    for a, b in zip(num_c[:-2], den_c[:-1]):
+        num += a
+        num *= u
+        den += b
+        den *= u
+    num += num_c[-2]
+    den += den_c[-1]
+    return num, den
+
+
+def _erf_from_scaled_erfc(y, scaled):
+    """1 - exp(-y^2) scaled, with exp(-y^2) split at s = trunc(16 y)/16 as in CALERF."""
+    s = np.trunc(y * 16.0) / 16.0
+    scaled *= np.exp(-s * s) * np.exp(-(y - s) * (y + s))
+    return (0.5 - scaled) + 0.5
+
+
+def _erf(x):
+    """erf by Cody's approximations: odd, |erf| <= 1, within 3 ulp of math.erf.
+
+    From |x| = 6 on erfc < 2**-55, so erf rounds to exactly +-1 and is not
+    evaluated. NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.abs(x)
+    out = np.ones_like(y)
+    near = y <= 0.5
+    mid = ~near & (y <= 4.0)
+    far = ~(y <= 4.0) & ~(y >= 6.0)       # NaN lands here and propagates
+
+    s = y[near]
+    num, den = _cody_ratio(s * s, _ERF_A, _ERF_B)
+    out[near] = s * num / den
+
+    t = y[mid]
+    num, den = _cody_ratio(t, _ERF_C, _ERF_D)
+    out[mid] = _erf_from_scaled_erfc(t, num / den)
+
+    t = y[far]
+    r = 1.0 / (t * t)
+    num, den = _cody_ratio(r, _ERF_P, _ERF_Q)
+    out[far] = _erf_from_scaled_erfc(t, (_INV_SQRT_PI - r * num / den) / t)
+    return np.copysign(out, x, out=out)
+
+
 def trunc_gauss_cdf(u, sigma: float):
     """Integral of trunc_gauss from -inf to u; exactly 0 / 1 outside support."""
-    from scipy.special import erf  # on use: importing scipy would double CLI start-up
-
     u = np.asarray(u, dtype=float)
-    raw = 0.5 * (erf(u / (sigma * _ROOT_2)) - (-_TRUNC_MASS)) / _TRUNC_MASS
+    raw = 0.5 * (_erf(u / (sigma * _ROOT_2)) - (-_TRUNC_MASS)) / _TRUNC_MASS
     return np.clip(raw, 0.0, 1.0)
 
 
@@ -173,17 +242,18 @@ def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
     Evaluates integral over tau of s_t(tau) s_z(xi + v tau) for tau in
     [-6 sigma_t, min(tau_max, 6 sigma_t)], both envelopes unit-mass truncated
     Gaussians. Completing the square leaves a Gaussian in xi times an erf
-    difference over the support intersection; empty intersections give an
-    exact zero.
+    difference over the support intersection; it is evaluated only where that
+    intersection is nonempty, and the other cells are exact zeros.
     """
-    from scipy.special import erf  # on use: importing scipy would double CLI start-up
-
     xi = np.asarray(xi, dtype=float)
     tau_max = np.asarray(tau_max, dtype=float)
     edge_t = TRUNC_SIGMAS * sigma_t
     edge_z = TRUNC_SIGMAS * sigma_z
     lo = np.maximum(-edge_t, (-edge_z - xi) / v)
     hi = np.minimum(np.minimum(tau_max, edge_t), (edge_z - xi) / v)
+    live = hi > lo
+    out = np.zeros(live.shape)
+    xi, lo, hi = (np.broadcast_to(a, live.shape)[live] for a in (xi, lo, hi))
 
     sc2 = sigma_z ** 2 + (v * sigma_t) ** 2
     lam = 0.5 / sigma_t ** 2 + 0.5 * v ** 2 / sigma_z ** 2
@@ -192,10 +262,10 @@ def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
     amp_z = 1.0 / (sigma_z * _ROOT_2PI * _TRUNC_MASS)
     root_lam = math.sqrt(lam)
     prefac = amp_t * amp_z * 0.5 * math.sqrt(math.pi / lam)
-    body = prefac * np.exp(-0.5 * xi * xi / sc2) * (
-        erf(root_lam * (hi - mu)) - erf(root_lam * (lo - mu))
+    out[live] = prefac * np.exp(-0.5 * xi * xi / sc2) * (
+        _erf(root_lam * (hi - mu)) - _erf(root_lam * (lo - mu))
     )
-    return np.where(hi > lo, body, 0.0)
+    return out
 
 
 def green_response_1d(tp: float, zp: float, med: MediumSpec, grid1d: SpatialGrid,
@@ -228,6 +298,7 @@ def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
     |z - center - v (t_i - t0)| < 6 sigma_z + 6 v sigma_t, so it is evaluated
     on a window of cells that follows the characteristic, clipped to the line.
     Two cells and a rounding allowance of padding keep every nonzero cell in it.
+    Returns each row's window start and the window width.
     """
     n_z = grid1d.n_points
     z = grid1d.axis_positions()
@@ -245,6 +316,7 @@ def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
     pulse = _advected_pulse(xi, tau[:, None], v, sigma_t, sigma_z)
     cells += (np.arange(times.size) * n_z)[:, None]
     rho.reshape(-1)[cells] += scale * pulse
+    return start, width
 
 
 @dataclass(frozen=True)
@@ -276,8 +348,8 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     Each pulse is evaluated only on a window of about 12 (sigma_z + v sigma_t)
     cells per row that follows its characteristic (_add_pulse); the cells
     outside are exact zeros, as in a full-line evaluation. The residual is
-    reduced in blocks of whole rows (_residual_max), so rho is the only
-    (times, z) array the solve holds.
+    reduced in row blocks over those windows and the source columns only
+    (_residual_max), so rho is the only (times, z) array the solve holds.
     """
     if grid1d.dimension != 1:
         raise ValueError("the lifecycle scenario is one-dimensional")
@@ -296,16 +368,21 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
         acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
     events = [emit] + ([detect] if detect is not None and not acausal else [])
     rho = np.zeros((times.size, z.size))
+    # per row, the columns [col_lo, col_hi) hold every cell any pulse can touch
+    col_lo = np.full(times.size, z.size, dtype=np.intp)
+    col_hi = np.zeros(times.size, dtype=np.intp)
     for ev in events:
-        _add_pulse(rho, ev.sign * ev.strength, ev.center, ev.time, ev.width,
-                   ev.duration, v, grid1d, times)
+        start, width = _add_pulse(rho, ev.sign * ev.strength, ev.center, ev.time,
+                                  ev.width, ev.duration, v, grid1d, times)
+        np.minimum(col_lo, start, out=col_lo)
+        np.maximum(col_hi, start + width, out=col_hi)
 
     dz = grid1d.spacing
     norm_t = rho.sum(axis=1) * dz
     peak_z = z[np.argmax(rho, axis=1)]
     residual_max = np.zeros(times.size)
     if times.size > 2:
-        residual_max = _residual_max(rho, events, z, times, v, dz)
+        residual_max = _residual_max(rho, events, z, times, v, dz, col_lo, col_hi)
 
     return LifecycleReport(
         times=times,
@@ -322,12 +399,16 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
 _BLOCK_CELLS = 1 << 18
 
 
-def _residual_max(rho, events, z, times, v: float, dz: float):
+def _residual_max(rho, events, z, times, v: float, dz: float, col_lo, col_hi):
     """max over z of |d rho/dt + v d rho/dz - source| per row, in row blocks.
 
     Centred differences in z (periodic) and in t, one-sided in t on the first
-    and last rows; each block reads one halo row of rho on either side. The
-    source rate is zero outside its support, so it is evaluated only inside.
+    and last rows; each block reads one halo row of rho on either side. rho is
+    zero outside the columns [col_lo, col_hi) of each row and the source
+    outside its columns and rows, so each block reduces over the span of its
+    own and its halo rows' windows, widened by one cell, and of the sources
+    live in it; the residual outside is exactly zero. A span that reaches
+    an end of the line takes the whole periodic row.
     """
     n_t, n_z = rho.shape
     dt = times[1] - times[0]
@@ -347,18 +428,27 @@ def _residual_max(rho, events, z, times, v: float, dz: float):
     rows_per_block = max(1, _BLOCK_CELLS // n_z)
     for r0 in range(0, n_t, rows_per_block):
         r1 = min(r0 + rows_per_block, n_t)
-        rows, block = np.arange(r0, r1), rho[r0:r1]
+        rows = np.arange(r0, r1)
+        halo = slice(max(r0 - 1, 0), min(r1 + 1, n_t))
+        live = [(cols, profile, rate) for cols, profile, rate in terms if rate[r0:r1].any()]
+        c0 = min([col_lo[halo].min() - 1] + [cols.start for cols, _, _ in live])
+        c1 = max([col_hi[halo].max() + 1] + [cols.stop for cols, _, _ in live])
+        if c0 >= 1 and c1 <= n_z - 1:
+            dzrho = rho[r0:r1, c0 + 1:c1 + 1] - rho[r0:r1, c0 - 1:c1 - 1]
+        else:
+            c0, c1 = 0, n_z
+            block = rho[r0:r1]
+            dzrho = np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)
         ends = (rows == 0) | (rows == n_t - 1)
-        res = rho[np.minimum(rows + 1, n_t - 1)] - rho[np.maximum(rows - 1, 0)]
+        res = rho[np.minimum(rows + 1, n_t - 1), c0:c1] - rho[np.maximum(rows - 1, 0), c0:c1]
         res /= np.where(ends, dt, 2.0 * dt)[:, None]
-        dzrho = np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)
         dzrho /= 2.0 * dz
         dzrho *= v
         res += dzrho
-        source = np.zeros_like(block)
-        for cols, profile, rate in terms:
-            source[:, cols] += profile * rate[rows, None]
+        source = np.zeros_like(res)
+        for cols, profile, rate in live:
+            source[:, cols.start - c0:cols.stop - c0] += profile * rate[rows, None]
         res -= source
         np.abs(res, out=res)
-        out[rows] = res.max(axis=1)
+        out[rows] = res.max(axis=1, initial=0.0)
     return out

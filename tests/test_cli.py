@@ -96,15 +96,33 @@ def test_console_script_reports_version():
     assert res.stdout.strip() == f"photonlab {photonlab.__version__}"
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported where erf is used; loading it would double CLI start-up
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # erf is computed in numpy; neither the import nor a lifecycle solve loads scipy
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    cfg = write_config(tmp_path, "[lifecycle1d]\nn_z = 512\nt_steps = 100\n"
+                                 f"output = {tmp_path / 'out'}\n")
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys, photonlab.cli; print(photonlab.cli.__file__); print('scipy' in sys.modules)"],
+         "import sys, photonlab.cli; print(photonlab.cli.__file__); print('scipy' in sys.modules)\n"
+         f"code = photonlab.cli.main(['run', '--config', {cfg!r}])\n"
+         "print(code, 'scipy' in sys.modules)"],
         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
-    where, loaded = res.stdout.split()
+    lines = res.stdout.splitlines()
+    where, loaded = lines[:2]
+    code, loaded_after = lines[-1].split()
     assert where.startswith(src)
     assert loaded == "False"
+    assert code == "0" and loaded_after == "False"
+    assert (tmp_path / "out" / "lifecycle.csv").exists()
+
+
+def test_medium1d_longitudinal_packet_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[medium1d]\nn_k = 8\nlambda = par\noutput = {out}\n")
+    assert main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "photonlab: config error: line 3 field 'lambda':" in err
+    assert "lambda = +1 or -1" in err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,12 +26,16 @@ from photonlab import (
     source_field,
     synthesize,
 )
+from photonlab import medium
 from photonlab.config import TOLERANCE_DEFAULTS
 from photonlab.current import CurrentField
 from photonlab.medium import (
     TRUNC_SIGMAS,
     LifecycleReport,
     _advected_pulse,
+    _erf,
+    _source_profile,
+    _source_rate,
     arrival_time,
     trunc_gauss,
     trunc_gauss_cdf,
@@ -359,9 +364,9 @@ def same_bits(a, b):
 
 
 @st.composite
-def lifecycle_cases(draw):
-    n_z = draw(st.integers(8, 1024))
-    n_t = draw(st.integers(1, 160))
+def lifecycle_cases(draw, n_z=(8, 1024), n_t=(1, 160)):
+    n_z = draw(st.integers(*n_z))
+    n_t = draw(st.integers(*n_t))
     length = draw(st.floats(0.5, 40.0))
     grid = SpatialGrid(n_per_axis=n_z, spacing=length / n_z, dimension=1,
                        origin=draw(st.floats(-10.0, 10.0)))
@@ -430,3 +435,157 @@ def test_lifecycle_memory_stays_near_one_density_grid():
         tracemalloc.stop()
     assert all(c.passed for c in checks)
     assert peak <= 1.5 * rep.rho.nbytes, peak / rep.rho.nbytes
+
+
+def full_line_residual_max(rho, events, z, times, v, dz):
+    """Oracle: the residual reduced over whole rows, in blocks of _BLOCK_CELLS."""
+    n_t, n_z = rho.shape
+    dt = times[1] - times[0]
+    terms = []
+    for ev in events:
+        profile = _source_profile(ev, z)
+        nonzero = np.flatnonzero(profile)
+        if nonzero.size == 0:
+            continue
+        rate = np.zeros(n_t)
+        for i in np.flatnonzero(np.abs(times - ev.time) <= TRUNC_SIGMAS * ev.duration):
+            rate[i] = _source_rate(ev, times[i])
+        cols = slice(nonzero[0], nonzero[-1] + 1)
+        terms.append((cols, profile[cols], rate))
+
+    out = np.empty(n_t)
+    rows_per_block = max(1, medium._BLOCK_CELLS // n_z)
+    for r0 in range(0, n_t, rows_per_block):
+        r1 = min(r0 + rows_per_block, n_t)
+        rows, block = np.arange(r0, r1), rho[r0:r1]
+        ends = (rows == 0) | (rows == n_t - 1)
+        res = rho[np.minimum(rows + 1, n_t - 1)] - rho[np.maximum(rows - 1, 0)]
+        res /= np.where(ends, dt, 2.0 * dt)[:, None]
+        dzrho = np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)
+        dzrho /= 2.0 * dz
+        dzrho *= v
+        res += dzrho
+        source = np.zeros_like(block)
+        for cols, profile, rate in terms:
+            source[:, cols] += profile * rate[rows, None]
+        res -= source
+        np.abs(res, out=res)
+        out[rows] = res.max(axis=1)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(lifecycle_cases(n_z=(16, 256), n_t=(3, 40)), st.sampled_from(("one", "few", "all")),
+       st.integers(2, 5))
+def test_windowed_residual_matches_full_line_oracle(case, blocks, few):
+    # events drawn past both ends of the line put windows on the periodic seam
+    emit, det, med, grid, times = case
+    rows = {"one": 1, "few": few, "all": times.size}[blocks]
+    with mock.patch.object(medium, "_BLOCK_CELLS", rows * grid.n_points):
+        rep = lifecycle_1d(emit, det, med, grid, times)
+        events = [emit] + ([det] if det is not None and not rep.acausal else [])
+        slow = full_line_residual_max(rep.rho, events, grid.axis_positions(), times,
+                                      med.v, grid.spacing)
+    assert same_bits(rep.residual_max, slow)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 40), st.integers(16, 256), st.sampled_from(("one", "few", "all")),
+       st.integers(2, 5), st.sampled_from((1, 4, 32)), st.integers(0, 2 ** 32 - 1))
+def test_residual_max_reads_only_the_windows(n_t, n_z, blocks, few, narrow, seed):
+    # random densities inside random per-row windows, some on the line's ends,
+    # and random sources: a cell left out of a span would show in the max
+    rng = np.random.default_rng(seed)
+    grid = line_grid(n=n_z, z_min=-1.0, z_max=rng.uniform(0.5, 20.0))
+    z, dz = grid.axis_positions(), grid.spacing
+    times = np.linspace(0.0, dz * rng.uniform(0.2, 20.0) * n_t, n_t)
+    dt = times[1] - times[0]
+    width = rng.integers(1, max(2, n_z // narrow) + 1, n_t)
+    col_lo = rng.integers(0, n_z - width + 1)
+    col_lo[rng.random(n_t) < 0.1] = 0
+    col_lo[rng.random(n_t) < 0.1] = 1
+    col_lo = np.minimum(col_lo, n_z - width)
+    col_hi = col_lo + width
+    rho = np.zeros((n_t, n_z))
+    for i in range(n_t):
+        rho[i, col_lo[i]:col_hi[i]] = rng.standard_normal(width[i])
+    reach = 0.3 * n_z * dz
+    events = [SourceEvent(kind=kind, center=rng.uniform(z[0] - reach, z[-1] + reach),
+                          width=dz * 10.0 ** rng.uniform(-1.0, 1.5),
+                          time=rng.uniform(times[0], times[-1]),
+                          duration=dt * 10.0 ** rng.uniform(-1.0, 1.0),
+                          strength=rng.uniform(0.05, 1.0))
+              for kind in ("emitter", "detector")[:rng.integers(1, 3)]]
+    v = rng.uniform(0.2, 1.0)
+    rows = {"one": 1, "few": few, "all": n_t}[blocks]
+    with mock.patch.object(medium, "_BLOCK_CELLS", rows * n_z):
+        fast = medium._residual_max(rho, events, z, times, v, dz, col_lo, col_hi)
+        slow = full_line_residual_max(rho, events, z, times, v, dz)
+    assert same_bits(fast, slow)
+
+
+def where_pulse(xi, tau_max, v, sigma_t, sigma_z):
+    """Oracle: the closed-form pulse evaluated on every cell, then masked."""
+    edge_t, edge_z = TRUNC_SIGMAS * sigma_t, TRUNC_SIGMAS * sigma_z
+    lo = np.maximum(-edge_t, (-edge_z - xi) / v)
+    hi = np.minimum(np.minimum(tau_max, edge_t), (edge_z - xi) / v)
+    sc2 = sigma_z ** 2 + (v * sigma_t) ** 2
+    lam = 0.5 / sigma_t ** 2 + 0.5 * v ** 2 / sigma_z ** 2
+    mu = -v * xi * sigma_t ** 2 / sc2
+    amp_t = 1.0 / (sigma_t * math.sqrt(2.0 * math.pi) * medium._TRUNC_MASS)
+    amp_z = 1.0 / (sigma_z * math.sqrt(2.0 * math.pi) * medium._TRUNC_MASS)
+    root_lam = math.sqrt(lam)
+    prefac = amp_t * amp_z * 0.5 * math.sqrt(math.pi / lam)
+    body = prefac * np.exp(-0.5 * xi * xi / sc2) * (
+        _erf(root_lam * (hi - mu)) - _erf(root_lam * (lo - mu)))
+    return np.where(hi > lo, body, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 60), st.floats(0.2, 1.0), st.floats(0.01, 2.0),
+       st.floats(0.01, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_live_cell_pulse_matches_masked_full_form(n_t, n_z, v, sigma_t, sigma_z, seed):
+    rng = np.random.default_rng(seed)
+    reach = TRUNC_SIGMAS * (sigma_z + v * sigma_t)
+    xi = rng.uniform(-1.5 * reach, 1.5 * reach, (n_t, n_z))
+    tau_max = rng.uniform(-1.5 * TRUNC_SIGMAS * sigma_t, 1.5 * TRUNC_SIGMAS * sigma_t, (n_t, 1))
+    fast = _advected_pulse(xi, tau_max, v, sigma_t, sigma_z)
+    assert same_bits(fast, where_pulse(xi, tau_max, v, sigma_t, sigma_z))
+    assert not np.signbit(fast[fast == 0.0]).any()
+
+
+def erf_ulps(x):
+    ref = math.erf(x)
+    return abs(float(_erf(x)) - ref) / math.ulp(ref)
+
+
+erf_args = st.one_of(
+    st.floats(-30.0, 30.0),
+    st.builds(lambda m, sign: sign * m, st.floats(1e-300, 1e-3), st.sampled_from((-1.0, 1.0))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(erf_args, min_size=1, max_size=40))
+def test_erf_within_five_ulp_of_math_erf(xs):
+    x = np.array(xs)
+    y = _erf(x)
+    for xi, yi in zip(xs, y):
+        ref = math.erf(xi)
+        assert abs(yi - ref) <= 5 * math.ulp(ref), (xi, yi, ref)
+    assert (-y).tobytes() == _erf(-x).tobytes()
+    assert np.abs(y).max() <= 1.0
+
+
+def test_erf_special_values_and_range_seams():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 0.3, np.nan, 2.0, np.nan, 5.0, 7.0])
+    y = _erf(x)
+    assert y[0] == 0.0 and not np.signbit(y[0])
+    assert y[1] == 0.0 and np.signbit(y[1])
+    assert y[2] == 1.0 and y[3] == -1.0
+    assert np.isnan(y[[4, 6, 8]]).all()
+    assert not np.isnan(y[[5, 7, 9, 10]]).any()
+    assert np.isnan(_erf(np.nan))
+    for seam in (0.46875, 0.5, 4.0, 6.0):
+        for edge in (np.nextafter(seam, 0.0), seam, np.nextafter(seam, 10.0)):
+            assert erf_ulps(edge) <= 5, edge
+            assert erf_ulps(-edge) <= 5, -edge
