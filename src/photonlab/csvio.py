@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
+import math
 import os
 import tempfile
+import types
 
 import numpy as np
 
@@ -23,7 +26,7 @@ CURRENT_COLUMNS = ("t", "x", "y", "z", "rho", "jx", "jy", "jz",
 LIFECYCLE_COLUMNS = ("t", "norm", "residual_max", "peak_z")
 REPORT_COLUMNS = ("check", "measured", "tolerance", "order", "passed")
 
-_BLOCK_ROWS = 1 << 14  # rows per '%' call; bounds the strings held at once
+_BLOCK_ROWS = 1 << 11  # rows per formatted block; bounds the buffers held at once
 
 
 def fmt(x) -> str:
@@ -32,11 +35,11 @@ def fmt(x) -> str:
 
 def atomic_write_text(path: str, text: str):
     """Write via a temp file in the same directory, then rename into place."""
-    atomic_write_chunks(path, (text,))
+    atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
 def atomic_write_chunks(path: str, chunks):
-    """Write an iterable of strings, in order, through the same temp file and rename.
+    """Write an iterable of bytes, in order, through the same temp file and rename.
 
     If the iterable raises, path is left as it was and the temp file is removed.
     """
@@ -47,7 +50,7 @@ def atomic_write_chunks(path: str, chunks):
         umask = os.umask(0)
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -59,30 +62,195 @@ def atomic_write_chunks(path: str, chunks):
 
 def _write_table(path: str, columns, lines):
     """Header row, then the lines as they are produced, through one atomic write."""
-    atomic_write_chunks(path, itertools.chain((",".join(columns) + "\n",), lines))
+    atomic_write_chunks(path, itertools.chain(((",".join(columns) + "\n").encode(),), lines))
+
+
+def _word(b: bytes) -> int:
+    return int.from_bytes(b.ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _tables():
+    """Read-only lookup tables of _format_cells, built on first use."""
+    tens = [1]
+    for _ in range(340):
+        tens.append(tens[-1] * 10)
+    # 10**q = (c + d) 2**s with c in [2**127, 2**128) and 0 <= d < 1, for
+    # q = 16 - E over the decimal exponents E of doubles; c as 32-bit limbs
+    limbs, shifts = [], []
+    for q in range(-292, 341):
+        if q >= 0:
+            s = tens[q].bit_length() - 128
+            c = tens[q] >> s if s > 0 else tens[q] << -s
+        else:
+            s = -127 - tens[-q].bit_length()
+            c = (1 << -s) // tens[-q]
+        limbs.append([c >> 32 * i & 0xFFFFFFFF for i in range(4)])
+        shifts.append(75 + s)
+    # least[E + 324]: the least double >= 10**E
+    least = []
+    for e in range(-324, 309):
+        f = tens[e] / 1 if e >= 0 else 1 / tens[-e]  # int / int rounds correctly
+        n, d = f.as_integer_ratio()
+        if (n < d * tens[e]) if e >= 0 else (n * tens[-e] < d):
+            f = math.nextafter(f, math.inf)
+        least.append(f)
+    least.append(math.inf)
+    # per %g exponent X in [-324, 308]: the "0.000" after the sign slot, the
+    # exponent field, the digit the point follows (17: none) and the digits
+    # kept whatever their trailing zeros
+    pre, expo, point, kept = [], [], [], []
+    for x in range(-324, 309):
+        fixed = -4 <= x < 17
+        pre.append(_word(b"\0" + (b"0." + b"0" * (-x - 1) if x < 0 else b"")) if fixed else 0)
+        expo.append(0 if fixed else _word(b"\0\0" + b"e%+03d" % x))
+        point.append(x if 0 <= x < 17 else 17 if fixed else 0)
+        kept.append(x + 1 if 0 <= x < 17 else 0)
+    # masks[:, 18 p + n] over the 18 output bytes of n digits with a point
+    # after digit p: the digits left of it, those shifted right of it, the point
+    p, n, j = np.ogrid[:18, :18, :24]
+    dot = p < n - 1
+    masks = np.stack([np.where(dot, j <= p, j < n), dot & (j >= p + 2) & (j <= n),
+                      dot & (j == p + 1)], axis=2).astype(np.uint8)
+    masks[..., :2, :] *= 0xFF
+    masks[..., 2, :] *= ord(".")
+    masks = masks.view(np.uint64).reshape(18 * 18, 9).T.copy()
+    g = np.arange(10000, dtype=np.uint64)
+    ascii4 = sum((g // 10 ** (3 - i) % 10 + ord("0")) << 8 * i for i in range(4))
+    ascii4 |= sum((g % 10 ** i == 0).astype(np.uint64) for i in range(1, 5)) << 56
+    u64 = functools.partial(np.array, dtype=np.uint64)
+    tabs = {"limbs": u64(limbs).T.copy(), "shifts": np.array(shifts), "least": np.array(least),
+            "pre": u64(pre), "expo": u64(expo), "point": u64(point), "kept": u64(kept),
+            "masks": masks, "ascii4": ascii4}
+    for t in tabs.values():
+        t.flags.writeable = False
+    return types.MappingProxyType(tabs)
+
+
+def _scale(a, t):
+    """E and m 2**e 10**(16-E) for each double a = m 2**e > 0, with 10**E <= a < 10**(E+1).
+
+    The product is returned as its integer part and its top 64 fraction bits.
+    m is multiplied exactly by 10**(16-E) truncated to 128 bits, so the true
+    value exceeds the returned one by less than 2**-70.
+    """
+    mant, exp = np.frexp(a)
+    m = (mant * 2.0 ** 53).astype(np.uint64)
+    e10 = (exp.astype(np.int64) - 1) * 78913 >> 18  # floor((exp - 1) log10 2), |exp| < 1080
+    e10 += a >= t["least"].take(e10 + 325)
+    qi = 308 - e10
+    c0, c1, c2, c3 = t["limbs"].take(qi, axis=1)
+    # shifted so that the binary point falls at bit 128 of m c; 32-bit limbs
+    m <<= (t["shifts"].take(qi) + exp).astype(np.uint64)
+    lo, hi = m & 0xFFFFFFFF, m >> 32
+    p0, p1, p2, p3 = lo * c0, lo * c1, lo * c2, lo * c3
+    s = (p0 >> 32) + (p1 & 0xFFFFFFFF) + hi * c0
+    s = (s >> 32) + (p1 >> 32) + (p2 & 0xFFFFFFFF) + hi * c1
+    frac = s & 0xFFFFFFFF
+    s = (s >> 32) + (p2 >> 32) + (p3 & 0xFFFFFFFF) + hi * c2
+    frac |= s << 32
+    return e10, (s >> 32) + (p3 >> 32) + hi * c3, frac
+
+
+def _digits(whole, t):
+    """The 17 ASCII digits of whole in [10**16, 10**17) as three little-endian words, and
+    how many digits are left once trailing zeros are dropped."""
+    lead = whole // 10 ** 16
+    whole = whole - lead * 10 ** 16
+    h = whole // 10 ** 8
+    whole -= h * 10 ** 8
+    g0 = h // 10 ** 4
+    g2 = whole // 10 ** 4
+    # four digits each, in the low 32 bits; their trailing zeros in the top byte
+    d0, d1, d2, d3 = (t["ascii4"].take(g) for g in (g0, h - g0 * 10 ** 4, g2,
+                                                     whole - g2 * 10 ** 4))
+    z0, z1, z2, z3 = d0 >> 56, d1 >> 56, d2 >> 56, d3 >> 56
+    count = 17 - (z3 + (z3 == 4) * (z2 + (z2 == 4) * (z1 + (z1 == 4) * z0)))
+    return (lead + ord("0") | d0 << 8 | d1 << 40, d1 >> 24 & 0xFF | d2 << 8 | d3 << 40,
+            d3 >> 24 & 0xFF), count
+
+
+def _format_cells(x, out):
+    """Write '%.17g' % v of each float64 v in x, NUL-padded, into the four words out[..., :4].
+
+    Exact fixed-precision conversion (U. Adams, Proc. ACM Program. Lang. 3
+    (OOPSLA) 169, 2019): with 10**E <= |v| < 10**(E+1) the 17 digits are
+    |v| 10**(16-E) rounded half-even, certified by _scale's error bound: a
+    value whose 64 fraction bits lie within 2**8 of one half, and nan and
+    inf, are written by '%.17g' itself. Word 0 holds the sign and the "0.000"
+    of fixed values below 1, words 1-3 the digits with their point, then the
+    exponent; the cell's last byte stays NUL. Returns the mask of the values
+    written by '%.17g'.
+    """
+    t = _tables()
+    a = np.abs(x)
+    zero = a == 0
+    fast = a < math.inf
+    e10, whole, frac = _scale(np.where(fast & ~zero, a, 1.0), t)
+    del a
+    fast &= frac - (2 ** 63 - 255) > 510
+    whole += frac >> 63
+    del frac
+    carry = whole == 10 ** 17
+    e10 += carry
+    (s0, s1, s2), count = _digits(np.where(carry, 10 ** 16, whole), t)
+    del whole, carry
+    s0 -= zero  # 1.0 stood in for 0
+    xi = e10 + 324
+    keep = np.maximum(count, t["kept"].take(xi))
+    mask = t["masks"].take(t["point"].take(xi) * 18 + keep, axis=1)
+    out[..., 0] = t["pre"].take(xi) | (x.view(np.uint64) >> 63) * ord("-")
+    out[..., 1] = s0 & mask[0] | s0 << 8 & mask[3] | mask[6]
+    out[..., 2] = s1 & mask[1] | (s1 << 8 | s0 >> 56) & mask[4] | mask[7]
+    out[..., 3] = s2 & mask[2] | (s2 << 8 | s1 >> 56) & mask[5] | mask[8] | t["expo"].take(xi)
+    for i in zip(*np.nonzero(~fast)):
+        out[i] = np.frombuffer((b"%.17g" % float(x[i])).ljust(32, b"\0"), np.uint64)
+    return ~fast
 
 
 def _lines(prefixes, values):
-    """Yield lines prefixes[i] + values[i] as CSV, one '%' per block of _BLOCK_ROWS rows.
+    """Yield CSV bytes, _BLOCK_ROWS rows at a time: row i is the prefixes' row i, then values[i].
 
-    '%.17g' % x is fmt(x) byte for byte, nan, inf, -0 and subnormals included.
+    prefixes: NUL-padded (n, w) or (1, w) uint8 cells, joined left to right.
+    Each block is one uint64 buffer of prefix words and four-word value
+    cells (_format_cells) with the separator in each cell's last byte; the
+    NULs are dropped in one pass.
     """
     values = np.asarray(values, dtype=np.float64)
     n, ncol = values.shape
-    row = "%s" + ",".join(["%.17g"] * ncol) + "\n"
+    edges = np.cumsum([0] + [p.shape[1] for p in prefixes])
+    width = -(-int(edges[-1]) // 8)
+    sep = np.full(ncol, ord(","), dtype=np.uint64) << 56
+    sep[-1] = ord("\n") << 56
     for lo in range(0, n, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, n)
-        cells = np.empty((hi - lo, ncol + 1), dtype=object)
-        cells[:, 0] = prefixes[lo:hi]
-        cells[:, 1:] = values[lo:hi]
-        yield (row * (hi - lo)) % tuple(cells.ravel().tolist())
+        buf = np.zeros((hi - lo, width + 4 * ncol), dtype=np.uint64)
+        text = buf.view(np.uint8)
+        for p, left, right in zip(prefixes, edges, edges[1:]):
+            text[:, left:right] = p if p.shape[0] == 1 else p[lo:hi]
+        cells = buf[:, width:].reshape(hi - lo, ncol, 4)
+        _format_cells(values[lo:hi], cells)
+        cells[..., 3] |= sep
+        text = text.ravel()
+        yield text[text != 0].tobytes()
+
+
+def _strings(texts) -> np.ndarray:
+    """(n, w) uint8 of the texts' ASCII bytes, NUL-padded to the longest."""
+    cells = np.array([s.encode() for s in texts], dtype=bytes)
+    return cells.view(np.uint8).reshape(cells.size, -1)
 
 
 def _point_prefixes(grid, axis_values) -> np.ndarray:
-    """"x,y,z," per grid point in C order, each axis value formatted once; 1D gives "0,0,z,"."""
+    """"x,y,z," per grid point in C order as NUL-padded bytes; 1D gives "0,0,z,"."""
     axes = [axis_values(a) if grid.dimension == 3 or a == 2 else (0.0,) for a in range(3)]
-    x, y, z = (np.array([fmt(v) + "," for v in ax], dtype=object) for ax in axes)
-    return (x[:, None, None] + y[None, :, None] + z[None, None, :]).ravel()
+    x, y, z = (_strings([fmt(v) + "," for v in ax]) for ax in axes)
+    out = np.empty((x.shape[0], y.shape[0], z.shape[0], x.shape[1] + y.shape[1] + z.shape[1]),
+                   dtype=np.uint8)
+    out[..., :x.shape[1]] = x[:, None, None, :]
+    out[..., x.shape[1]:-z.shape[1]] = y[None, :, None, :]
+    out[..., -z.shape[1]:] = z[None, None, :, :]
+    return out.reshape(-1, out.shape[-1])
 
 
 def write_modes_csv(path: str, m: ModeAmplitudes):
@@ -97,7 +265,7 @@ def write_modes_csv(path: str, m: ModeAmplitudes):
         for pol in POLARIZATIONS:
             amps = m.amps[lambda_row(pol)]
             if np.any(amps):
-                yield from _lines(kpoints + (labels[pol] + ","),
+                yield from _lines((kpoints, _strings([labels[pol] + ","])),
                                   amps.reshape(-1, 1).view(np.float64))
     _write_table(path, MODES_COLUMNS, lines())
 
@@ -132,7 +300,7 @@ def write_fields_csv(path: str, snap, units: UnitSystem = NATURAL):
                    axis=1, out=cols)
     cols = cols.view(np.float64)
     points = _point_prefixes(grid, lambda a: grid.axis_positions())
-    _write_table(path, FIELDS_COLUMNS, _lines(points, cols))
+    _write_table(path, FIELDS_COLUMNS, _lines((points,), cols))
 
 
 def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
@@ -152,14 +320,15 @@ def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
             if residual is not None:
                 cols[:, 7] = (units.residual * np.asarray(residual)).reshape(-1)
             points = _point_prefixes(grid, lambda a: grid.axis_positions())
-            yield from _lines(fmt(units.time_out * time) + "," + points, cols)
+            yield from _lines((_strings([fmt(units.time_out * time) + ","]), points),
+                              cols)
     _write_table(path, CURRENT_COLUMNS, lines())
 
 
 def write_lifecycle_csv(path: str, report, units: UnitSystem = NATURAL):
     cols = np.stack([units.time_out * report.times, report.norm,
                      units.residual * report.residual_max, report.peak_z], axis=1)
-    _write_table(path, LIFECYCLE_COLUMNS, _lines(np.full(len(cols), "", dtype=object), cols))
+    _write_table(path, LIFECYCLE_COLUMNS, _lines((), cols))
 
 
 def report_text(title: str, header_lines, checks, info_lines) -> str:
@@ -196,6 +365,6 @@ def write_report_files(outdir: str, title: str, header_lines, checks, info_lines
     # check names are fixed identifiers, so no field needs CSV quoting
     _write_table(csv_path, REPORT_COLUMNS, (
         f"{c.name},{fmt(c.measured)},{fmt(c.tolerance)},"
-        f"{'' if c.order is None else fmt(c.order)},{'true' if c.passed else 'false'}\n"
+        f"{'' if c.order is None else fmt(c.order)},{'true' if c.passed else 'false'}\n".encode()
         for c in checks))
     return txt_path, csv_path

@@ -290,6 +290,11 @@ def green_response_1d(tp: float, zp: float, med: MediumSpec, grid1d: SpatialGrid
     return rho, med.v * rho
 
 
+# Cells per row block of a pulse window: each of _erf's temporaries stays
+# near 256 KB however many rows the window has.
+_PULSE_CELLS = 1 << 15
+
+
 def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
                sigma_t: float, v: float, grid1d: SpatialGrid, times):
     """rho += scale * advected pulse of one event, evaluated on its support only.
@@ -298,6 +303,7 @@ def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
     |z - center - v (t_i - t0)| < 6 sigma_z + 6 v sigma_t, so it is evaluated
     on a window of cells that follows the characteristic, clipped to the line.
     Two cells and a rounding allowance of padding keep every nonzero cell in it.
+    The window is evaluated in blocks of rows of about _PULSE_CELLS cells.
     Returns each row's window start and the window width.
     """
     n_z = grid1d.n_points
@@ -310,12 +316,14 @@ def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
     width = min(n_z, int(math.ceil(2.0 * reach / dz)) + 2)
     first = np.floor((center + v * tau - reach - z[0]) / dz)
     start = np.clip(first, 0, n_z - width).astype(np.intp)
-    cells = start[:, None] + np.arange(width)
-
-    xi = z[cells] - center - v * (times[:, None] - t0)
-    pulse = _advected_pulse(xi, tau[:, None], v, sigma_t, sigma_z)
-    cells += (np.arange(times.size) * n_z)[:, None]
-    rho.reshape(-1)[cells] += scale * pulse
+    rows_per_block = max(1, _PULSE_CELLS // width)
+    for r0 in range(0, times.size, rows_per_block):
+        rows = slice(r0, min(r0 + rows_per_block, times.size))
+        cells = start[rows, None] + np.arange(width)
+        xi = z[cells] - center - v * (times[rows, None] - t0)
+        pulse = _advected_pulse(xi, tau[rows, None], v, sigma_t, sigma_z)
+        cells += (np.arange(rows.start, rows.stop) * n_z)[:, None]
+        rho.reshape(-1)[cells] += scale * pulse
     return start, width
 
 

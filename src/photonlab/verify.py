@@ -334,15 +334,20 @@ def _lifecycle_block(tol):
 
     # end rows use one-sided time stencils; convergence is measured where the
     # stencil is centered
-    r_coarse = rep.residual_max[1:-1].max()
+    coarse = rep.residual_max[1:-1]
     grid2, times2 = build(2 * n_z, 2 * steps)
     rep2 = lifecycle_1d(emit, det, med, grid2, times2)
-    r_fine = rep2.residual_max[1:-1].max()
+    fine = rep2.residual_max[1:-1]
+    r_coarse, r_fine = coarse.max(), fine.max()
     order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))
 
     info += [f"ballistic arrival time = {arrival:.17g}",
              f"lifecycle residual coarse/fine = {r_coarse:.6g} / {r_fine:.6g}"]
+    if not checks[-1].passed:
+        i, k = int(np.argmax(coarse)) + 1, int(np.argmax(fine)) + 1
+        info.append(f"lifecycle_residual_order worst residual_max: coarse row {i} at "
+                    f"t = {times[i]:.6g}, fine row {k} at t = {times2[k]:.6g}")
     return checks, info
 
 

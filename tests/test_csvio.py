@@ -1,6 +1,8 @@
 import csv
 import io
 import os
+import tracemalloc
+from decimal import Decimal
 from types import SimpleNamespace
 from unittest import mock
 
@@ -417,3 +419,91 @@ def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, with_r
     report = SimpleNamespace(**{name: draw_values(rng, steps) for name in
                                 ("times", "norm", "residual_max", "peak_z")})
     assert written(write_lifecycle_csv, report, units) == oracle_lifecycle(report, units)
+
+
+# The '%.17g' kernel: its bytes must be '%.17g' % v for every double, and the
+# values it cannot certify must take the per-value fallback.
+
+def kernel_bytes(values):
+    values = np.asarray(values, dtype=np.float64)
+    out = np.zeros(values.shape + (4,), dtype=np.uint64)
+    fallback = csvio._format_cells(values, out)
+    cells = [bytes(c).replace(b"\0", b"") for c in out.view(np.uint8).reshape(-1, 32)]
+    return cells, fallback
+
+
+def assert_kernel_is_percent_g(values):
+    cells, fallback = kernel_bytes(values)
+    for v, cell in zip(np.asarray(values, dtype=np.float64).tolist(), cells):
+        assert cell == b"%.17g" % v, (v, cell)
+    return fallback
+
+
+def double_bits(sign, exponent, mantissa):
+    return sign << 63 | exponent << 52 | mantissa
+
+
+# raw patterns, plus patterns assembled from fields so that every exponent,
+# zero and all-ones included, is drawn often: subnormals, +-0, +-inf, nan payloads
+bit_patterns = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.builds(double_bits, st.integers(0, 1), st.integers(0, 2047),
+              st.integers(0, 2 ** 52 - 1)),
+    st.builds(double_bits, st.integers(0, 1), st.sampled_from((0, 1, 2046, 2047)),
+              st.sampled_from((0, 1, 2 ** 51, 2 ** 52 - 1))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(bit_patterns, min_size=1, max_size=64))
+def test_kernel_matches_percent_g_on_raw_bit_patterns(patterns):
+    values = np.array(patterns, dtype=np.uint64).view(np.float64)
+    fallback = assert_kernel_is_percent_g(values)
+    assert np.all(fallback[~np.isfinite(values)])
+
+
+def test_kernel_edge_values():
+    powers = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    edges = np.array([1e16, 1e17, 1e22, 1e23, 9.999999999999999e16, 5e-324,
+                      np.finfo(np.float64).max, 1e-4, 1e-5, 0.0, -0.0])
+    with np.errstate(over="ignore"):  # the largest double steps to inf
+        values = np.concatenate([edges, np.nextafter(edges, np.inf),
+                                 np.nextafter(edges, -np.inf), powers,
+                                 np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    assert_kernel_is_percent_g(np.concatenate([values, -values]))
+
+
+def test_exact_ties_take_the_fallback():
+    # k + f / 2**m with k of 18 - m digits: 18 significant digits, the last an
+    # exact 5, so the 17-digit rounding is a tie that only the fallback decides
+    rng = np.random.default_rng(11)
+    ties = []
+    for m in (2, 3, 4, 5):
+        k = rng.integers(10 ** (17 - m), min(10 ** (18 - m), 2 ** (53 - m)), size=50)
+        odd = 2 * rng.integers(0, 2 ** (m - 1), size=50) + 1
+        ties.append((k * 2 ** m + odd) / 2.0 ** m)
+    ties = np.concatenate(ties)
+    digits = [Decimal(v).as_tuple().digits for v in ties.tolist()]
+    assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+    fallback = assert_kernel_is_percent_g(np.concatenate([ties, -ties]))
+    assert np.all(fallback)
+    # their neighbours are no ties and take the vectorised path
+    near = np.concatenate([np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+    assert not np.any(assert_kernel_is_percent_g(near))
+
+
+def test_fields_table_memory_stays_within_a_few_blocks(tmp_path):
+    # a 32^3 fields.csv: 32768 rows of 20 values, about 15 MB of text
+    grid = SpatialGrid(n_per_axis=32, spacing=0.3, dimension=3, origin=-4.8)
+    rng = np.random.default_rng(3)
+    shape = (grid.n_points, 20)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, shape)
+    points = csvio._point_prefixes(grid, lambda a: grid.axis_positions())
+    path = str(tmp_path / "fields.csv")
+    tracemalloc.start()
+    try:
+        csvio._write_table(path, FIELDS_COLUMNS, csvio._lines((points,), values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert os.path.getsize(path) > 14e6
+    assert peak <= 12e6, peak

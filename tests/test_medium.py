@@ -416,6 +416,34 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
     assert same_bits(rho, full) and same_bits(j, med.v * full)
 
 
+@settings(max_examples=100, deadline=None)
+@given(lifecycle_cases(n_t=(1, 60)), st.sampled_from((0, 1, 2, 5)))
+def test_pulse_row_blocks_match_full_grid_oracle(case, rows):
+    # a budget of rows * n_z cells gives blocks of at least that many rows; 0 gives one
+    emit, det, med, grid, times = case
+    with mock.patch.object(medium, "_PULSE_CELLS", rows * grid.n_points):
+        fast = lifecycle_1d(emit, det, med, grid, times)
+    slow = full_grid_lifecycle_1d(emit, det, med, grid, times)
+    assert same_bits(fast.rho, slow.rho)
+
+
+def test_pulse_memory_does_not_grow_with_rows():
+    # the fine verify line; ten times its rows would need 86 MB for one window
+    med = MediumSpec(epsilon=2.0, mu=1.0)
+    grid = line_grid(n=4096)
+    for n_t in (401, 4001):
+        times = np.linspace(0.0, 20.0, n_t)
+        rho = np.zeros((n_t, grid.n_points))
+        tracemalloc.start()
+        try:
+            medium._add_pulse(rho, 1.0, 0.0, 0.0, 4.0 * grid.spacing, 0.1, med.v, grid, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(rho)
+        assert peak <= 24 * 8 * medium._PULSE_CELLS, (n_t, peak)
+
+
 def test_lifecycle_memory_stays_near_one_density_grid():
     # the benchmark line: 8192 cells, 1601 times; only rho is full-size
     med = MediumSpec(epsilon=2.0, mu=1.0)

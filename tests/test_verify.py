@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
-                       run_verify, write_verify_report)
+                       run_verify, verify, write_verify_report)
 from photonlab.config import TOLERANCE_DEFAULTS
 from photonlab.verify import _maxwell_level, _maxwell_packet, lifecycle_checks
 
@@ -70,6 +70,33 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     z = grid.axis_positions()[cell]
     assert (f"causality worst density outside the cone: row {i} at t = {times[i]:.6g}, "
             f"cell {cell} at z = {z:.6g}") in info
+
+
+def test_residual_order_failure_names_the_worst_rows(monkeypatch):
+    clean, clean_info = verify._lifecycle_block(TOLERANCE_DEFAULTS)
+    assert {c.name: c for c in clean}["lifecycle_residual_order"].passed
+    assert not any(line.startswith("lifecycle_residual_order") for line in clean_info)
+
+    # the fine solve (4096 cells) reports a spiked residual in one interior row
+    spike, solves = 300, {}
+
+    def spiked(emit, detect, med, grid, times):
+        rep = lifecycle_1d(emit, detect, med, grid, times)
+        if grid.n_points == 4096:
+            residual = rep.residual_max.copy()
+            residual[spike] = 1e6
+            rep = dataclasses.replace(rep, residual_max=residual)
+        solves[grid.n_points] = rep
+        return rep
+
+    monkeypatch.setattr(verify, "lifecycle_1d", spiked)
+    checks, info = verify._lifecycle_block(TOLERANCE_DEFAULTS)
+    assert not {c.name: c for c in checks}["lifecycle_residual_order"].passed
+    coarse, fine = solves[2048], solves[4096]
+    row = int(np.argmax(coarse.residual_max[1:-1])) + 1
+    assert info[-1] == (f"lifecycle_residual_order worst residual_max: coarse row {row} at "
+                        f"t = {coarse.times[row]:.6g}, fine row {spike} at "
+                        f"t = {fine.times[spike]:.6g}")
 
 
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
