@@ -9,17 +9,10 @@ dielectric media, and emitter/detector lifecycles on a 1D line.
 __version__ = "0.1.0"
 
 from .relativity import (
-    METRIC,
     FourVector,
     PolarizationBasis,
-    FaradayMatrix,
-    minkowski_dot,
-    lower_index,
-    boost_z,
     polarization_basis,
     polarization_bases,
-    faraday_from_fields,
-    faraday_invariant,
 )
 from .modes import (
     KGrid,
@@ -41,8 +34,6 @@ from .fields import (
     dual_grid,
     synthesize,
     maxwell_residual,
-    lagrangian_density,
-    conjugate_momentum,
 )
 from .current import (
     CurrentField,
@@ -57,7 +48,6 @@ from .medium import (
     MediumSpec,
     VACUUM,
     SourceEvent,
-    constitutive,
     current_in_medium,
     density_rescale,
     source_field,
@@ -84,17 +74,10 @@ from .scenarios import ScenarioOutcome, run_scenario
 
 __all__ = [
     "__version__",
-    "METRIC",
     "FourVector",
     "PolarizationBasis",
-    "FaradayMatrix",
-    "minkowski_dot",
-    "lower_index",
-    "boost_z",
     "polarization_basis",
     "polarization_bases",
-    "faraday_from_fields",
-    "faraday_invariant",
     "KGrid",
     "ModeAmplitudes",
     "measure_weight",
@@ -112,8 +95,6 @@ __all__ = [
     "dual_grid",
     "synthesize",
     "maxwell_residual",
-    "lagrangian_density",
-    "conjugate_momentum",
     "CurrentField",
     "number_density",
     "current_density",
@@ -124,7 +105,6 @@ __all__ = [
     "MediumSpec",
     "VACUUM",
     "SourceEvent",
-    "constitutive",
     "current_in_medium",
     "density_rescale",
     "source_field",

@@ -87,10 +87,9 @@ def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0,
     )
 
 
-def position_norm(cf: CurrentField, grid: SpatialGrid | None = None) -> float:
+def position_norm(cf: CurrentField) -> float:
     """Box Riemann sum of rho; spectrally exact for band-limited periodic fields."""
-    g = cf.grid if grid is None else grid
-    return float(np.sum(cf.rho) * g.cell_volume)
+    return float(np.sum(cf.rho) * cf.grid.cell_volume)
 
 
 def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField, cf_next: CurrentField,

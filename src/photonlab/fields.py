@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fdops
 from .modes import POLARIZATIONS, KGrid, ModeAmplitudes, kvectors, measure_weights
-from .relativity import FourVector, minkowski_dot, polarization_bases
+from .relativity import polarization_bases
 
 # Expansion prefactor: |alpha|^2 = 2 makes the box integral of the number
 # density equal the k-space norm exactly.
@@ -299,15 +299,3 @@ def maxwell_residual(prev: FieldSnapshot, now: FieldSnapshot, nxt: FieldSnapshot
         ampere = ampere + np.asarray(j_e) / eps0
     return gauss, ampere
 
-
-def lagrangian_density(e, b, j_e: FourVector, a: FourVector, c: float = 1.0, eps0: float = 1.0) -> float:
-    """Standard invariant density 0.5 eps0 (E.E - c^2 B.B) - J_e^mu A_mu."""
-    e = np.asarray(e, dtype=float).reshape(3)
-    b = np.asarray(b, dtype=float).reshape(3)
-    field_part = 0.5 * eps0 * (e @ e - c * c * (b @ b))
-    return float(field_part - minkowski_dot(j_e, a))
-
-
-def conjugate_momentum(e, eps0: float = 1.0):
-    """Momentum conjugate to A: -eps0 E, pointwise on any field shape."""
-    return -eps0 * np.asarray(e)

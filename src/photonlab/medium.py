@@ -72,11 +72,6 @@ class MediumSpec:
 VACUUM = MediumSpec()
 
 
-def constitutive(e, b, med: MediumSpec):
-    """Displacement and magnetizing fields: D = eps E, H = B / mu."""
-    return med.epsilon * np.asarray(e), np.asarray(b) / med.mu
-
-
 def current_in_medium(snap: FieldSnapshot, med: MediumSpec) -> CurrentField:
     """Dressed density and current for fields synthesized at the medium speed.
 

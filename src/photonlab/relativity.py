@@ -1,4 +1,4 @@
-"""Minkowski four-vectors, z-boosts, helicity bases, and field-tensor diagnostics."""
+"""Four-vectors and the helicity polarization bases of the mode grids."""
 
 from __future__ import annotations
 
@@ -7,10 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Signature (+, -, -, -); lowering an index twice is the identity.
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-METRIC.setflags(write=False)
-
 ROOT_HALF = 1.0 / math.sqrt(2.0)
 
 
@@ -18,8 +14,8 @@ ROOT_HALF = 1.0 / math.sqrt(2.0)
 class FourVector:
     """Contravariant four-vector: time component plus a 3-vector spatial part.
 
-    Components may be real or complex; the metric operations below treat the
-    time component as index 0.
+    Components may be real or complex; as_array puts the time component at
+    index 0.
     """
 
     t_comp: complex
@@ -41,32 +37,6 @@ class FourVector:
     @property
     def is_real(self) -> bool:
         return not (np.iscomplexobj(self.spatial) or isinstance(self.t_comp, complex))
-
-
-def minkowski_dot(u: FourVector, v: FourVector):
-    """Invariant product u^mu v_mu = u0 v0 - u.v."""
-    s = u.t_comp * v.t_comp - u.spatial @ v.spatial
-    if isinstance(s, np.generic) and not np.iscomplexobj(s):
-        return float(s)
-    return complex(s) if np.iscomplexobj(s) else float(s)
-
-
-def lower_index(v: FourVector) -> FourVector:
-    """Covariant components: the spatial part changes sign."""
-    return FourVector(v.t_comp, -v.spatial)
-
-
-def boost_z(u: FourVector, beta: float) -> FourVector:
-    """Boost along +z with velocity beta in units of c.
-
-    The invariant minkowski_dot is preserved; |beta| >= 1 is rejected.
-    """
-    if abs(beta) >= 1.0:
-        raise ValueError("boost speed must satisfy |beta| < 1")
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    t = gamma * (u.t_comp - beta * u.spatial[2])
-    z = gamma * (u.spatial[2] - beta * u.t_comp)
-    return FourVector(t, np.array([u.spatial[0], u.spatial[1], z]))
 
 
 @dataclass(frozen=True)
@@ -115,46 +85,3 @@ def polarization_basis(k) -> PolarizationBasis:
     k = np.asarray(k, dtype=float).reshape(3)
     return polarization_bases(k)
 
-
-@dataclass(frozen=True)
-class FaradayMatrix:
-    """Antisymmetric contravariant field-strength matrix (units: field / c)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError("field-strength matrix must be 4x4")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
-
-
-def faraday_from_fields(e, b, c: float = 1.0) -> FaradayMatrix:
-    """Assemble F^{mu nu} from real E and B three-vectors.
-
-    Row/column layout (overall factor 1/c):
-        [[0, -Ex, -Ey, -Ez],
-         [Ex, 0, -c Bz, c By],
-         [Ey, c Bz, 0, -c Bx],
-         [Ez, -c By, c Bx, 0]]
-    """
-    ex, ey, ez = (float(v) for v in np.asarray(e, dtype=float).reshape(3))
-    bx, by, bz = (float(v) for v in np.asarray(b, dtype=float).reshape(3))
-    m = np.array(
-        [
-            [0.0, -ex, -ey, -ez],
-            [ex, 0.0, -c * bz, c * by],
-            [ey, c * bz, 0.0, -c * bx],
-            [ez, -c * by, c * bx, 0.0],
-        ]
-    )
-    return FaradayMatrix(m / c)
-
-
-def faraday_invariant(f: FaradayMatrix) -> float:
-    """Scalar F_{mu nu} F^{mu nu}; equals 2(B.B - E.E/c^2) for EM fields."""
-    up = f.entries
-    down = METRIC @ up @ METRIC
-    return float(np.sum(down * up))

@@ -11,15 +11,14 @@ import numpy as np
 from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
-from .current import (continuity_residual, helicity_density, number_density,
-                      photon_current, position_norm)
-from .fields import SpatialGrid, dual_grid, synthesize
-from .fock import basis_state, commutator_expectation, ladder_pair
-from .medium import (VACUUM, MediumSpec, SourceEvent, current_in_medium,
-                     density_rescale, lifecycle_1d)
-from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
+from .current import helicity_density, number_density, photon_current, position_norm
+from .fields import SpatialGrid, dual_grid
+from .fock import ladder_pair
+from .medium import MediumSpec, SourceEvent, current_in_medium, lifecycle_1d
+from .modes import norm
 from .units import UnitSystem, unit_system
-from .verify import check_le, lifecycle_checks
+from .verify import (boost_checks, field_scan, fock_checks, gauge_checks, helicity_check,
+                     lifecycle_checks, medium_checks, norm_check, packet_state)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,70 +33,45 @@ class ScenarioOutcome:
         return all(c.passed for c in self.checks)
 
 
-def _packet_state(packet, speed: float = 1.0):
-    grid = KGrid(n_per_axis=packet.n_k, spacing=packet.dk,
-                 dimension=packet.dimension, center=packet.k0)
-    m = gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
-    return grid, m
-
-
-def _field_scan(m, sg, times, make_cf):
-    """Synthesize at each checkpoint; return CSV blocks, norms, center snapshots."""
-    dt = sg.spacing / 2.0
-    blocks, norms, centers = [], [], []
-    for t in times:
-        snaps = [synthesize(m, sg, t + k * dt) for k in (-1, 0, 1)]
-        cfs = [make_cf(s) for s in snaps]
-        res = continuity_residual(*cfs)
-        blocks.append((t, cfs[1], np.abs(res)))
-        norms.append(position_norm(cfs[1]))
-        centers.append(snaps[1])
-    return blocks, norms, centers
+def _with_helicity(snap):
+    return photon_current(snap, with_helicity=True)
 
 
 def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = _packet_state(cfg.packet)
+    kgrid, m = packet_state(cfg.packet)
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
-    blocks, norms, centers = _field_scan(
-        m, sg, times, lambda s: photon_current(s, with_helicity=True))
+    blocks = []
+    for t, centre, cfs, res in field_scan(m, sg, times, _with_helicity):
+        blocks.append((t, cfs[1], np.abs(res)))
 
     # longitudinal packets carry no on-shell position-space density, so the
     # box integral is compared against the transverse part of the mode norm
     target = norm(m, polarizations=(1, -1))
-    dev = max(abs(n - target) for n in norms)
-    checks = [check_le("norm_unity", dev, cfg.tolerances["norm_unity"])]
-    info = [f"transverse mode norm = {target:.17g}"]
-    info += [f"position norm at t = {t:.6g}: {n:.17g}" for t, n in zip(times, norms)]
+    checks, norm_info = norm_check([position_norm(cf) for _, cf, _ in blocks], times,
+                                   target, cfg.tolerances)
+    info = [f"transverse mode norm = {target:.17g}"] + norm_info
 
     files = [os.path.join(outdir, "modes.csv"),
              os.path.join(outdir, "current.csv"),
              os.path.join(outdir, "fields.csv")]
     write_modes_csv(files[0], m)
     write_current_csv(files[1], blocks, us)
-    write_fields_csv(files[2], centers[-1], us)
+    write_fields_csv(files[2], centre, us)
     return checks, info, files
 
 
 def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = _packet_state(cfg.packet)
+    kgrid, m = packet_state(cfg.packet)
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
-    blocks, norms, _ = _field_scan(
-        m, sg, times, lambda s: photon_current(s, with_helicity=True))
+    blocks = [(t, cfs[1], np.abs(res))
+              for t, _, cfs, res in field_scan(m, sg, times, _with_helicity)]
 
-    pol = cfg.packet.pol
-    if pol == "par":
-        dev = max(np.abs(cf.s_hel).max() for _, cf, _ in blocks)
-        checks = [check_le("helicity_longitudinal", dev,
-                           cfg.tolerances["helicity_longitudinal"])]
-    else:
-        e_k = np.array([0.0, 0.0, 1.0])
-        dev = max(np.abs(cf.s_hel - pol * cf.rho[:, None] * e_k).max()
-                  for _, cf, _ in blocks)
-        checks = [check_le("helicity_pointwise", dev,
-                           cfg.tolerances["helicity_pointwise"])]
-    info = [f"position norm at t = {t:.6g}: {n:.17g}" for t, n in zip(times, norms)]
+    checks, located = helicity_check([cf for _, cf, _ in blocks], cfg.packet.pol,
+                                     cfg.tolerances)
+    info = [f"position norm at t = {t:.6g}: {position_norm(cf):.17g}"
+            for t, cf, _ in blocks] + located
 
     files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
     write_modes_csv(files[0], m)
@@ -106,56 +80,23 @@ def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 
 def _run_gauge(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = _packet_state(cfg.packet)
-    gfun = cfg.gauge_strength * gaussian_packet(
-        kgrid, cfg.packet.k0, cfg.packet.sigma, "par").amps[lambda_row("par")]
-    shifted = gauge_shift(m, gfun)
-
-    sg = dual_grid(kgrid, cfg.packet.n_x)
-    t = us.time_in * cfg.times.stop
-    s1 = synthesize(m, sg, t)
-    s2 = synthesize(shifted, sg, t)
-    field_dev = max(np.abs(s1.e_plus - s2.e_plus).max(),
-                    np.abs(s1.b_plus - s2.b_plus).max())
-    n1 = position_norm(photon_current(s1))
-    n2 = position_norm(photon_current(s2))
-    trans = [lambda_row(1), lambda_row(-1)]
-    bits = 0.0 if np.array_equal(m.amps[trans], shifted.amps[trans]) else \
-        np.abs(m.amps[trans] - shifted.amps[trans]).max()
-
-    checks = [check_le("gauge_field", field_dev, cfg.tolerances["gauge_field"]),
-              check_le("gauge_norm", abs(n1 - n2), cfg.tolerances["gauge_norm"]),
-              check_le("gauge_transverse_amps", bits, 0.0)]
-    info = [f"gauge shift moved max |phi| by {np.abs(s1.phi_plus - s2.phi_plus).max():.6g}",
-            f"position norm before/after = {n1:.17g} / {n2:.17g}"]
-
+    checks, info, shifted = gauge_checks(cfg.packet, cfg.gauge_strength,
+                                         us.time_in * cfg.times.stop, cfg.tolerances)
     files = [os.path.join(outdir, "modes.csv")]
     write_modes_csv(files[0], shifted)
     return checks, info, files
 
 
 def _run_boost(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = _packet_state(cfg.packet)
-    boosted = boost_amplitudes(m, cfg.beta)
-    err_base = abs(norm(boosted) - 1.0)
-    wide = KGrid(n_per_axis=2 * cfg.packet.n_k, spacing=cfg.packet.dk,
-                 dimension=cfg.packet.dimension, center=cfg.packet.k0)
-    err_fine = abs(norm(boost_amplitudes(m, cfg.beta, dest_grid=wide)) - 1.0)
-    ratio = err_fine / err_base if err_base > 0 else 0.0
-
-    checks = [check_le("boost_norm", err_base, cfg.tolerances["boost_norm"]),
-              check_le("boost_monotone", ratio, 1.0)]
-    info = [f"beta = {cfg.beta:g}",
-            f"boost norm error base/refined = {err_base:.6g} / {err_fine:.6g}"]
-
+    checks, info, boosted = boost_checks(cfg.packet, cfg.beta, cfg.tolerances)
     files = [os.path.join(outdir, "modes.csv")]
     write_modes_csv(files[0], boosted)
-    return checks, info, files
+    return checks, [f"beta = {cfg.beta:g}"] + info, files
 
 
 def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     med = MediumSpec(epsilon=cfg.medium.epsilon_rel, mu=cfg.medium.mu_rel)
-    kgrid, m = _packet_state(cfg.packet, speed=med.v)
+    kgrid, m = packet_state(cfg.packet, speed=med.v)
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
 
@@ -163,32 +104,15 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
         cf = current_in_medium(snap, med)
         return dataclasses.replace(cf, s_hel=helicity_density(snap))
 
-    blocks, _, centers = _field_scan(m, sg, times, make_cf)
-
-    pointwise = max(np.abs(cf.rho - med.epsilon * number_density(snap)).max()
-                    for (_, cf, _), snap in zip(blocks, centers))
-    rescale_devs = []
-    current_devs = []
-    e_k = np.array([0.0, 0.0, 1.0])
-    for _, cf, _ in blocks:
-        rescaled = dataclasses.replace(cf, rho=density_rescale(cf.rho, med), s_hel=None)
-        rescale_devs.append(abs(position_norm(rescaled) - 1.0))
-        current_devs.append(np.abs(cf.j - med.v * cf.rho[:, None] * e_k).max())
-
-    m_vac = _packet_state(cfg.packet)[1]
-    snap_vac = synthesize(m_vac, sg, times[0])
-    cf_v1 = current_in_medium(snap_vac, VACUUM)
-    cf_v2 = photon_current(snap_vac)
-    vac_dev = max(np.abs(cf_v1.rho - cf_v2.rho).max(),
-                  np.abs(cf_v1.j - cf_v2.j).max())
-
-    tol = cfg.tolerances
-    checks = [check_le("medium_pointwise", pointwise, tol["medium_pointwise"]),
-              check_le("medium_norm", max(rescale_devs), tol["medium_norm"]),
-              check_le("medium_current", max(current_devs), tol["medium_current"]),
-              check_le("vacuum_reduction", vac_dev, tol["vacuum_reduction"])]
-    info = [f"medium speed v = {med.v:.17g}",
-            f"in-medium norm of rho_pm = {position_norm(blocks[0][1]):.17g}"]
+    # the free density of each centre snapshot is taken as the scan reaches
+    # it, so no snapshot outlives its checkpoint
+    blocks, free_rho = [], []
+    for t, centre, cfs, res in field_scan(m, sg, times, make_cf):
+        blocks.append((t, cfs[1], np.abs(res)))
+        free_rho.append(number_density(centre))
+    checks, info = medium_checks(cfg.packet, med, [cf for _, cf, _ in blocks], free_rho,
+                                 cfg.tolerances)
+    info = [f"medium speed v = {med.v:.17g}"] + info
 
     files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
     write_modes_csv(files[0], m)
@@ -246,17 +170,8 @@ def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 def _run_fock(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     lp = ladder_pair(cfg.n_states)
-    comm_dev = max(abs(commutator_expectation(lp, n) - 1.0)
-                   for n in range(lp.dim - 1))
-    num = lp.number()
-    number_dev = max(abs(np.vdot(basis_state(lp, n), num @ basis_state(lp, n)).real - n)
-                     for n in range(lp.dim))
-    checks = [check_le("fock_commutator", comm_dev, cfg.tolerances["fock_commutator"]),
-              check_le("fock_number_exact", number_dev, 0.0)]
-    corner = (lp.a @ lp.a_dag - lp.a_dag @ lp.a)[-1, -1].real
-    info = [f"truncation dimension = {lp.dim}",
-            f"truncation corner of [a, a_dag] = {corner:g}"]
-    return checks, info, []
+    checks, info = fock_checks(lp, cfg.tolerances)
+    return checks, [f"truncation dimension = {lp.dim}"] + info, []
 
 
 _RUNNERS = {

@@ -3,22 +3,23 @@
 Nine check blocks probe the conservation laws end to end: box norms,
 continuity-residual convergence, helicity alignment, gauge and boost
 invariance, Maxwell residual convergence, medium consistency, the 1D
-emitter/detector lifecycle, and the ladder-operator identities. Study
-grids are fixed here; tolerances come from the config.
+emitter/detector lifecycle, and the ladder-operator identities. Each law
+is one function here that `photonlab run` calls too, on the scenario's own
+packet; the blocks fix the study sizes, and tolerances come from the config.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import PacketParams, ScenarioConfig
 from .csvio import write_report_files
-from .current import (CurrentField, continuity_residual, helicity_density,
-                      number_density, photon_current, position_norm)
+from .current import (CurrentField, continuity_residual, number_density, photon_current,
+                      position_norm)
 from .fdops import divergence
 from .fields import SpatialGrid, dual_grid, synthesize
 from .fields import maxwell_residual
@@ -61,12 +62,6 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
 
-def _synth_triplet(m, grid, t0, dt, omega_scale):
-    return (synthesize(m, grid, t0 - dt, omega_scale=omega_scale),
-            synthesize(m, grid, t0, omega_scale=omega_scale),
-            synthesize(m, grid, t0 + dt, omega_scale=omega_scale))
-
-
 def _worst_point(res, grid) -> str:
     """Flat grid index and position of the largest |res| entry."""
     i = int(np.argmax(np.abs(res).reshape(grid.n_points, -1).max(axis=1)))
@@ -79,189 +74,155 @@ def _density_norm(snap) -> float:
     return position_norm(CurrentField(snap.grid, snap.time, number_density(snap), j=None))
 
 
-def _located_failures(checks, deviations, grid, t) -> list:
-    """One info line per failed check, naming the worst point of its deviation field.
+def _located_failure(check, maxima, deviation, currents) -> list:
+    """One info line naming the worst point of a failed check.
 
-    Passing checks add nothing, so a passing report is unchanged.
+    maxima holds the largest deviation at each checkpoint; the deviation field
+    deviation(i) is rebuilt only for the worst checkpoint i and only on
+    failure, so a passing report is unchanged.
     """
-    return [f"{c.name} worst point at t = {t:g}: {_worst_point(d, grid)}"
-            for c, d in zip(checks, deviations) if not c.passed]
+    if check.passed:
+        return []
+    i = int(np.argmax(maxima))
+    cf = currents[i]
+    return [f"{check.name} worst point at t = {cf.time:g}: "
+            f"{_worst_point(deviation(i), cf.grid)}"]
+
+
+def packet_state(packet: PacketParams, speed: float = 1.0):
+    """The packet's k-grid and its Gaussian mode amplitudes."""
+    grid = KGrid(n_per_axis=packet.n_k, spacing=packet.dk,
+                 dimension=packet.dimension, center=packet.k0)
+    return grid, gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
+
+
+def field_scan(m, grid, times, make_cf, omega_scale: float = 1.0):
+    """Yield (t, centre snapshot, currents at t - dt, t, t + dt, continuity residual).
+
+    dt is half a grid cell. One time is built per step, so a caller holds
+    only what it keeps of the earlier ones.
+    """
+    dt = grid.spacing / 2.0
+    for t in times:
+        snaps = [synthesize(m, grid, t + k * dt, omega_scale=omega_scale) for k in (-1, 0, 1)]
+        cfs = [make_cf(s) for s in snaps]
+        yield t, snaps[1], cfs, continuity_residual(*cfs)
+        del snaps, cfs
 
 
 # ---------------------------------------------------------------------------
-# check blocks
+# one function per law; verify and run call them at different sizes
 
-def _norm_block(tol, scale):
-    g = KGrid(n_per_axis=16, spacing=0.25, dimension=3, center=(0.0, 0.0, 4.0))
-    m = gaussian_packet(g, (0.0, 0.0, 4.0), 0.5, 1)
-    sg = dual_grid(g, 32)
-    norms = [_density_norm(synthesize(m, sg, t, omega_scale=scale, groups=("a", "e")))
-             for t in (0.0, 3.0, 6.0)]
-    worst = max(abs(n - 1.0) for n in norms)
-    info = [f"mode norm (all polarizations) = {norm(m):.17g}",
-            f"mode norm (transverse only) = {norm(m, polarizations=(1, -1)):.17g}"]
-    info += [f"position norm at t = {t:g}: {n:.17g}"
-             for t, n in zip((0.0, 3.0, 6.0), norms)]
-    return [check_le("norm_unity", worst, tol["norm_unity"])], info
+def norm_check(norms, times, target, tol):
+    """norm_unity: the box norm of rho stays at the mode norm `target` at every time."""
+    dev = max(abs(n - target) for n in norms)
+    info = [f"position norm at t = {t:.6g}: {n:.17g}" for t, n in zip(times, norms)]
+    return [check_le("norm_unity", dev, tol["norm_unity"])], info
 
 
-def _continuity_block(tol, scale):
-    g = KGrid(n_per_axis=16, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
-    m = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
-    t0 = 1.0
+def helicity_check(currents, pol, tol):
+    """S = lambda rho e_k at every point of every current (helicity_pointwise).
 
-    def level(n_x):
-        sg = dual_grid(g, n_x)
-        dt = sg.spacing / 2.0
-        prev, now, nxt = _synth_triplet(m, sg, t0, dt, scale)
-        cfs = [photon_current(s) for s in (prev, now, nxt)]
-        res = continuity_residual(*cfs)
-        drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
-        return np.abs(res).max(), drho, _worst_point(res, sg)
+    A longitudinal packet (pol "par") must carry no helicity at all
+    (helicity_longitudinal).
+    """
+    if pol == "par":
+        dev = max(np.abs(cf.s_hel).max() for cf in currents)
+        return [check_le("helicity_longitudinal", dev, tol["helicity_longitudinal"])], []
+    e_k = np.array([0.0, 0.0, 1.0])
 
-    r_coarse, _, _ = level(2048)
-    r_fine, drho_fine, where = level(4096)
-    order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
-    rel = r_fine / drho_fine if drho_fine > 0 else float("inf")
-    checks = [check_ge("continuity_order", order, tol["continuity_order"]),
-              check_le("continuity_residual", rel, tol["continuity_residual"],
-                       order=order)]
-    info = [f"continuity residual coarse/fine = {r_coarse:.6g} / {r_fine:.6g}",
-            f"max |d rho/dt| at fine level = {drho_fine:.6g}",
-            f"continuity worst fine-level residual at t = {t0:g}: {where}"]
-    return checks, info
+    def deviation(i):
+        return currents[i].s_hel - pol * currents[i].rho[:, None] * e_k
+
+    maxima = [np.abs(deviation(i)).max() for i in range(len(currents))]
+    check = check_le("helicity_pointwise", max(maxima), tol["helicity_pointwise"])
+    return [check], _located_failure(check, maxima, deviation, currents)
 
 
-_MAXWELL_T0 = 0.5
+def gauge_checks(packet, strength, t, tol, omega_scale: float = 1.0):
+    """E, B and the box norm at time t are unchanged by a longitudinal gauge shift.
 
+    The shift is `strength` times the packet's Gaussian profile; the
+    transverse amplitudes must stay bit for bit. Returns the checks, the info
+    lines and the shifted modes.
+    """
+    kgrid, m = packet_state(packet)
+    gfun = strength * gaussian_packet(kgrid, packet.k0, packet.sigma,
+                                      "par").amps[lambda_row("par")]
+    shifted = gauge_shift(m, gfun)
 
-def _maxwell_packet():
-    g = KGrid(n_per_axis=8, spacing=0.25, dimension=3, center=(0.0, 0.0, 1.0))
-    return gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, 1)
-
-
-def _maxwell_level(m, n_x, scale):
-    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box."""
-    sg = dual_grid(m.grid, n_x)
-    t0, dt = _MAXWELL_T0, sg.spacing / 2.0
-    # the residuals read E at t0 -+ dt and E, B at t0
-    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
-    now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
-    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
-    gauss, ampere = maxwell_residual(prev, now, nxt)
-    del prev, nxt
-    divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
-    res = (gauss, ampere, divb)
-    return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
-
-
-def _maxwell_block(tol, scale):
-    m = _maxwell_packet()
-    coarse, _ = _maxwell_level(m, 48, scale)
-    fine, where = _maxwell_level(m, 96, scale)
-    orders = [math.log2(a / b) if b > 0 else float("inf")
-              for a, b in zip(coarse, fine)]
-    checks = [check_ge("maxwell_gauss_order", orders[0], tol["maxwell_order"]),
-              check_ge("maxwell_ampere_order", orders[1], tol["maxwell_order"]),
-              check_ge("maxwell_divb_order", orders[2], tol["maxwell_order"])]
-    info = [f"maxwell residual fine level: gauss {fine[0]:.6g}, "
-            f"ampere {fine[1]:.6g}, divB {fine[2]:.6g}",
-            f"maxwell worst fine-level residual at t = {_MAXWELL_T0:g}: gauss {where[0]}; "
-            f"ampere {where[1]}; divB {where[2]}"]
-    return checks, info
-
-
-def _helicity_block(tol, scale):
-    g = KGrid(n_per_axis=16, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
-    sg = dual_grid(g, 1024)
-    checks, info = [], []
-
-    m = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
-    cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
-    diff = cf.s_hel - cf.rho[:, None] * np.array([0.0, 0.0, 1.0])
-    dev = np.abs(diff).max()
-    checks.append(check_le("helicity_pointwise", dev, tol["helicity_pointwise"]))
-
-    m_par = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, "par")
-    s_par = helicity_density(synthesize(m_par, sg, 1.0, omega_scale=scale))
-    checks.append(check_le("helicity_longitudinal", np.abs(s_par).max(),
-                           tol["helicity_longitudinal"]))
-    info.append(f"helicity deviation (lambda = +1) = {dev:.6g}")
-    info += _located_failures(checks[:1], [diff], sg, cf.time)
-    return checks, info
-
-
-def _gauge_block(tol, scale):
-    g = KGrid(n_per_axis=8, spacing=0.25, dimension=3, center=(0.0, 0.0, 1.0))
-    m = gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, 1)
-    gfun = 0.7 * gaussian_packet(g, (0.0, 0.0, 1.0), 0.5, "par").amps[lambda_row("par")]
-    m2 = gauge_shift(m, gfun)
-
-    sg = dual_grid(g, 32)
-    s1 = synthesize(m, sg, 0.7, omega_scale=scale)
-    s2 = synthesize(m2, sg, 0.7, omega_scale=scale)
+    sg = dual_grid(kgrid, packet.n_x)
+    s1 = synthesize(m, sg, t, omega_scale=omega_scale)
+    s2 = synthesize(shifted, sg, t, omega_scale=omega_scale)
     field_dev = max(np.abs(s1.e_plus - s2.e_plus).max(),
                     np.abs(s1.b_plus - s2.b_plus).max())
     n1 = _density_norm(s1)
     n2 = _density_norm(s2)
     trans = [lambda_row(1), lambda_row(-1)]
-    bits = 0.0 if np.array_equal(m.amps[trans], m2.amps[trans]) else \
-        np.abs(m.amps[trans] - m2.amps[trans]).max()
+    bits = 0.0 if np.array_equal(m.amps[trans], shifted.amps[trans]) else \
+        np.abs(m.amps[trans] - shifted.amps[trans]).max()
 
     checks = [check_le("gauge_field", field_dev, tol["gauge_field"]),
               check_le("gauge_norm", abs(n1 - n2), tol["gauge_norm"]),
               check_le("gauge_transverse_amps", bits, 0.0)]
     info = [f"gauge shift moved max |phi| by {np.abs(s1.phi_plus - s2.phi_plus).max():.6g}",
             f"position norm before/after = {n1:.17g} / {n2:.17g}"]
-    return checks, info
+    return checks, info, shifted
 
 
-def _boost_block(tol):
-    g = KGrid(n_per_axis=16, spacing=0.25, dimension=3, center=(0.0, 0.0, 4.0))
-    m = gaussian_packet(g, (0.0, 0.0, 4.0), 0.5, 1)
-    beta = 0.3
-    err_base = abs(norm(boost_amplitudes(m, beta)) - 1.0)
-    wide = KGrid(n_per_axis=32, spacing=0.25, dimension=3, center=(0.0, 0.0, 4.0))
+def boost_checks(packet, beta, tol):
+    """A z-boost keeps the norm, and its error shrinks on a grid twice as wide.
+
+    Returns the checks, the info lines and the boosted modes.
+    """
+    kgrid, m = packet_state(packet)
+    boosted = boost_amplitudes(m, beta)
+    err_base = abs(norm(boosted) - 1.0)
+    wide = KGrid(n_per_axis=2 * packet.n_k, spacing=packet.dk,
+                 dimension=packet.dimension, center=packet.k0)
     err_fine = abs(norm(boost_amplitudes(m, beta, dest_grid=wide)) - 1.0)
     ratio = err_fine / err_base if err_base > 0 else 0.0
     checks = [check_le("boost_norm", err_base, tol["boost_norm"]),
               check_le("boost_monotone", ratio, 1.0)]
     info = [f"boost norm error base/refined = {err_base:.6g} / {err_fine:.6g}"]
-    return checks, info
+    return checks, info, boosted
 
 
-def _medium_block(tol, scale):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
-    g = KGrid(n_per_axis=16, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
-    sg = dual_grid(g, 1024)
+def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0):
+    """In-medium currents against the free-space density of the same snapshots.
 
-    m = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1, speed=med.v)
-    snap = synthesize(m, sg, 0.8, omega_scale=scale)
-    cfm = current_in_medium(snap, med)
-    rho_free = number_density(snap)
+    currents are current_in_medium of the packet's snapshot at each
+    checkpoint and free_rho their number_density. vacuum_reduction compares
+    the two currents of the same packet moving at c, at the first checkpoint.
+    """
+    e_k = np.array([0.0, 0.0, 1.0])
 
-    rho_diff = cfm.rho - med.epsilon * rho_free
-    pointwise = np.abs(rho_diff).max()
-    rescaled = CurrentField(grid=sg, time=cfm.time,
-                            rho=density_rescale(cfm.rho, med), j=cfm.j)
-    norm_dev = abs(position_norm(rescaled) - 1.0)
-    j_diff = cfm.j - med.v * cfm.rho[:, None] * np.array([0.0, 0.0, 1.0])
-    jdev = np.abs(j_diff).max()
+    def rho_deviation(i):
+        return currents[i].rho - med.epsilon * free_rho[i]
 
-    m_vac = gaussian_packet(g, (0.0, 0.0, 2.0), 0.5, 1)
-    snap_vac = synthesize(m_vac, sg, 0.8, omega_scale=scale)
+    def j_deviation(i):
+        return currents[i].j - med.v * currents[i].rho[:, None] * e_k
+
+    rho_max = [np.abs(rho_deviation(i)).max() for i in range(len(currents))]
+    j_max = [np.abs(j_deviation(i)).max() for i in range(len(currents))]
+    rescaled = [replace(cf, rho=density_rescale(cf.rho, med)) for cf in currents]
+    norm_dev = max(abs(position_norm(cf) - 1.0) for cf in rescaled)
+
+    first = currents[0]
+    snap_vac = synthesize(packet_state(packet)[1], first.grid, first.time,
+                          omega_scale=omega_scale)
     cf_v1 = current_in_medium(snap_vac, VACUUM)
     cf_v2 = photon_current(snap_vac)
     vac_dev = max(np.abs(cf_v1.rho - cf_v2.rho).max(),
                   np.abs(cf_v1.j - cf_v2.j).max())
 
-    checks = [check_le("medium_pointwise", pointwise, tol["medium_pointwise"]),
+    checks = [check_le("medium_pointwise", max(rho_max), tol["medium_pointwise"]),
               check_le("medium_norm", norm_dev, tol["medium_norm"]),
-              check_le("medium_current", jdev, tol["medium_current"]),
+              check_le("medium_current", max(j_max), tol["medium_current"]),
               check_le("vacuum_reduction", vac_dev, tol["vacuum_reduction"])]
-    info = [f"in-medium norm of rho_pm = {position_norm(cfm):.17g} "
-            f"(epsilon_rel = {med.epsilon:g})"]
-    info += _located_failures([checks[0], checks[2]], [rho_diff, j_diff], sg, cfm.time)
+    info = [f"in-medium norm of rho_pm = {position_norm(first):.17g}"]
+    info += _located_failure(checks[0], rho_max, rho_deviation, currents)
+    info += _located_failure(checks[2], j_max, j_deviation, currents)
     return checks, info
 
 
@@ -309,6 +270,125 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
     return checks, info
 
 
+def fock_checks(lp, tol):
+    """[a, a_dag] = 1 below the truncation corner, and a_dag a counts exactly."""
+    comm_dev = max(abs(commutator_expectation(lp, n) - 1.0) for n in range(lp.dim - 1))
+    num = lp.number()
+    number_dev = max(abs(np.vdot(basis_state(lp, n), num @ basis_state(lp, n)).real - n)
+                     for n in range(lp.dim))
+    checks = [check_le("fock_commutator", comm_dev, tol["fock_commutator"]),
+              check_le("fock_number_exact", number_dev, 0.0)]
+    corner = (lp.a @ lp.a_dag - lp.a_dag @ lp.a)[-1, -1].real
+    return checks, [f"truncation corner of [a, a_dag] = {corner:g}"]
+
+
+# ---------------------------------------------------------------------------
+# check blocks: the study sizes of `photonlab verify`
+
+_PACKET_3D = PacketParams(n_k=16, dk=0.25, k0=(0.0, 0.0, 4.0), sigma=0.5, pol=1,
+                          n_x=32, dimension=3)
+_SMALL_3D = PacketParams(n_k=8, dk=0.25, k0=(0.0, 0.0, 1.0), sigma=0.5, pol=1,
+                         n_x=32, dimension=3)
+_LINE = PacketParams(n_k=16, dk=0.25, k0=(0.0, 0.0, 2.0), sigma=0.5, pol=1,
+                     n_x=1024, dimension=1)
+
+
+def _norm_block(tol, scale):
+    kgrid, m = packet_state(_PACKET_3D)
+    sg = dual_grid(kgrid, _PACKET_3D.n_x)
+    times = (0.0, 3.0, 6.0)
+    norms = [_density_norm(synthesize(m, sg, t, omega_scale=scale, groups=("a", "e")))
+             for t in times]
+    checks, norm_info = norm_check(norms, times, 1.0, tol)
+    info = [f"mode norm (all polarizations) = {norm(m):.17g}",
+            f"mode norm (transverse only) = {norm(m, polarizations=(1, -1)):.17g}"]
+    return checks, info + norm_info
+
+
+def _continuity_block(tol, scale):
+    kgrid, m = packet_state(_LINE)
+    t0 = 1.0
+
+    def level(n_x):
+        sg = dual_grid(kgrid, n_x)
+        dt = sg.spacing / 2.0
+        (_, _, cfs, res), = field_scan(m, sg, (t0,), photon_current, scale)
+        drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
+        return np.abs(res).max(), drho, _worst_point(res, sg)
+
+    r_coarse, _, _ = level(2048)
+    r_fine, drho_fine, where = level(4096)
+    order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
+    rel = r_fine / drho_fine if drho_fine > 0 else float("inf")
+    checks = [check_ge("continuity_order", order, tol["continuity_order"]),
+              check_le("continuity_residual", rel, tol["continuity_residual"],
+                       order=order)]
+    info = [f"continuity residual coarse/fine = {r_coarse:.6g} / {r_fine:.6g}",
+            f"max |d rho/dt| at fine level = {drho_fine:.6g}",
+            f"continuity worst fine-level residual at t = {t0:g}: {where}"]
+    return checks, info
+
+
+_MAXWELL_T0 = 0.5
+
+
+def _maxwell_packet():
+    return packet_state(_SMALL_3D)[1]
+
+
+def _maxwell_level(m, n_x, scale):
+    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box."""
+    sg = dual_grid(m.grid, n_x)
+    t0, dt = _MAXWELL_T0, sg.spacing / 2.0
+    # the residuals read E at t0 -+ dt and E, B at t0
+    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
+    now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
+    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
+    gauss, ampere = maxwell_residual(prev, now, nxt)
+    del prev, nxt
+    divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
+    res = (gauss, ampere, divb)
+    return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
+
+
+def _maxwell_block(tol, scale):
+    m = _maxwell_packet()
+    coarse, _ = _maxwell_level(m, 48, scale)
+    fine, where = _maxwell_level(m, 96, scale)
+    orders = [math.log2(a / b) if b > 0 else float("inf")
+              for a, b in zip(coarse, fine)]
+    checks = [check_ge("maxwell_gauss_order", orders[0], tol["maxwell_order"]),
+              check_ge("maxwell_ampere_order", orders[1], tol["maxwell_order"]),
+              check_ge("maxwell_divb_order", orders[2], tol["maxwell_order"])]
+    info = [f"maxwell residual fine level: gauss {fine[0]:.6g}, "
+            f"ampere {fine[1]:.6g}, divB {fine[2]:.6g}",
+            f"maxwell worst fine-level residual at t = {_MAXWELL_T0:g}: gauss {where[0]}; "
+            f"ampere {where[1]}; divB {where[2]}"]
+    return checks, info
+
+
+def _helicity_block(tol, scale):
+    kgrid, m = packet_state(_LINE)
+    sg = dual_grid(kgrid, _LINE.n_x)
+    cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
+    checks, located = helicity_check([cf], _LINE.pol, tol)
+
+    m_par = packet_state(replace(_LINE, pol="par"))[1]
+    cf_par = photon_current(synthesize(m_par, sg, 1.0, omega_scale=scale), with_helicity=True)
+    checks += helicity_check([cf_par], "par", tol)[0]
+    return checks, [f"helicity deviation (lambda = +1) = {checks[0].measured:.6g}"] + located
+
+
+def _medium_block(tol, scale):
+    med = MediumSpec(epsilon=2.0, mu=1.0)
+    kgrid, m = packet_state(_LINE, speed=med.v)
+    snap = synthesize(m, dual_grid(kgrid, _LINE.n_x), 0.8, omega_scale=scale)
+    checks, info = medium_checks(_LINE, med, [current_in_medium(snap, med)],
+                                 [number_density(snap)], tol, scale)
+    info[0] += f" (epsilon_rel = {med.epsilon:g})"
+    return checks, info
+
+
 def _lifecycle_block(tol):
     med = MediumSpec(epsilon=2.0, mu=1.0)
     n_z, steps = 2048, 400
@@ -353,19 +433,13 @@ def _lifecycle_block(tol):
 
 def _fock_block(tol):
     lp = ladder_pair(32)
-    comm_dev = max(abs(commutator_expectation(lp, n) - 1.0) for n in range(lp.dim - 1))
-    num = lp.number()
-    number_dev = max(abs(np.vdot(basis_state(lp, n), num @ basis_state(lp, n)).real - n)
-                     for n in range(lp.dim))
-    product_dev = np.abs(lp.a_dag @ lp.a - num).max()
+    checks, corner = fock_checks(lp, tol)
+    product_dev = np.abs(lp.a_dag @ lp.a - lp.number()).max()
     state_norm_dev = max(abs(np.linalg.norm(n_photon_state(lp, n)) - 1.0)
                          for n in range(lp.dim))
-    checks = [check_le("fock_commutator", comm_dev, tol["fock_commutator"]),
-              check_le("fock_number_exact", number_dev, 0.0)]
     info = [f"max |a_dag a - number()| = {product_dev:.6g}",
-            f"n-photon state norm deviation = {state_norm_dev:.6g}",
-            f"truncation corner of [a, a_dag] = {((lp.a @ lp.a_dag - lp.a_dag @ lp.a)[-1, -1]).real:g}"]
-    return checks, info
+            f"n-photon state norm deviation = {state_norm_dev:.6g}"]
+    return checks, info + corner
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +455,8 @@ def run_verify(cfg: ScenarioConfig) -> VerificationReport:
         ("norm", lambda: _norm_block(tol, scale)),
         ("continuity", lambda: _continuity_block(tol, scale)),
         ("helicity", lambda: _helicity_block(tol, scale)),
-        ("gauge", lambda: _gauge_block(tol, scale)),
-        ("boost", lambda: _boost_block(tol)),
+        ("gauge", lambda: gauge_checks(_SMALL_3D, 0.7, 0.7, tol, scale)[:2]),
+        ("boost", lambda: boost_checks(_PACKET_3D, 0.3, tol)[:2]),
         ("maxwell", lambda: _maxwell_block(tol, scale)),
         ("medium", lambda: _medium_block(tol, scale)),
         ("lifecycle", lambda: _lifecycle_block(tol)),

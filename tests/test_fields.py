@@ -7,16 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from photonlab import (
-    FourVector,
     KGrid,
     ModeAmplitudes,
     SpatialGrid,
-    conjugate_momentum,
     dual_grid,
     evolve,
     gauge_shift,
     gaussian_packet,
-    lagrangian_density,
     maxwell_residual,
     measure_weight,
     synthesize,
@@ -231,32 +228,6 @@ def test_maxwell_residual_validates_inputs():
     d = synthesize(m, sg, 0.35)
     with pytest.raises(ValueError, match="spaced"):
         maxwell_residual(a, b, d)
-
-
-def test_lagrangian_density_values():
-    zero = FourVector(0.0, np.zeros(3))
-    assert lagrangian_density(np.zeros(3), np.zeros(3), zero, zero) == 0.0
-    e = np.array([2.0, 0.0, 0.0])
-    assert abs(lagrangian_density(e, np.zeros(3), zero, zero) - 0.5 * 4.0) <= 1e-15
-    # vacuum plane wave: |E| = |B| (c = 1) gives zero density
-    b = np.array([0.0, 2.0, 0.0])
-    assert abs(lagrangian_density(e, b, zero, zero)) <= 1e-15
-    # source coupling subtracts J^mu A_mu
-    j = FourVector(1.0, np.array([0.0, 0.0, 3.0]))
-    a = FourVector(0.5, np.array([0.0, 0.0, 1.0]))
-    expected = 0.5 * 4.0 - (1.0 * 0.5 - 3.0 * 1.0)
-    assert abs(lagrangian_density(e, np.zeros(3), j, a) - expected) <= 1e-14
-
-
-def test_conjugate_momentum():
-    assert np.all(conjugate_momentum(np.zeros(3)) == 0.0)
-    e = np.array([1.0, 0.0, 0.0])
-    assert np.array_equal(conjugate_momentum(e), -e)
-    assert np.array_equal(conjugate_momentum(e, eps0=3.0), -3.0 * e)
-    e1 = np.array([0.2, -0.4, 1.0])
-    e2 = np.array([-1.0, 0.3, 0.6])
-    lhs = conjugate_momentum(e1 + e2)
-    assert np.max(np.abs(lhs - conjugate_momentum(e1) - conjugate_momentum(e2))) <= 1e-15
 
 
 def test_dual_grid_geometry():

@@ -13,7 +13,6 @@ from photonlab import (
     MediumSpec,
     SourceEvent,
     SpatialGrid,
-    constitutive,
     current_in_medium,
     density_rescale,
     dual_grid,
@@ -70,19 +69,6 @@ def test_medium_validation():
         MediumSpec(epsilon=0.5)
     with pytest.raises(ValueError, match="mu must be positive"):
         MediumSpec(mu=0.0)
-
-
-def test_constitutive_relations():
-    e = np.array([[1.0, 2.0, 3.0]])
-    b = np.array([[4.0, 5.0, 6.0]])
-    d, h = constitutive(e, b, VACUUM)
-    assert np.array_equal(d, e) and np.array_equal(h, b)
-    d, h = constitutive(e, b, MediumSpec(epsilon=2.0, mu=4.0))
-    assert np.array_equal(d, 2.0 * e)
-    assert np.array_equal(h, b / 4.0)
-    z = np.zeros((5, 3))
-    d, h = constitutive(z, z, MediumSpec(epsilon=3.0))
-    assert np.all(d == 0.0) and np.all(h == 0.0)
 
 
 def test_vacuum_medium_reproduces_free_space():

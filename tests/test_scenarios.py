@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import os
 
+import numpy as np
 import pytest
 
-from photonlab import default_verify_config, parse_config, run_scenario
+from photonlab import (current_in_medium, default_verify_config, parse_config,
+                       photon_current, run_scenario, run_verify, scenarios)
 
 
 def run(tmp_path, kind, body="", extra=""):
@@ -75,6 +78,75 @@ def test_medium_scenario(tmp_path):
     assert set(check_map(out)) == {"medium_pointwise", "medium_norm",
                                    "medium_current", "vacuum_reduction"}
     assert abs(info_value(out, "medium speed v") - 2.0 ** -0.5) <= 1e-15
+    assert not any("worst point" in line for line in out.info)
+
+
+def worst_checkpoint(currents, deviation):
+    """Expected (t, flat index) of the largest |deviation(cf)| over the checkpoints."""
+    maxima = {t: np.abs(deviation(cf)).reshape(cf.rho.size, -1).max(axis=1)
+              for t, cf in currents.items()}
+    t = max(maxima, key=lambda t: maxima[t].max())
+    return t, int(np.argmax(maxima[t])), maxima[t].max()
+
+
+def test_medium_scenario_names_the_worst_point_when_it_fails(tmp_path, monkeypatch):
+    made = {}
+
+    def skewed(snap, med):
+        cf = current_in_medium(snap, med)
+        made[snap.time] = dataclasses.replace(cf, j=1.01 * cf.j)
+        return made[snap.time]
+
+    monkeypatch.setattr(scenarios, "current_in_medium", skewed)
+    out = run(tmp_path, "medium1d", "n_k = 8\nn_x = 64\nt_stop = 1\nepsilon_rel = 2\n")
+    checks = check_map(out)
+    assert not checks["medium_current"].passed
+    assert checks["medium_pointwise"].passed and checks["medium_norm"].passed
+
+    v, e_k = info_value(out, "medium speed v"), np.array([0.0, 0.0, 1.0])
+    t, i, dev = worst_checkpoint({t: made[t] for t in (0.0, 0.5, 1.0)},
+                                 lambda cf: cf.j - v * cf.rho[:, None] * e_k)
+    assert checks["medium_current"].measured == dev
+    located = [line for line in out.info if "worst point" in line]
+    assert len(located) == 1
+    assert located[0].startswith(f"medium_current worst point at t = {t:g}: index {i} at (")
+
+
+def test_helicity_scenario_names_the_worst_point_when_it_fails(tmp_path, monkeypatch):
+    made = {}
+
+    def tilted(snap, **kwargs):
+        cf = photon_current(snap, **kwargs)
+        made[snap.time] = dataclasses.replace(cf, s_hel=1.01 * cf.s_hel)
+        return made[snap.time]
+
+    monkeypatch.setattr(scenarios, "photon_current", tilted)
+    out = run(tmp_path, "helicity", "n_k = 8\nn_x = 64\nt_stop = 1\nlambda = -1\n")
+    check = check_map(out)["helicity_pointwise"]
+    assert not check.passed
+
+    e_k = np.array([0.0, 0.0, 1.0])
+    t, i, dev = worst_checkpoint({t: made[t] for t in (0.0, 0.5, 1.0)},
+                                 lambda cf: cf.s_hel + cf.rho[:, None] * e_k)
+    assert check.measured == dev
+    expected = f"helicity_pointwise worst point at t = {t:g}: index {i} at ("
+    assert out.info[-1].startswith(expected)
+
+
+@pytest.fixture(scope="module")
+def verify_checks():
+    return {c.name: c for c in run_verify(default_verify_config()).checks}
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("gauge", "t_stop = 0.7\ngauge_strength = 0.7\n"),
+    ("boost", ""),
+    ("fock", ""),
+])
+def test_run_at_verify_sizes_matches_verify(tmp_path, verify_checks, kind, body):
+    # verify's study packets are these scenarios' defaults; one law, two sizes
+    out = run(tmp_path, kind, body)
+    assert list(out.checks) == [verify_checks[c.name] for c in out.checks]
 
 
 def test_lifecycle_scenario_matched_detection(tmp_path):

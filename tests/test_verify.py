@@ -1,11 +1,14 @@
+import ast
 import csv
 import dataclasses
 import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import photonlab
 from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
                        run_verify, verify, write_verify_report)
 from photonlab.config import TOLERANCE_DEFAULTS
@@ -111,3 +114,23 @@ def test_fine_maxwell_level_memory_stays_near_its_snapshots():
         tracemalloc.stop()
     assert all(0.0 < r < 1e-3 for r in maxima)
     assert peak <= 18 * component, peak / component
+
+
+def test_each_check_name_is_built_in_one_place():
+    # verify and run share one function per law, so no name has two builders
+    names = {"norm_unity", "continuity_order", "continuity_residual",
+             "helicity_pointwise", "helicity_longitudinal", "gauge_field", "gauge_norm",
+             "gauge_transverse_amps", "boost_norm", "boost_monotone",
+             "maxwell_gauss_order", "maxwell_ampere_order", "maxwell_divb_order",
+             "medium_pointwise", "medium_norm", "medium_current", "vacuum_reduction",
+             "lifecycle_norm_transit", "peak_speed_cells", "lifecycle_final_norm",
+             "causality", "lifecycle_residual_order", "fock_commutator",
+             "fock_number_exact"}
+    built = []
+    for path in sorted(Path(photonlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in ("check_le", "check_ge"):
+                assert isinstance(node.args[0], ast.Constant), (path.name, node.lineno)
+                built.append(node.args[0].value)
+    assert sorted(built) == sorted(names)
