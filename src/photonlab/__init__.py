@@ -8,25 +8,16 @@ dielectric media, and emitter/detector lifecycles on a 1D line.
 
 __version__ = "0.1.0"
 
-from .relativity import (
-    FourVector,
-    PolarizationBasis,
-    polarization_basis,
-    polarization_bases,
-)
+from .relativity import PolarizationBasis, polarization_bases
 from .modes import (
     KGrid,
     ModeAmplitudes,
-    measure_weight,
     measure_weights,
     norm,
     normalize,
     gaussian_packet,
-    integrated_four_current,
     boost_amplitudes,
     gauge_shift,
-    evolve,
-    restricted,
 )
 from .fields import (
     SpatialGrid,
@@ -50,8 +41,6 @@ from .medium import (
     SourceEvent,
     current_in_medium,
     density_rescale,
-    source_field,
-    green_response_1d,
     lifecycle_1d,
     LifecycleReport,
 )
@@ -74,22 +63,16 @@ from .scenarios import ScenarioOutcome, run_scenario
 
 __all__ = [
     "__version__",
-    "FourVector",
     "PolarizationBasis",
-    "polarization_basis",
     "polarization_bases",
     "KGrid",
     "ModeAmplitudes",
-    "measure_weight",
     "measure_weights",
     "norm",
     "normalize",
     "gaussian_packet",
-    "integrated_four_current",
     "boost_amplitudes",
     "gauge_shift",
-    "evolve",
-    "restricted",
     "SpatialGrid",
     "FieldSnapshot",
     "dual_grid",
@@ -107,8 +90,6 @@ __all__ = [
     "SourceEvent",
     "current_in_medium",
     "density_rescale",
-    "source_field",
-    "green_response_1d",
     "lifecycle_1d",
     "LifecycleReport",
     "LadderPair",

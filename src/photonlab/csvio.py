@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import math
@@ -268,24 +267,6 @@ def write_modes_csv(path: str, m: ModeAmplitudes):
                 yield from _lines((kpoints, _strings([labels[pol] + ","])),
                                   amps.reshape(-1, 1).view(np.float64))
     _write_table(path, MODES_COLUMNS, lines())
-
-
-def read_modes_csv(path: str, grid, speed: float = 1.0) -> ModeAmplitudes:
-    """Read modes.csv rows back onto a known grid (rows must sit on lattice points)."""
-    from .modes import _lattice_index
-    table = {"+1": 1, "-1": -1, "par": "par"}
-    amps = np.zeros((3, grid.n_points), dtype=np.complex128)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != MODES_COLUMNS:
-            raise ValueError(f"unexpected modes.csv header: {header}")
-        for row in reader:
-            k = (float(row[0]), float(row[1]), float(row[2]))
-            pol = table[row[3]]
-            idx = _lattice_index(grid, k)
-            amps[lambda_row(pol), idx] = complex(float(row[4]), float(row[5]))
-    return ModeAmplitudes(grid=grid, amps=amps, speed=speed)
 
 
 def write_fields_csv(path: str, snap, units: UnitSystem = NATURAL):

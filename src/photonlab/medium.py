@@ -22,7 +22,6 @@ from .fields import FieldSnapshot, SpatialGrid
 # renormalized to one, so "outside the cone" means exactly zero.
 TRUNC_SIGMAS = 6.0
 _TRUNC_MASS = math.erf(TRUNC_SIGMAS / math.sqrt(2.0))
-_ROOT_2 = math.sqrt(2.0)
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 
 # Cody's rational Chebyshev approximations (W. J. Cody, Math. Comp. 23 (1969)
@@ -177,13 +176,6 @@ def _erf(x):
     return np.copysign(out, x, out=out)
 
 
-def trunc_gauss_cdf(u, sigma: float):
-    """Integral of trunc_gauss from -inf to u; exactly 0 / 1 outside support."""
-    u = np.asarray(u, dtype=float)
-    raw = 0.5 * (_erf(u / (sigma * _ROOT_2)) - (-_TRUNC_MASS)) / _TRUNC_MASS
-    return np.clip(raw, 0.0, 1.0)
-
-
 def arrival_time(emit: SourceEvent, z: float, v: float) -> float:
     """Ballistic arrival of the emitted pulse center at position z."""
     return emit.time + (z - emit.center) / v
@@ -193,28 +185,6 @@ def validate_events(events) -> None:
     total = sum(e.strength for e in events if e.kind == "emitter")
     if total > 1.0 + 1e-12:
         raise ValueError("emitter strengths exceed one photon")
-
-
-def source_field(events, grid: SpatialGrid, t: float):
-    """Charge/current model of the events on the line at time t.
-
-    Returns (rho_es, j_es, source_term): a switch-on charge density
-    rho_es = strength s_z(z - z0) C_t(t - t0), a zero spatial current, and
-    the analytic source_term = d rho_es/dt + div j_es = strength s_t s_z.
-    Detectors contribute with negative sign.
-    """
-    if grid.dimension != 1:
-        raise ValueError("source events live on the 1D line")
-    validate_events(events)
-    z = grid.axis_positions()
-    rho_es = np.zeros(grid.n_points)
-    source = np.zeros(grid.n_points)
-    for ev in events:
-        profile = _source_profile(ev, z)
-        rho_es += profile * trunc_gauss_cdf(t - ev.time, ev.duration)
-        source += profile * _source_rate(ev, t)
-    j_es = np.zeros((grid.n_points, 3))
-    return rho_es, j_es, source
 
 
 def _source_profile(ev: SourceEvent, z):
@@ -261,28 +231,6 @@ def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
         _erf(root_lam * (hi - mu)) - _erf(root_lam * (lo - mu))
     )
     return out
-
-
-def green_response_1d(tp: float, zp: float, med: MediumSpec, grid1d: SpatialGrid,
-                      times, sigma_t: float | None = None, sigma_z: float | None = None):
-    """Density and current response to one localized emission event.
-
-    The delta source is regularized by truncated Gaussians (default sigmas:
-    four grid cells in z, four time steps in t). Returns (rho, j) with shape
-    (n_times, n_z); j = v rho is the 1D closure.
-    """
-    if grid1d.dimension != 1:
-        raise ValueError("the response solver is one-dimensional")
-    times = np.asarray(times, dtype=float)
-    if sigma_z is None:
-        sigma_z = 4.0 * grid1d.spacing
-    if sigma_t is None:
-        if times.size < 2:
-            raise ValueError("need at least two output times to default sigma_t")
-        sigma_t = 4.0 * (times[1] - times[0])
-    rho = np.zeros((times.size, grid1d.n_points))
-    _add_pulse(rho, 1.0, zp, tp, sigma_z, sigma_t, med.v, grid1d, times)
-    return rho, med.v * rho
 
 
 # Cells per row block of a pulse window: each of _erf's temporaries stays

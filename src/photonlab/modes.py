@@ -1,8 +1,8 @@
 """Invariant one-photon amplitudes c_lambda(k) on a discrete wavevector grid.
 
-The grid carries an invariant measure dk^d / ((2pi)^d 2 omega_k); norms,
-integrated currents, boosts, and gauge shifts all act on the amplitude arrays
-without ever touching position space.
+The grid carries an invariant measure dk^d / ((2pi)^d 2 omega_k); norms, boosts,
+and gauge shifts all act on the amplitude arrays without ever touching
+position space.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .relativity import FourVector, polarization_bases
 
 # Row order of the amplitude array: helicity +1, helicity -1, longitudinal.
 POLARIZATIONS = (1, -1, "par")
@@ -95,35 +93,6 @@ def measure_weights(grid: KGrid, speed: float = 1.0) -> np.ndarray:
     return grid.spacing ** d / (TWO_PI ** d * 2.0 * omega)
 
 
-def measure_weight(grid: KGrid, k, speed: float = 1.0) -> float:
-    """Invariant weight of the lattice cell holding k; k must lie on the grid."""
-    k = np.asarray(k, dtype=float).reshape(3)
-    _lattice_index(grid, k)
-    omega = speed * float(np.sqrt(k @ k))
-    d = grid.dimension
-    return grid.spacing ** d / (TWO_PI ** d * 2.0 * omega)
-
-
-def _lattice_index(grid: KGrid, k: np.ndarray) -> int:
-    """Flat index of the lattice point equal to k, or ValueError."""
-    n = grid.n_per_axis
-    flat = 0
-    for axis in (0, 1, 2):
-        v = k[axis]
-        if axis in grid.used_axes:
-            pos = (v - grid.center[axis]) / grid.spacing + 0.5 * (n - 1)
-            m = int(round(pos))
-            if m < 0 or m >= n or abs(pos - m) > 1e-9:
-                raise ValueError(f"k[{axis}] = {v} is not on the grid")
-            if grid.dimension == 3:
-                flat = flat * n + m
-            else:
-                flat = m
-        elif v != 0.0:
-            raise ValueError("1D grid wavevectors have zero x and y components")
-    return flat
-
-
 @dataclass(frozen=True)
 class ModeAmplitudes:
     """One-photon state: complex c_lambda(k) for each lattice point and row.
@@ -149,10 +118,6 @@ class ModeAmplitudes:
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
         object.__setattr__(self, "speed", float(self.speed))
-
-
-def zero_state(grid: KGrid, speed: float = 1.0) -> ModeAmplitudes:
-    return ModeAmplitudes(grid, np.zeros((3, grid.n_points), dtype=np.complex128), speed)
 
 
 def norm(m: ModeAmplitudes, polarizations=None) -> float:
@@ -195,35 +160,6 @@ def gaussian_packet(grid: KGrid, k0, sigma: float, pol, speed: float = 1.0) -> M
     amps = np.zeros((3, grid.n_points), dtype=np.complex128)
     amps[lambda_row(pol)] = np.exp(-d2 / (4.0 * sigma * sigma))
     return normalize(ModeAmplitudes(grid, amps, speed))
-
-
-def integrated_four_current(m: ModeAmplitudes) -> FourVector:
-    """Box integral of the photon four-current, evaluated in k-space.
-
-    Uses the same invariant measure as norm(); the time component therefore
-    equals norm(m) identically, and the spatial part is the weighted sum of
-    unit propagation directions e_k.
-    """
-    w = measure_weights(m.grid, m.speed)
-    mags = np.sum(np.abs(m.amps) ** 2, axis=0)
-    k = kvectors(m.grid)
-    e_k = k / np.sqrt(np.sum(k * k, axis=-1))[:, None]
-    # time component evaluated through norm() itself so the two agree exactly
-    return FourVector(norm(m), (w * mags) @ e_k)
-
-
-def evolve(m: ModeAmplitudes, dt: float) -> ModeAmplitudes:
-    """Advance the state by dt: each amplitude picks up exp(-i omega_k dt)."""
-    omega = m.speed * kmagnitudes(m.grid)
-    return replace(m, amps=m.amps * np.exp(-1j * omega * dt))
-
-
-def restricted(m: ModeAmplitudes, pol) -> ModeAmplitudes:
-    """Same state with every row but `pol` zeroed."""
-    amps = np.zeros_like(m.amps)
-    row = lambda_row(pol)
-    amps[row] = m.amps[row]
-    return replace(m, amps=amps)
 
 
 def gauge_shift(m: ModeAmplitudes, g) -> ModeAmplitudes:

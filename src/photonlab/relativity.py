@@ -1,4 +1,4 @@
-"""Four-vectors and the helicity polarization bases of the mode grids."""
+"""The helicity polarization bases of the mode grids."""
 
 from __future__ import annotations
 
@@ -8,35 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """Contravariant four-vector: time component plus a 3-vector spatial part.
-
-    Components may be real or complex; as_array puts the time component at
-    index 0.
-    """
-
-    t_comp: complex
-    spatial: np.ndarray
-
-    def __post_init__(self):
-        sp = np.asarray(self.spatial)
-        if sp.shape != (3,):
-            raise ValueError("spatial part must be a length-3 vector")
-        if not np.iscomplexobj(sp):
-            sp = sp.astype(float)
-        sp = sp.copy()
-        sp.setflags(write=False)
-        object.__setattr__(self, "spatial", sp)
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate(([self.t_comp], self.spatial))
-
-    @property
-    def is_real(self) -> bool:
-        return not (np.iscomplexobj(self.spatial) or isinstance(self.t_comp, complex))
 
 
 @dataclass(frozen=True)
@@ -78,10 +49,4 @@ def polarization_bases(kvecs: np.ndarray) -> PolarizationBasis:
     e_minus = ROOT_HALF * (e_th - 1j * e_ph)
     e_par = k / kmag[..., None]
     return PolarizationBasis(e_plus=e_plus, e_minus=e_minus, e_par=e_par)
-
-
-def polarization_basis(k) -> PolarizationBasis:
-    """Basis for a single wavevector; |k| > 0 required."""
-    k = np.asarray(k, dtype=float).reshape(3)
-    return polarization_bases(k)
 

@@ -12,13 +12,14 @@ from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
 from .current import helicity_density, number_density, photon_current, position_norm
-from .fields import SpatialGrid, dual_grid
+from .fields import dual_grid
 from .fock import ladder_pair
-from .medium import MediumSpec, SourceEvent, current_in_medium, lifecycle_1d
+from .medium import MediumSpec, arrival_time, current_in_medium, lifecycle_1d
 from .modes import norm
 from .units import UnitSystem, unit_system
 from .verify import (boost_checks, field_scan, fock_checks, gauge_checks, helicity_check,
-                     lifecycle_checks, medium_checks, norm_check, packet_state)
+                     lifecycle_checks, line_events, line_setup, medium_checks, norm_check,
+                     packet_state)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,46 +121,15 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     return checks, info, files
 
 
-def _resolve_events(cfg: ScenarioConfig, us: UnitSystem, grid: SpatialGrid, times):
-    """Turn config emitter/detector settings into concrete SourceEvents."""
-    dz = grid.spacing
-    dt = times[1] - times[0] if len(times) > 1 else 1.0
-    e = cfg.emitter
-    e_width = 4.0 * dz if e.width == "auto" else float(e.width)
-    e_duration = 4.0 * dt if e.duration == "auto" else us.time_in * float(e.duration)
-    emit = SourceEvent(kind="emitter", center=e.center,
-                       width=e_width, time=us.time_in * float(e.time),
-                       duration=e_duration, strength=float(e.strength))
-    detect = None
-    if cfg.detector is not None:
-        d = cfg.detector
-        v = MediumSpec(cfg.medium.epsilon_rel, cfg.medium.mu_rel).v
-        d_width = e_width if d.width == "matched" else \
-            (4.0 * dz if d.width == "auto" else float(d.width))
-        d_duration = e_duration if d.duration == "matched" else \
-            (4.0 * dt if d.duration == "auto" else us.time_in * float(d.duration))
-        d_time = emit.time + (d.center - emit.center) / v if d.time == "auto" \
-            else us.time_in * float(d.time)
-        d_strength = emit.strength if d.strength == "matched" else float(d.strength)
-        detect = SourceEvent(kind="detector", center=d.center, width=d_width,
-                             time=d_time, duration=d_duration, strength=d_strength)
-    return emit, detect
-
-
 def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    line = cfg.line
-    grid = SpatialGrid(n_per_axis=line.n_z,
-                       spacing=(line.z_max - line.z_min) / line.n_z,
-                       dimension=1, origin=line.z_min)
-    times = us.time_in * cfg.times.checkpoints()
-    emit, detect = _resolve_events(cfg, us, grid, times)
-    med = MediumSpec(epsilon=cfg.medium.epsilon_rel, mu=cfg.medium.mu_rel)
+    med, grid, times = line_setup(cfg, us)
+    emit, detect = line_events(cfg, us, med, grid, times)
     rep = lifecycle_1d(emit, detect, med, grid, times)
 
     checks, info = lifecycle_checks(rep, emit, detect, med, grid, times,
                                     cfg.tolerances)
     if detect is not None:
-        arrival = emit.time + (detect.center - emit.center) / med.v
+        arrival = arrival_time(emit, detect.center, med.v)
         info.append(f"ballistic arrival time = {us.time_out * arrival:.17g}")
     info.append(f"final norm = {rep.final_norm:.17g}")
 

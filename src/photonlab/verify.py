@@ -5,7 +5,8 @@ continuity-residual convergence, helicity alignment, gauge and boost
 invariance, Maxwell residual convergence, medium consistency, the 1D
 emitter/detector lifecycle, and the ladder-operator identities. Each law
 is one function here that `photonlab run` calls too, on the scenario's own
-packet; the blocks fix the study sizes, and tolerances come from the config.
+packet; the blocks fix the study sizes (the lifecycle block solves the default
+[lifecycle1d] run), and tolerances come from the config.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import PacketParams, ScenarioConfig
+from .config import PacketParams, ScenarioConfig, parse_config
 from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
@@ -24,9 +25,10 @@ from .fdops import divergence
 from .fields import SpatialGrid, dual_grid, synthesize
 from .fields import maxwell_residual
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
-from .medium import (VACUUM, MediumSpec, SourceEvent, current_in_medium,
+from .medium import (VACUUM, MediumSpec, SourceEvent, arrival_time, current_in_medium,
                      density_rescale, lifecycle_1d)
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
+from .units import unit_system
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,40 @@ def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0
     return checks, info
 
 
+def line_setup(cfg: ScenarioConfig, us):
+    """The medium, the 1D grid and the checkpoint times of a [lifecycle1d] config."""
+    med = MediumSpec(epsilon=cfg.medium.epsilon_rel, mu=cfg.medium.mu_rel)
+    line = cfg.line
+    grid = SpatialGrid(n_per_axis=line.n_z, spacing=(line.z_max - line.z_min) / line.n_z,
+                       dimension=1, origin=line.z_min)
+    return med, grid, us.time_in * cfg.times.checkpoints()
+
+
+def line_events(cfg: ScenarioConfig, us, med, grid, times):
+    """Turn config emitter/detector settings into concrete SourceEvents."""
+    dz = grid.spacing
+    dt = times[1] - times[0]
+    e = cfg.emitter
+    e_width = 4.0 * dz if e.width == "auto" else float(e.width)
+    e_duration = 4.0 * dt if e.duration == "auto" else us.time_in * float(e.duration)
+    emit = SourceEvent(kind="emitter", center=e.center,
+                       width=e_width, time=us.time_in * float(e.time),
+                       duration=e_duration, strength=float(e.strength))
+    detect = None
+    if cfg.detector is not None:
+        d = cfg.detector
+        d_width = e_width if d.width == "matched" else \
+            (4.0 * dz if d.width == "auto" else float(d.width))
+        d_duration = e_duration if d.duration == "matched" else \
+            (4.0 * dt if d.duration == "auto" else us.time_in * float(d.duration))
+        d_time = arrival_time(emit, d.center, med.v) if d.time == "auto" \
+            else us.time_in * float(d.time)
+        d_strength = emit.strength if d.strength == "matched" else float(d.strength)
+        detect = SourceEvent(kind="detector", center=d.center, width=d_width,
+                             time=d_time, duration=d_duration, strength=d_strength)
+    return emit, detect
+
+
 def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
     """Transit-norm, final-norm, causality, and peak-speed checks for one run."""
     checks, info = [], []
@@ -390,39 +426,28 @@ def _medium_block(tol, scale):
 
 
 def _lifecycle_block(tol):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
-    n_z, steps = 2048, 400
-    z_min, z_max = -5.0, 25.0
-    t_stop = 20.0
-
-    def build(nz, nsteps):
-        grid = SpatialGrid(n_per_axis=nz, spacing=(z_max - z_min) / nz,
-                           dimension=1, origin=z_min)
-        times = np.linspace(0.0, t_stop, nsteps + 1)
-        return grid, times
-
-    grid, times = build(n_z, steps)
-    width = 4.0 * grid.spacing
-    duration = 4.0 * (times[1] - times[0])
-    emit = SourceEvent(kind="emitter", center=0.0, width=width, time=0.0,
-                       duration=duration, strength=1.0)
-    arrival = emit.time + (10.0 - emit.center) / med.v
-    det = SourceEvent(kind="detector", center=10.0, width=width, time=arrival,
-                      duration=duration, strength=1.0)
+    # the default [lifecycle1d] run at verify's tolerances, then its solve on a
+    # line and a time step refined twice
+    cfg = parse_config("[lifecycle1d]")
+    us = unit_system(cfg.units)
+    med, grid, times = line_setup(cfg, us)
+    emit, det = line_events(cfg, us, med, grid, times)
     rep = lifecycle_1d(emit, det, med, grid, times)
     checks, info = lifecycle_checks(rep, emit, det, med, grid, times, tol)
 
     # end rows use one-sided time stencils; convergence is measured where the
     # stencil is centered
     coarse = rep.residual_max[1:-1]
-    grid2, times2 = build(2 * n_z, 2 * steps)
+    fine_cfg = replace(cfg, line=replace(cfg.line, n_z=2 * cfg.line.n_z),
+                       times=replace(cfg.times, steps=2 * cfg.times.steps))
+    _, grid2, times2 = line_setup(fine_cfg, us)
     rep2 = lifecycle_1d(emit, det, med, grid2, times2)
     fine = rep2.residual_max[1:-1]
     r_coarse, r_fine = coarse.max(), fine.max()
     order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))
 
-    info += [f"ballistic arrival time = {arrival:.17g}",
+    info += [f"ballistic arrival time = {arrival_time(emit, det.center, med.v):.17g}",
              f"lifecycle residual coarse/fine = {r_coarse:.6g} / {r_fine:.6g}"]
     if not checks[-1].passed:
         i, k = int(np.argmax(coarse)) + 1, int(np.argmax(fine)) + 1

@@ -31,7 +31,6 @@ from photonlab.csvio import (
     MODES_COLUMNS,
     atomic_write_text,
     fmt,
-    read_modes_csv,
     write_current_csv,
     write_fields_csv,
     write_lifecycle_csv,
@@ -64,11 +63,15 @@ def test_modes_round_trip_exact(tmp_path):
     m = ModeAmplitudes(grid, amps.astype(np.complex128))
     path = str(tmp_path / "modes.csv")
     write_modes_csv(path, m)
-    back = read_modes_csv(path, grid)
-    assert np.array_equal(back.amps, m.amps)
     header, rows = read_table(path)
     assert header == MODES_COLUMNS
     assert len(rows) == 3 * grid.n_points
+    # rows run over the grid points once per polarization, in row order
+    k = np.array([[float(v) for v in row[:3]] for row in rows])
+    assert np.array_equal(k, np.tile(kvectors(grid), (3, 1)))
+    assert [row[3] for row in rows[::grid.n_points]] == ["+1", "-1", "par"]
+    back = np.array([complex(float(row[4]), float(row[5])) for row in rows])
+    assert np.array_equal(back.reshape(3, grid.n_points), m.amps)
 
 
 def test_modes_silent_polarizations_omitted(tmp_path):
@@ -79,16 +82,11 @@ def test_modes_silent_polarizations_omitted(tmp_path):
     header, rows = read_table(path)
     assert len(rows) == grid.n_points
     assert {row[3] for row in rows} == {"+1"}
-    back = read_modes_csv(path, grid)
-    assert np.array_equal(back.amps, m.amps)
-
-
-def test_read_modes_rejects_wrong_header(tmp_path):
-    path = str(tmp_path / "modes.csv")
-    atomic_write_text(path, "a,b,c\n1,2,3\n")
-    grid = KGrid(n_per_axis=2, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError, match="header"):
-        read_modes_csv(path, grid)
+    k = np.array([[float(v) for v in row[:3]] for row in rows])
+    assert np.array_equal(k, kvectors(grid))
+    back = np.array([complex(float(row[4]), float(row[5])) for row in rows])
+    assert np.array_equal(back, m.amps[lambda_row(1)])
+    assert not np.any(m.amps[[lambda_row(-1), lambda_row("par")]])
 
 
 def field_snapshot(dimension=1, n_x=8):

@@ -17,12 +17,10 @@ from photonlab import (
     density_rescale,
     dual_grid,
     gaussian_packet,
-    green_response_1d,
     lifecycle_1d,
     number_density,
     photon_current,
     position_norm,
-    source_field,
     synthesize,
 )
 from photonlab import medium
@@ -37,7 +35,6 @@ from photonlab.medium import (
     _source_rate,
     arrival_time,
     trunc_gauss,
-    trunc_gauss_cdf,
     validate_events,
 )
 from photonlab.verify import lifecycle_checks
@@ -132,9 +129,6 @@ def test_truncated_envelope_shape():
     assert trunc_gauss(edge * 1.0001, sigma) == 0.0
     assert trunc_gauss(-edge * 1.0001, sigma) == 0.0
     assert trunc_gauss(0.1, sigma) == trunc_gauss(-0.1, sigma)
-    assert trunc_gauss_cdf(-edge, sigma) == 0.0
-    assert trunc_gauss_cdf(edge, sigma) == 1.0
-    assert abs(trunc_gauss_cdf(0.0, sigma) - 0.5) <= 1e-15
     # unit mass: dense Riemann sum over the support
     u = np.linspace(-edge, edge, 200001)
     mass = trunc_gauss(u, sigma).sum() * (u[1] - u[0])
@@ -146,42 +140,22 @@ def test_arrival_time():
     assert arrival_time(emit, 4.0, 0.5) == 5.0
 
 
-def test_source_field_no_events_is_zero():
-    grid = line_grid(n=256)
-    rho, j, src = source_field([], grid, 3.0)
-    assert np.all(rho == 0.0) and np.all(j == 0.0) and np.all(src == 0.0)
-
-
-def test_source_field_unit_emission_integral():
-    grid = SpatialGrid(n_per_axis=4096, spacing=20.0 / 4096, dimension=1, origin=-10.0)
-    emit = SourceEvent(kind="emitter", center=0.0, width=0.2, time=1.0, duration=0.3)
-    # after switch-on completes the deposited charge is the full strength
-    rho, j, _ = source_field([emit], grid, emit.time + 7.0 * emit.duration)
-    assert abs(rho.sum() * grid.spacing - 1.0) <= 1e-9
-    assert np.all(j == 0.0)
-    # before switch-on begins nothing has been deposited
-    rho0, _, src0 = source_field([emit], grid, emit.time - 7.0 * emit.duration)
-    assert np.all(rho0 == 0.0) and np.all(src0 == 0.0)
-
-
-def test_source_field_matched_pair_cancels():
-    grid = SpatialGrid(n_per_axis=4096, spacing=20.0 / 4096, dimension=1, origin=-10.0)
-    emit = SourceEvent(kind="emitter", center=0.0, width=0.2, time=1.0, duration=0.3)
-    det = SourceEvent(kind="detector", center=3.0, width=0.2, time=4.0, duration=0.3)
-    rho, _, _ = source_field([emit, det], grid, 20.0)
-    assert abs(rho.sum() * grid.spacing) <= 1e-9
-
-
 def test_emitter_budget_enforced():
-    grid = line_grid(n=128)
     mk = lambda s: SourceEvent(kind="emitter", center=0.0, width=0.1, time=0.0,
                                duration=0.1, strength=s)
     with pytest.raises(ValueError, match="exceed one photon"):
-        source_field([mk(0.6), mk(0.6)], grid, 0.0)
+        validate_events([mk(0.6), mk(0.6)])
     # detectors are not charged against the budget
     det = SourceEvent(kind="detector", center=1.0, width=0.1, time=2.0,
                       duration=0.1, strength=1.0)
     validate_events([mk(1.0), det])
+
+
+def green_response(tp, zp, med, grid, times, sigma_t, sigma_z):
+    """Density of one unit emission at (tp, zp): the lifecycle solve's windowed pulse."""
+    rho = np.zeros((times.size, grid.n_points))
+    medium._add_pulse(rho, 1.0, zp, tp, sigma_z, sigma_t, med.v, grid, times)
+    return rho
 
 
 def test_green_response_causal_support():
@@ -191,7 +165,7 @@ def test_green_response_causal_support():
     tp, zp = 2.0, 0.0
     sigma_t = 4.0 * (times[1] - times[0])
     sigma_z = 4.0 * grid.spacing
-    rho, j = green_response_1d(tp, zp, med, grid, times)
+    rho = green_response(tp, zp, med, grid, times, sigma_t, sigma_z)
     before = times < tp - TRUNC_SIGMAS * sigma_t
     assert before.any()
     assert np.all(rho[before] == 0.0)
@@ -199,7 +173,6 @@ def test_green_response_causal_support():
     z = grid.axis_positions()
     front = zp + med.v * (times[:, None] - tp) + TRUNC_SIGMAS * (sigma_z + med.v * sigma_t)
     assert np.all(rho[z[None, :] > front + 1e-12] == 0.0)
-    assert np.array_equal(j, med.v * rho)
 
 
 def test_green_response_mass_and_peak():
@@ -207,23 +180,14 @@ def test_green_response_mass_and_peak():
     grid = SpatialGrid(n_per_axis=2048, spacing=25.0 / 2048, dimension=1, origin=-5.0)
     times = np.linspace(0.0, 16.0, 321)
     tp, zp = 1.0, 0.0
-    rho, _ = green_response_1d(tp, zp, med, grid, times)
+    rho = green_response(tp, zp, med, grid, times, 4.0 * (times[1] - times[0]),
+                         4.0 * grid.spacing)
     assert abs(rho[-1].sum() * grid.spacing - 1.0) <= 1e-8
     z = grid.axis_positions()
     late = times > tp + 2.0
     peaks = z[np.argmax(rho[late], axis=1)]
     expected = zp + med.v * (times[late] - tp)
     assert np.abs(peaks - expected).max() <= grid.spacing
-
-
-def test_green_response_input_validation():
-    med = VACUUM
-    grid3 = SpatialGrid(n_per_axis=8, spacing=0.5, dimension=3, origin=(0.0, 0.0, 0.0))
-    with pytest.raises(ValueError, match="one-dimensional"):
-        green_response_1d(0.0, 0.0, med, grid3, np.linspace(0.0, 1.0, 5))
-    grid1 = line_grid(n=64)
-    with pytest.raises(ValueError, match="two output times"):
-        green_response_1d(0.0, 0.0, med, grid1, [5.0])
 
 
 def lifecycle_setup(n_z=1024, steps=200, detector_time=None, with_detector=True):
@@ -395,11 +359,10 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
         assert same_bits(getattr(fast, name), getattr(slow, name)), name
     assert fast.acausal is slow.acausal
     # the single-event response shares the windowed pulse
-    rho, j = green_response_1d(emit.time, emit.center, med, grid, times,
-                               sigma_t=emit.duration, sigma_z=emit.width)
+    rho = green_response(emit.time, emit.center, med, grid, times, emit.duration, emit.width)
     xi = grid.axis_positions()[None, :] - emit.center - med.v * (times[:, None] - emit.time)
     full = _advected_pulse(xi, (times - emit.time)[:, None], med.v, emit.duration, emit.width)
-    assert same_bits(rho, full) and same_bits(j, med.v * full)
+    assert same_bits(rho, full)
 
 
 @settings(max_examples=100, deadline=None)

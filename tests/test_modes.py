@@ -8,17 +8,13 @@ from photonlab import (
     KGrid,
     ModeAmplitudes,
     boost_amplitudes,
-    evolve,
     gauge_shift,
     gaussian_packet,
-    integrated_four_current,
-    measure_weight,
     measure_weights,
     norm,
     normalize,
-    restricted,
 )
-from photonlab.modes import kvectors, lambda_row, zero_state
+from photonlab.modes import kvectors, lambda_row
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +26,10 @@ def single_cell_state(kz=2.0, pol=1, dk=1.0, dimension=1):
     omega = abs(kz)
     amps[lambda_row(pol), 0] = math.sqrt(TWO_PI ** dimension * 2.0 * omega / dk ** dimension)
     return ModeAmplitudes(grid, amps)
+
+
+def zero_state(grid):
+    return ModeAmplitudes(grid, np.zeros((3, grid.n_points), dtype=np.complex128))
 
 
 def test_grid_excludes_zero_mode():
@@ -45,22 +45,16 @@ def test_grid_offcenter_1d_rejected():
 def test_measure_weight_plugin():
     # dk = 1, d = 3, omega = 1: 1 / ((2 pi)^3 * 2)
     grid = KGrid(n_per_axis=1, spacing=1.0, dimension=3, center=(0.0, 0.0, 1.0))
-    w = measure_weight(grid, (0.0, 0.0, 1.0))
+    w = measure_weights(grid)[0]
     assert abs(w - 1.0 / (TWO_PI ** 3 * 2.0)) <= 1e-18
 
 
 def test_measure_weight_scales_inverse_omega():
     g1 = KGrid(n_per_axis=1, spacing=0.5, dimension=1, center=(0.0, 0.0, 1.0))
     g2 = KGrid(n_per_axis=1, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
-    w1 = measure_weight(g1, (0.0, 0.0, 1.0))
-    w2 = measure_weight(g2, (0.0, 0.0, 2.0))
+    w1 = measure_weights(g1)[0]
+    w2 = measure_weights(g2)[0]
     assert abs(w2 - 0.5 * w1) <= 1e-15 * w1
-
-
-def test_measure_weight_requires_lattice_point():
-    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        measure_weight(grid, (0.0, 0.0, 2.1))
 
 
 def test_riemann_sum_matches_quadrature_oracle():
@@ -144,63 +138,6 @@ def test_gaussian_rejects_out_of_extent_center():
         gaussian_packet(grid, (0.0, 0.0, 5.0), 0.3, 1)
     with pytest.raises(ValueError):
         gaussian_packet(grid, (0.0, 0.0, 2.0), -0.1, 1)
-
-
-def test_four_current_single_cell_along_z():
-    m = single_cell_state(kz=2.0)
-    j = integrated_four_current(m)
-    assert abs(j.t_comp - 1.0) <= 1e-15
-    assert np.max(np.abs(j.spatial - np.array([0.0, 0.0, 1.0]))) <= 1e-15
-
-
-def test_four_current_opposite_pair_cancels():
-    grid = KGrid(n_per_axis=2, spacing=1.0, dimension=1, center=(0.0, 0.0, 0.0))
-    amps = np.zeros((3, 2), dtype=np.complex128)
-    amps[0] = 1.0
-    m = normalize(ModeAmplitudes(grid, amps))
-    j = integrated_four_current(m)
-    assert abs(j.t_comp - 1.0) <= 1e-12
-    assert np.max(np.abs(j.spatial)) <= 1e-15
-
-
-def test_four_current_zero_state():
-    grid = KGrid(n_per_axis=2, spacing=1.0, dimension=1, center=(0.0, 0.0, 1.0))
-    j = integrated_four_current(zero_state(grid))
-    assert j.t_comp == 0.0
-    assert np.all(j.spatial == 0.0)
-
-
-def test_four_current_time_component_equals_norm_exactly():
-    rng = np.random.default_rng(41)
-    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=(0.25, 0.25, 1.25))
-    for _ in range(20):
-        amps = rng.normal(size=(3, grid.n_points)) + 1j * rng.normal(size=(3, grid.n_points))
-        m = ModeAmplitudes(grid, amps)
-        j = integrated_four_current(m)
-        assert j.t_comp == norm(m)
-        assert np.linalg.norm(j.spatial) <= j.t_comp * (1.0 + 1e-12)
-
-
-def test_evolve_applies_dispersion_phase():
-    grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
-    m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.3, 1)
-    dt = 0.7
-    moved = evolve(m, dt)
-    omega = np.abs(grid.axis_values(2))
-    expected = m.amps * np.exp(-1j * omega * dt)
-    assert np.max(np.abs(moved.amps - expected)) <= 1e-15
-    assert abs(norm(moved) - norm(m)) <= 1e-15
-
-
-def test_restricted_zeroes_other_rows():
-    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
-    rng = np.random.default_rng(5)
-    amps = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    m = ModeAmplitudes(grid, amps)
-    only_minus = restricted(m, -1)
-    assert np.array_equal(only_minus.amps[1], m.amps[1])
-    assert np.all(only_minus.amps[0] == 0.0)
-    assert np.all(only_minus.amps[2] == 0.0)
 
 
 def test_gauge_shift_moves_only_longitudinal_row():

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from photonlab import polarization_basis, polarization_bases
+from photonlab import polarization_bases
 
 
 def test_pole_convention_plus_z():
-    basis = polarization_basis((0.0, 0.0, 1.0))
+    basis = polarization_bases(np.array((0.0, 0.0, 1.0)))
     root_half = 1.0 / math.sqrt(2.0)
     assert np.allclose(basis.e_plus, np.array([root_half, 1j * root_half, 0.0]), atol=1e-15)
     assert np.allclose(basis.e_par, np.array([0.0, 0.0, 1.0]), atol=0.0)
@@ -15,7 +15,7 @@ def test_pole_convention_plus_z():
 
 def test_pole_convention_minus_z():
     # theta = pi at phi = 0: e_theta = (-1, 0, 0), e_phi = (0, 1, 0)
-    basis = polarization_basis((0.0, 0.0, -2.0))
+    basis = polarization_bases(np.array((0.0, 0.0, -2.0)))
     root_half = 1.0 / math.sqrt(2.0)
     assert np.allclose(basis.e_plus, np.array([-root_half, 1j * root_half, 0.0]), atol=1e-15)
     assert np.allclose(basis.e_par, np.array([0.0, 0.0, -1.0]), atol=0.0)
@@ -46,4 +46,4 @@ def test_basis_orthonormality_random_directions():
 
 def test_basis_rejects_zero_wavevector():
     with pytest.raises(ValueError):
-        polarization_basis((0.0, 0.0, 0.0))
+        polarization_bases(np.array((0.0, 0.0, 0.0)))

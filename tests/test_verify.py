@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import os
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -134,3 +135,37 @@ def test_each_check_name_is_built_in_one_place():
                 assert isinstance(node.args[0], ast.Constant), (path.name, node.lineno)
                 built.append(node.args[0].value)
     assert sorted(built) == sorted(names)
+
+
+def _named(node):
+    """Every identifier node reads or writes as an ast.Name or an ast.Attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    # a public symbol stays only if the program itself uses it: tests and
+    # re-exports in __init__ (imports and __all__ strings) do not count
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(photonlab.__file__).parent.glob("*.py"))}
+    everywhere = Counter(name for tree in trees.values() for name in _named(tree))
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            members = [node]
+            if isinstance(node, ast.ClassDef):
+                members += [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            for d in members:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    names = [d.name]
+                elif isinstance(d, ast.Assign):
+                    names = [t.id for t in d.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                own = Counter(_named(d))
+                uncalled += [f"{module}:{name}" for name in names
+                             if not name.startswith("_") and everywhere[name] == own[name]]
+    assert uncalled == []
