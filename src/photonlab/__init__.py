@@ -40,7 +40,6 @@ from .medium import (
     VACUUM,
     SourceEvent,
     current_in_medium,
-    density_rescale,
     lifecycle_1d,
     LifecycleReport,
 )
@@ -58,8 +57,8 @@ from .config import (
     default_verify_config,
 )
 from .units import UnitSystem, unit_system
-from .verify import CheckResult, VerificationReport, run_verify, write_verify_report
-from .scenarios import ScenarioOutcome, run_scenario
+from .verify import CheckResult, Outcome, run_verify, write_verify_report
+from .scenarios import run_scenario
 
 __all__ = [
     "__version__",
@@ -89,7 +88,6 @@ __all__ = [
     "VACUUM",
     "SourceEvent",
     "current_in_medium",
-    "density_rescale",
     "lifecycle_1d",
     "LifecycleReport",
     "LadderPair",
@@ -104,9 +102,8 @@ __all__ = [
     "UnitSystem",
     "unit_system",
     "CheckResult",
-    "VerificationReport",
+    "Outcome",
     "run_verify",
     "write_verify_report",
-    "ScenarioOutcome",
     "run_scenario",
 ]

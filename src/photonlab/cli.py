@@ -86,17 +86,15 @@ def main(argv=None) -> int:
         return EXIT_IO_ERROR
 
     if args.command == "verify":
-        report = run_verify(cfg)
-        txt_path, _ = write_verify_report(report, cfg)
-        passed = report.all_passed
+        outcome = run_verify(cfg)
+        txt_path, _ = write_verify_report(outcome, cfg)
     else:
         outcome = run_scenario(cfg)
         txt_path = next(p for p in outcome.files if p.endswith("report.txt"))
-        passed = outcome.all_passed
 
     with open(txt_path, "r", encoding="utf-8") as fh:
         sys.stdout.write(fh.read())
-    return EXIT_PASS if passed else EXIT_CHECK_FAILURE
+    return EXIT_PASS if outcome.all_passed else EXIT_CHECK_FAILURE
 
 
 def entry() -> None:

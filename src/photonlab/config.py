@@ -12,6 +12,8 @@ import configparser
 import io
 from dataclasses import dataclass, field
 
+from .csvio import fmt
+from .medium import MediumSpec
 from .modes import KGrid
 
 SCENARIO_KINDS = ("verify", "packet3d", "helicity", "gauge", "boost",
@@ -82,12 +84,6 @@ class TimeWindow:
 
 
 @dataclass(frozen=True)
-class MediumParams:
-    epsilon_rel: float
-    mu_rel: float
-
-
-@dataclass(frozen=True)
 class EventParams:
     """Raw emitter/detector settings; 'auto'/'matched' resolved by scenarios."""
     center: float
@@ -114,7 +110,7 @@ class ScenarioConfig:
     inject_dispersion_error: float = 0.0
     packet: PacketParams | None = None
     times: TimeWindow | None = None
-    medium: MediumParams | None = None
+    medium: MediumSpec | None = None
     beta: float | None = None
     gauge_strength: float | None = None
     line: LineParams | None = None
@@ -129,29 +125,29 @@ class ScenarioConfig:
                f"output = {self.output}",
                f"seed = {self.seed}"]
         if self.kind == "verify":
-            out.append(f"inject_dispersion_error = {_fmt(self.inject_dispersion_error)}")
+            out.append(f"inject_dispersion_error = {fmt(self.inject_dispersion_error)}")
         if self.packet is not None:
             p = self.packet
-            k0 = ",".join(_fmt(v) for v in p.k0)
-            out.append(f"packet: n_k = {p.n_k}, dk = {_fmt(p.dk)}, k0 = ({k0}), "
-                       f"sigma = {_fmt(p.sigma)}, lambda = {_fmt_pol(p.pol)}, "
+            k0 = ",".join(fmt(v) for v in p.k0)
+            out.append(f"packet: n_k = {p.n_k}, dk = {fmt(p.dk)}, k0 = ({k0}), "
+                       f"sigma = {fmt(p.sigma)}, lambda = {_fmt_pol(p.pol)}, "
                        f"n_x = {p.n_x}, dimension = {p.dimension}")
         if self.times is not None:
             t = self.times
-            out.append(f"times: start = {_fmt(t.start)}, stop = {_fmt(t.stop)}, steps = {t.steps}")
+            out.append(f"times: start = {fmt(t.start)}, stop = {fmt(t.stop)}, steps = {t.steps}")
         if self.medium is not None:
-            out.append(f"medium: epsilon_rel = {_fmt(self.medium.epsilon_rel)}, "
-                       f"mu_rel = {_fmt(self.medium.mu_rel)}")
+            out.append(f"medium: epsilon_rel = {fmt(self.medium.epsilon_rel)}, "
+                       f"mu_rel = {fmt(self.medium.mu_rel)}")
         if self.beta is not None:
-            out.append(f"beta = {_fmt(self.beta)}")
+            out.append(f"beta = {fmt(self.beta)}")
         if self.gauge_strength is not None:
-            out.append(f"gauge_strength = {_fmt(self.gauge_strength)}")
+            out.append(f"gauge_strength = {fmt(self.gauge_strength)}")
         if self.line is not None:
             ln = self.line
-            out.append(f"line: n_z = {ln.n_z}, z_min = {_fmt(ln.z_min)}, z_max = {_fmt(ln.z_max)}")
+            out.append(f"line: n_z = {ln.n_z}, z_min = {fmt(ln.z_min)}, z_max = {fmt(ln.z_max)}")
         for name, ev in (("emitter", self.emitter), ("detector", self.detector)):
             if ev is not None:
-                out.append(f"{name}: center = {_fmt(ev.center)}, time = {_fmt_opt(ev.time)}, "
+                out.append(f"{name}: center = {fmt(ev.center)}, time = {_fmt_opt(ev.time)}, "
                            f"width = {_fmt_opt(ev.width)}, duration = {_fmt_opt(ev.duration)}, "
                            f"strength = {_fmt_opt(ev.strength)}")
         if self.kind == "lifecycle1d" and self.detector is None:
@@ -159,12 +155,8 @@ class ScenarioConfig:
         if self.n_states is not None:
             out.append(f"fock: n_states = {self.n_states}")
         for key in sorted(self.tolerances):
-            out.append(f"tolerance {key} = {_fmt(self.tolerances[key])}")
+            out.append(f"tolerance {key} = {fmt(self.tolerances[key])}")
         return tuple(out)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def _fmt_pol(pol) -> str:
@@ -172,7 +164,7 @@ def _fmt_pol(pol) -> str:
 
 
 def _fmt_opt(v) -> str:
-    return v if isinstance(v, str) else _fmt(v)
+    return v if isinstance(v, str) else fmt(v)
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +248,10 @@ _PACKET3D_KEYS = {
     "t_steps": (_as_int, 2),
 }
 
-_LINE_PACKET_KEYS = {
-    "n_k": (_as_int, 16),
-    "dk": (_as_float, 0.25),
-    "k0": (_as_triple, (0.0, 0.0, 2.0)),
-    "sigma": (_as_float, 0.5),
-    "lambda": (_as_pol, 1),
-    "n_x": (_as_int, 256),
-    "t_start": (_as_float, 0.0),
-    "t_stop": (_as_float, 2.0),
-    "t_steps": (_as_int, 2),
-}
+_LINE_PACKET_KEYS = {**_PACKET3D_KEYS,
+                     "k0": (_as_triple, (0.0, 0.0, 2.0)),
+                     "n_x": (_as_int, 256),
+                     "t_stop": (_as_float, 2.0)}
 
 _SECTION_KEYS = {
     "verify": {**_COMMON, "inject_dispersion_error": (_as_float, 0.0)},
@@ -379,10 +364,10 @@ def _validate_times(vals) -> TimeWindow:
     return TimeWindow(start=vals["t_start"], stop=vals["t_stop"], steps=vals["t_steps"])
 
 
-def _validate_medium(vals) -> MediumParams:
+def _validate_medium(vals) -> MediumSpec:
     _require(vals["epsilon_rel"] >= 1.0, "epsilon_rel must be ≥ 1", "epsilon_rel")
     _require(vals["mu_rel"] >= 1.0, "mu_rel must be ≥ 1", "mu_rel")
-    return MediumParams(epsilon_rel=vals["epsilon_rel"], mu_rel=vals["mu_rel"])
+    return MediumSpec(epsilon_rel=vals["epsilon_rel"], mu_rel=vals["mu_rel"])
 
 
 def _validate_event(vals, name: str) -> EventParams:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fdops
-from .fields import FieldSnapshot, SpatialGrid
+from .fields import FieldSnapshot, SpatialGrid, centered_span
 
 
 @dataclass(frozen=True)
@@ -92,20 +92,10 @@ def position_norm(cf: CurrentField) -> float:
     return float(np.sum(cf.rho) * cf.grid.cell_volume)
 
 
-def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField, cf_next: CurrentField,
-                        source=None) -> np.ndarray:
-    """d rho/dt + div J - source with centered differences, periodic wrap."""
-    if not (cf_prev.grid == cf_now.grid == cf_next.grid):
-        raise ValueError("current fields must share one spatial grid")
-    dt_lo = cf_now.time - cf_prev.time
-    dt_hi = cf_next.time - cf_now.time
-    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
-        raise ValueError("current fields must be equally spaced in time")
+def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField,
+                        cf_next: CurrentField) -> np.ndarray:
+    """d rho/dt + div J with centered differences, periodic wrap."""
+    span = centered_span(cf_prev, cf_now, cf_next)
     g = cf_now.grid
-    ones = (1.0,) * g.dimension
-    dt_rho = (cf_next.rho - cf_prev.rho) / (dt_lo + dt_hi)
-    div_j = fdops.divergence(cf_now.j, g.spacing, g.dimension, ones)
-    res = dt_rho + div_j
-    if source is not None:
-        res = res - np.asarray(source)
-    return res
+    div_j = fdops.divergence(cf_now.j, g.spacing, g.dimension, (1.0,) * g.dimension)
+    return (cf_next.rho - cf_prev.rho) / span + div_j

@@ -83,9 +83,8 @@ class SpatialGrid:
     def axis_positions(self) -> np.ndarray:
         return self.origin + np.arange(self.n_per_axis) * self.spacing
 
-    def field_shape(self, components: int = 0) -> tuple:
-        shape = (self.n_per_axis,) * self.dimension
-        return shape + (components,) if components else shape
+    def field_shape(self) -> tuple:
+        return (self.n_per_axis,) * self.dimension
 
 
 def dual_grid(kgrid: KGrid, n_per_axis: int) -> SpatialGrid:
@@ -268,34 +267,37 @@ def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid) -> np.ndarray
     return t.reshape(ncomp, grid.n_points)
 
 
-def maxwell_residual(prev: FieldSnapshot, now: FieldSnapshot, nxt: FieldSnapshot,
-                     rho_e=None, j_e=None, c: float = 1.0, eps0: float = 1.0):
-    """Residuals of the two sourced Maxwell equations on the + frequency part.
+def centered_span(prev, now, nxt) -> float:
+    """(now - prev) + (nxt - now), the divisor of a centered time difference.
 
-    Returns (div E - rho_e/eps0, dE/dt - c^2 curl B + J_e/eps0) with a centered
-    difference in time and second-order centered differences in space.
+    The three samples (snapshots or currents) share one grid and are equally
+    spaced in time.
     """
     if not (prev.grid == now.grid == nxt.grid):
-        raise ValueError("snapshots must share one spatial grid")
+        raise ValueError("samples must share one spatial grid")
     dt_lo = now.time - prev.time
     dt_hi = nxt.time - now.time
     if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
-        raise ValueError("snapshots must be equally spaced in time")
+        raise ValueError("samples must be equally spaced in time")
+    return dt_lo + dt_hi
+
+
+def maxwell_residual(prev: FieldSnapshot, now: FieldSnapshot, nxt: FieldSnapshot):
+    """Residuals of the two source-free Maxwell equations on the + frequency part.
+
+    Returns (div E, dE/dt - curl B) in natural units (c = eps0 = 1), with a
+    centered difference in time and second-order centered differences in space.
+    """
+    span = centered_span(prev, now, nxt)
     twists = now.twists()
     grid = now.grid
     gauss = fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
-    if rho_e is not None:
-        gauss = gauss - np.asarray(rho_e) / eps0
     # dE/dt is formed one component at a time in one buffer and taken from
-    # c^2 curl B in place, so no full vector temporary is built
+    # curl B in place, so no full vector temporary is built
     ampere = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists)
-    ampere *= c * c
     dt_e = np.empty_like(ampere[..., 0])
     for comp in range(3):
         np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e)
-        dt_e /= dt_lo + dt_hi
+        dt_e /= span
         np.subtract(dt_e, ampere[..., comp], out=ampere[..., comp])
-    if j_e is not None:
-        ampere = ampere + np.asarray(j_e) / eps0
     return gauss, ampere
-

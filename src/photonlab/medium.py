@@ -54,18 +54,18 @@ class MediumSpec:
     Propagation speed is v = (eps mu)^(-1/2) <= 1 for eps >= 1, mu >= 1.
     """
 
-    epsilon: float = 1.0
-    mu: float = 1.0
+    epsilon_rel: float = 1.0
+    mu_rel: float = 1.0
 
     def __post_init__(self):
-        if not self.epsilon >= 1.0:
+        if not self.epsilon_rel >= 1.0:
             raise ValueError("epsilon must be >= 1 (relative to vacuum)")
-        if not self.mu > 0.0:
+        if not self.mu_rel > 0.0:
             raise ValueError("mu must be positive")
 
     @property
     def v(self) -> float:
-        return 1.0 / math.sqrt(self.epsilon * self.mu)
+        return 1.0 / math.sqrt(self.epsilon_rel * self.mu_rel)
 
 
 VACUUM = MediumSpec()
@@ -79,12 +79,7 @@ def current_in_medium(snap: FieldSnapshot, med: MediumSpec) -> CurrentField:
     """
     if abs(snap.speed - med.v) > 1e-12 * max(snap.speed, med.v):
         raise ValueError("snapshot speed does not match the medium speed")
-    return photon_current(snap, eps=med.epsilon, mu=med.mu)
-
-
-def density_rescale(rho_pm: np.ndarray, med: MediumSpec) -> np.ndarray:
-    """Material-independent number density (eps0/eps) rho_pm."""
-    return np.asarray(rho_pm) / med.epsilon
+    return photon_current(snap, eps=med.epsilon_rel, mu=med.mu_rel)
 
 
 @dataclass(frozen=True)

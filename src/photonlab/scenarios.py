@@ -14,24 +14,12 @@ from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
 from .current import helicity_density, number_density, photon_current, position_norm
 from .fields import dual_grid
 from .fock import ladder_pair
-from .medium import MediumSpec, arrival_time, current_in_medium, lifecycle_1d
+from .medium import arrival_time, current_in_medium, lifecycle_1d
 from .modes import norm
 from .units import UnitSystem, unit_system
-from .verify import (boost_checks, field_scan, fock_checks, gauge_checks, helicity_check,
-                     lifecycle_checks, line_events, line_setup, medium_checks, norm_check,
-                     packet_state)
-
-
-@dataclasses.dataclass(frozen=True)
-class ScenarioOutcome:
-    checks: tuple
-    info: tuple
-    files: tuple
-    timings: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+from .verify import (Outcome, boost_checks, field_scan, fock_checks, gauge_checks,
+                     helicity_check, lifecycle_checks, line_events, line_setup, medium_checks,
+                     norm_check, packet_state)
 
 
 def _with_helicity(snap):
@@ -96,7 +84,7 @@ def _run_boost(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 
 def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    med = MediumSpec(epsilon=cfg.medium.epsilon_rel, mu=cfg.medium.mu_rel)
+    med = cfg.medium
     kgrid, m = packet_state(cfg.packet, speed=med.v)
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
@@ -155,7 +143,7 @@ _RUNNERS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
+def run_scenario(cfg: ScenarioConfig) -> Outcome:
     """Execute one non-verify scenario; writes CSVs and the summary report."""
     if cfg.kind == "verify":
         raise ValueError("use run_verify for [verify] configurations")
@@ -166,6 +154,5 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioOutcome:
     timings = {cfg.kind: _time.perf_counter() - started}
     paths = write_report_files(cfg.output, f"photonlab scenario report: {cfg.kind}",
                                cfg.echo_lines(), checks, info)
-    return ScenarioOutcome(checks=tuple(checks), info=tuple(info),
-                           files=tuple(list(files) + list(paths)),
-                           timings=timings)
+    return Outcome(checks=tuple(checks), info=tuple(info), timings=timings,
+                   files=tuple(list(files) + list(paths)))

@@ -19,7 +19,6 @@ EPS0 = 8.8541878128e-12        # F/m
 
 @dataclass(frozen=True)
 class UnitSystem:
-    name: str
     time_in: float        # config seconds -> internal time
     time_out: float       # internal time -> output time column
     current: float        # j columns
@@ -29,13 +28,12 @@ class UnitSystem:
     e_field: float        # E and phi columns
 
 
-NATURAL = UnitSystem(name="natural", time_in=1.0, time_out=1.0, current=1.0,
-                     helicity=1.0, residual=1.0, a_field=1.0, e_field=1.0)
+NATURAL = UnitSystem(time_in=1.0, time_out=1.0, current=1.0, helicity=1.0,
+                     residual=1.0, a_field=1.0, e_field=1.0)
 
 _FIELD_SCALE = math.sqrt(HBAR / EPS0)
 
 SI = UnitSystem(
-    name="si",
     time_in=C_LIGHT,
     time_out=1.0 / C_LIGHT,
     current=C_LIGHT,

@@ -5,8 +5,9 @@ continuity-residual convergence, helicity alignment, gauge and boost
 invariance, Maxwell residual convergence, medium consistency, the 1D
 emitter/detector lifecycle, and the ladder-operator identities. Each law
 is one function here that `photonlab run` calls too, on the scenario's own
-packet; the blocks fix the study sizes (the lifecycle block solves the default
-[lifecycle1d] run), and tolerances come from the config.
+packet; the blocks study the packets and the medium of the default scenarios
+at their own sizes (the lifecycle block solves the default [lifecycle1d] run),
+and tolerances come from the config.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
 from .fdops import divergence
-from .fields import SpatialGrid, dual_grid, synthesize
-from .fields import maxwell_residual
+from .fields import SpatialGrid, dual_grid, maxwell_residual, synthesize
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
-from .medium import (VACUUM, MediumSpec, SourceEvent, arrival_time, current_in_medium,
-                     density_rescale, lifecycle_1d)
+from .medium import VACUUM, SourceEvent, arrival_time, current_in_medium, lifecycle_1d
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
 from .units import unit_system
 
@@ -53,11 +52,12 @@ def check_ge(name, measured, tolerance) -> CheckResult:
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class Outcome:
+    """Checks, info lines and timings of a verify or run call; files a run wrote."""
     checks: tuple
     info: tuple
-    header: tuple
     timings: dict
+    files: tuple = ()
 
     @property
     def all_passed(self) -> bool:
@@ -74,6 +74,11 @@ def _worst_point(res, grid) -> str:
 def _density_norm(snap) -> float:
     """position_norm of the snapshot's number density; J is not built."""
     return position_norm(CurrentField(snap.grid, snap.time, number_density(snap), j=None))
+
+
+def _order(coarse, fine) -> float:
+    """Convergence order of a residual that shrinks from coarse to fine on halving."""
+    return math.log2(coarse / fine) if fine > 0 else float("inf")
 
 
 def _located_failure(check, maxima, deviation, currents) -> list:
@@ -200,14 +205,14 @@ def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0
     e_k = np.array([0.0, 0.0, 1.0])
 
     def rho_deviation(i):
-        return currents[i].rho - med.epsilon * free_rho[i]
+        return currents[i].rho - med.epsilon_rel * free_rho[i]
 
     def j_deviation(i):
         return currents[i].j - med.v * currents[i].rho[:, None] * e_k
 
     rho_max = [np.abs(rho_deviation(i)).max() for i in range(len(currents))]
     j_max = [np.abs(j_deviation(i)).max() for i in range(len(currents))]
-    rescaled = [replace(cf, rho=density_rescale(cf.rho, med)) for cf in currents]
+    rescaled = [replace(cf, rho=cf.rho / med.epsilon_rel) for cf in currents]
     norm_dev = max(abs(position_norm(cf) - 1.0) for cf in rescaled)
 
     first = currents[0]
@@ -230,11 +235,10 @@ def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0
 
 def line_setup(cfg: ScenarioConfig, us):
     """The medium, the 1D grid and the checkpoint times of a [lifecycle1d] config."""
-    med = MediumSpec(epsilon=cfg.medium.epsilon_rel, mu=cfg.medium.mu_rel)
     line = cfg.line
     grid = SpatialGrid(n_per_axis=line.n_z, spacing=(line.z_max - line.z_min) / line.n_z,
                        dimension=1, origin=line.z_min)
-    return med, grid, us.time_in * cfg.times.checkpoints()
+    return cfg.medium, grid, us.time_in * cfg.times.checkpoints()
 
 
 def line_events(cfg: ScenarioConfig, us, med, grid, times):
@@ -319,19 +323,14 @@ def fock_checks(lp, tol):
 
 
 # ---------------------------------------------------------------------------
-# check blocks: the study sizes of `photonlab verify`
-
-_PACKET_3D = PacketParams(n_k=16, dk=0.25, k0=(0.0, 0.0, 4.0), sigma=0.5, pol=1,
-                          n_x=32, dimension=3)
-_SMALL_3D = PacketParams(n_k=8, dk=0.25, k0=(0.0, 0.0, 1.0), sigma=0.5, pol=1,
-                         n_x=32, dimension=3)
-_LINE = PacketParams(n_k=16, dk=0.25, k0=(0.0, 0.0, 2.0), sigma=0.5, pol=1,
-                     n_x=1024, dimension=1)
+# check blocks: verify's study sizes, on the default scenarios' packets and
+# medium; each block parses its scenario when it runs, since `run` imports this
 
 
 def _norm_block(tol, scale):
-    kgrid, m = packet_state(_PACKET_3D)
-    sg = dual_grid(kgrid, _PACKET_3D.n_x)
+    packet = parse_config("[packet3d]").packet
+    kgrid, m = packet_state(packet)
+    sg = dual_grid(kgrid, packet.n_x)
     times = (0.0, 3.0, 6.0)
     norms = [_density_norm(synthesize(m, sg, t, omega_scale=scale, groups=("a", "e")))
              for t in times]
@@ -342,7 +341,7 @@ def _norm_block(tol, scale):
 
 
 def _continuity_block(tol, scale):
-    kgrid, m = packet_state(_LINE)
+    kgrid, m = packet_state(parse_config("[medium1d]").packet)
     t0 = 1.0
 
     def level(n_x):
@@ -354,7 +353,7 @@ def _continuity_block(tol, scale):
 
     r_coarse, _, _ = level(2048)
     r_fine, drho_fine, where = level(4096)
-    order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
+    order = _order(r_coarse, r_fine)
     rel = r_fine / drho_fine if drho_fine > 0 else float("inf")
     checks = [check_ge("continuity_order", order, tol["continuity_order"]),
               check_le("continuity_residual", rel, tol["continuity_residual"],
@@ -365,11 +364,16 @@ def _continuity_block(tol, scale):
     return checks, info
 
 
+def _boost_block(tol):
+    cfg = parse_config("[boost]")
+    return boost_checks(cfg.packet, cfg.beta, tol)[:2]
+
+
 _MAXWELL_T0 = 0.5
 
 
 def _maxwell_packet():
-    return packet_state(_SMALL_3D)[1]
+    return packet_state(parse_config("[gauge]").packet)[1]
 
 
 def _maxwell_level(m, n_x, scale):
@@ -391,8 +395,7 @@ def _maxwell_block(tol, scale):
     m = _maxwell_packet()
     coarse, _ = _maxwell_level(m, 48, scale)
     fine, where = _maxwell_level(m, 96, scale)
-    orders = [math.log2(a / b) if b > 0 else float("inf")
-              for a, b in zip(coarse, fine)]
+    orders = [_order(a, b) for a, b in zip(coarse, fine)]
     checks = [check_ge("maxwell_gauss_order", orders[0], tol["maxwell_order"]),
               check_ge("maxwell_ampere_order", orders[1], tol["maxwell_order"]),
               check_ge("maxwell_divb_order", orders[2], tol["maxwell_order"])]
@@ -404,24 +407,26 @@ def _maxwell_block(tol, scale):
 
 
 def _helicity_block(tol, scale):
-    kgrid, m = packet_state(_LINE)
-    sg = dual_grid(kgrid, _LINE.n_x)
+    packet = parse_config("[helicity]").packet
+    kgrid, m = packet_state(packet)
+    sg = dual_grid(kgrid, 1024)
     cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
-    checks, located = helicity_check([cf], _LINE.pol, tol)
+    checks, located = helicity_check([cf], packet.pol, tol)
 
-    m_par = packet_state(replace(_LINE, pol="par"))[1]
+    m_par = packet_state(replace(packet, pol="par"))[1]
     cf_par = photon_current(synthesize(m_par, sg, 1.0, omega_scale=scale), with_helicity=True)
     checks += helicity_check([cf_par], "par", tol)[0]
     return checks, [f"helicity deviation (lambda = +1) = {checks[0].measured:.6g}"] + located
 
 
 def _medium_block(tol, scale):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
-    kgrid, m = packet_state(_LINE, speed=med.v)
-    snap = synthesize(m, dual_grid(kgrid, _LINE.n_x), 0.8, omega_scale=scale)
-    checks, info = medium_checks(_LINE, med, [current_in_medium(snap, med)],
+    cfg = parse_config("[medium1d]")
+    med = cfg.medium
+    kgrid, m = packet_state(cfg.packet, speed=med.v)
+    snap = synthesize(m, dual_grid(kgrid, 1024), 0.8, omega_scale=scale)
+    checks, info = medium_checks(cfg.packet, med, [current_in_medium(snap, med)],
                                  [number_density(snap)], tol, scale)
-    info[0] += f" (epsilon_rel = {med.epsilon:g})"
+    info[0] += f" (epsilon_rel = {med.epsilon_rel:g})"
     return checks, info
 
 
@@ -444,7 +449,7 @@ def _lifecycle_block(tol):
     rep2 = lifecycle_1d(emit, det, med, grid2, times2)
     fine = rep2.residual_max[1:-1]
     r_coarse, r_fine = coarse.max(), fine.max()
-    order = math.log2(r_coarse / r_fine) if r_fine > 0 else float("inf")
+    order = _order(r_coarse, r_fine)
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))
 
     info += [f"ballistic arrival time = {arrival_time(emit, det.center, med.v):.17g}",
@@ -457,7 +462,7 @@ def _lifecycle_block(tol):
 
 
 def _fock_block(tol):
-    lp = ladder_pair(32)
+    lp = ladder_pair(parse_config("[fock]").n_states)
     checks, corner = fock_checks(lp, tol)
     product_dev = np.abs(lp.a_dag @ lp.a - lp.number()).max()
     state_norm_dev = max(abs(np.linalg.norm(n_photon_state(lp, n)) - 1.0)
@@ -469,7 +474,7 @@ def _fock_block(tol):
 
 # ---------------------------------------------------------------------------
 
-def run_verify(cfg: ScenarioConfig) -> VerificationReport:
+def run_verify(cfg: ScenarioConfig) -> Outcome:
     """Run every invariant check; deterministic for a fixed config."""
     if cfg.kind != "verify":
         raise ValueError("run_verify needs a [verify] configuration")
@@ -480,8 +485,8 @@ def run_verify(cfg: ScenarioConfig) -> VerificationReport:
         ("norm", lambda: _norm_block(tol, scale)),
         ("continuity", lambda: _continuity_block(tol, scale)),
         ("helicity", lambda: _helicity_block(tol, scale)),
-        ("gauge", lambda: gauge_checks(_SMALL_3D, 0.7, 0.7, tol, scale)[:2]),
-        ("boost", lambda: boost_checks(_PACKET_3D, 0.3, tol)[:2]),
+        ("gauge", lambda: gauge_checks(parse_config("[gauge]").packet, 0.7, 0.7, tol, scale)[:2]),
+        ("boost", lambda: _boost_block(tol)),
         ("maxwell", lambda: _maxwell_block(tol, scale)),
         ("medium", lambda: _medium_block(tol, scale)),
         ("lifecycle", lambda: _lifecycle_block(tol)),
@@ -494,11 +499,10 @@ def run_verify(cfg: ScenarioConfig) -> VerificationReport:
         timings[name] = _time.perf_counter() - started
         checks.extend(block_checks)
         info.extend(block_info)
-    return VerificationReport(checks=tuple(checks), info=tuple(info),
-                              header=cfg.echo_lines(), timings=timings)
+    return Outcome(checks=tuple(checks), info=tuple(info), timings=timings)
 
 
-def write_verify_report(report: VerificationReport, cfg: ScenarioConfig):
+def write_verify_report(report: Outcome, cfg: ScenarioConfig):
     """Emit report.txt and report.csv into the configured output directory."""
     return write_report_files(cfg.output, "photonlab verification report",
-                              report.header, report.checks, report.info)
+                              cfg.echo_lines(), report.checks, report.info)

@@ -156,7 +156,7 @@ def test_current_csv_with_helicity_and_residual(tmp_path):
 
 
 def test_lifecycle_csv_schema(tmp_path):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = SpatialGrid(n_per_axis=256, spacing=30.0 / 256, dimension=1, origin=-5.0)
     times = np.linspace(0.0, 4.0, 41)
     emit = SourceEvent(kind="emitter", center=0.0, width=0.5, time=0.0, duration=0.4)

@@ -168,7 +168,7 @@ def test_continuity_closure_with_matching_source():
     sg = dual_grid(grid, 256)
     cfs = current_triplet(m, sg, 1.0, sg.spacing / 2.0)
     implied = continuity_residual(*cfs)
-    closed = continuity_residual(*cfs, source=implied)
+    closed = continuity_residual(*cfs) - implied
     assert np.max(np.abs(closed)) <= 1e-12
 
 

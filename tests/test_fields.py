@@ -339,7 +339,7 @@ def eager_synthesize(m, grid, t, omega_scale=1.0):
                 arr[:, j] = summed[col]
         return arr.reshape(shape)
 
-    vec, scalar = grid.field_shape(3), grid.field_shape()
+    vec, scalar = grid.field_shape() + (3,), grid.field_shape()
     return {"a_plus": field(0, 3, vec), "e_plus": field(3, 6, vec), "b_plus": field(6, 9, vec),
             "phi_plus": field(9, 10, scalar), "a_par_plus": field(10, 13, vec),
             "e_par_plus": field(13, 16, vec)}

@@ -14,7 +14,6 @@ from photonlab import (
     SourceEvent,
     SpatialGrid,
     current_in_medium,
-    density_rescale,
     dual_grid,
     gaussian_packet,
     lifecycle_1d,
@@ -53,19 +52,19 @@ def packet_in_medium(med, n_x=1024):
 
 def test_medium_speed():
     assert MediumSpec().v == 1.0
-    assert abs(MediumSpec(epsilon=2.0).v - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(MediumSpec(epsilon_rel=2.0).v - 1.0 / math.sqrt(2.0)) <= 1e-15
     rng = np.random.default_rng(11)
     for _ in range(50):
-        med = MediumSpec(epsilon=1.0 + rng.uniform(0.0, 9.0),
-                         mu=1.0 + rng.uniform(0.0, 9.0))
+        med = MediumSpec(epsilon_rel=1.0 + rng.uniform(0.0, 9.0),
+                         mu_rel=1.0 + rng.uniform(0.0, 9.0))
         assert med.v <= 1.0
 
 
 def test_medium_validation():
     with pytest.raises(ValueError, match="epsilon must be >= 1"):
-        MediumSpec(epsilon=0.5)
+        MediumSpec(epsilon_rel=0.5)
     with pytest.raises(ValueError, match="mu must be positive"):
-        MediumSpec(mu=0.0)
+        MediumSpec(mu_rel=0.0)
 
 
 def test_vacuum_medium_reproduces_free_space():
@@ -77,7 +76,7 @@ def test_vacuum_medium_reproduces_free_space():
 
 
 def test_dressed_density_scales_with_epsilon():
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     snap = packet_in_medium(med)
     cfm = current_in_medium(snap, med)
     rho_free = number_density(snap)
@@ -86,7 +85,7 @@ def test_dressed_density_scales_with_epsilon():
 
 
 def test_dressed_current_moves_at_medium_speed():
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     snap = packet_in_medium(med)
     cfm = current_in_medium(snap, med)
     expected = med.v * cfm.rho[:, None] * np.array([0.0, 0.0, 1.0])
@@ -94,21 +93,21 @@ def test_dressed_current_moves_at_medium_speed():
 
 
 def test_density_rescale_restores_unit_norm():
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     snap = packet_in_medium(med)
     cfm = current_in_medium(snap, med)
-    assert np.array_equal(density_rescale(cfm.rho, VACUUM), cfm.rho)
+    assert np.array_equal(cfm.rho / VACUUM.epsilon_rel, cfm.rho)
     rescaled = CurrentField(grid=snap.grid, time=cfm.time,
-                            rho=density_rescale(cfm.rho, med), j=cfm.j)
+                            rho=cfm.rho / med.epsilon_rel, j=cfm.j)
     assert abs(position_norm(rescaled) - 1.0) <= 1e-6
     # without the rescale the dressed norm is epsilon, not one
-    assert abs(position_norm(cfm) - med.epsilon) <= 2e-6
+    assert abs(position_norm(cfm) - med.epsilon_rel) <= 2e-6
 
 
 def test_current_in_medium_rejects_speed_mismatch():
     snap = packet_in_medium(VACUUM, n_x=256)
     with pytest.raises(ValueError, match="speed"):
-        current_in_medium(snap, MediumSpec(epsilon=2.0))
+        current_in_medium(snap, MediumSpec(epsilon_rel=2.0))
 
 
 def test_source_event_validation():
@@ -176,7 +175,7 @@ def test_green_response_causal_support():
 
 
 def test_green_response_mass_and_peak():
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = SpatialGrid(n_per_axis=2048, spacing=25.0 / 2048, dimension=1, origin=-5.0)
     times = np.linspace(0.0, 16.0, 321)
     tp, zp = 1.0, 0.0
@@ -191,7 +190,7 @@ def test_green_response_mass_and_peak():
 
 
 def lifecycle_setup(n_z=1024, steps=200, detector_time=None, with_detector=True):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = line_grid(n=n_z)
     times = np.linspace(0.0, 20.0, steps + 1)
     width = 4.0 * grid.spacing
@@ -324,7 +323,7 @@ def lifecycle_cases(draw, n_z=(8, 1024), n_t=(1, 160)):
     t_stop = t_start + draw(st.floats(0.5, 30.0))
     times = np.linspace(t_start, t_stop, n_t)
     step = (t_stop - t_start) / max(n_t - 1, 1)
-    med = MediumSpec(epsilon=draw(st.floats(1.0, 6.0)), mu=draw(st.floats(0.25, 4.0)))
+    med = MediumSpec(epsilon_rel=draw(st.floats(1.0, 6.0)), mu_rel=draw(st.floats(0.25, 4.0)))
 
     def event(kind, max_strength=1.0):
         # centres and times reach past both ends of the line and of the run;
@@ -378,7 +377,7 @@ def test_pulse_row_blocks_match_full_grid_oracle(case, rows):
 
 def test_pulse_memory_does_not_grow_with_rows():
     # the fine verify line; ten times its rows would need 86 MB for one window
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = line_grid(n=4096)
     for n_t in (401, 4001):
         times = np.linspace(0.0, 20.0, n_t)
@@ -395,7 +394,7 @@ def test_pulse_memory_does_not_grow_with_rows():
 
 def test_lifecycle_memory_stays_near_one_density_grid():
     # the benchmark line: 8192 cells, 1601 times; only rho is full-size
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = line_grid(n=8192)
     times = np.linspace(0.0, 20.0, 1601)
     width, duration = 4.0 * grid.spacing, 4.0 * (times[1] - times[0])

@@ -1,7 +1,6 @@
 import ast
 import csv
 import dataclasses
-import os
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -50,7 +49,7 @@ def test_dispersion_fault_is_caught_and_still_reported(tmp_path):
 
 @pytest.mark.parametrize("sign", (1.0, -1.0))
 def test_causality_check_catches_density_outside_the_cone(sign):
-    med = MediumSpec(epsilon=2.0, mu=1.0)
+    med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = SpatialGrid(n_per_axis=512, spacing=30.0 / 512, dimension=1, origin=-5.0)
     times = np.linspace(0.0, 20.0, 101)
     emit = SourceEvent(kind="emitter", center=0.0, width=4.0 * grid.spacing, time=0.0,
@@ -169,3 +168,44 @@ def test_every_public_definition_has_a_caller_in_src():
                 uncalled += [f"{module}:{name}" for name in names
                              if not name.startswith("_") and everywhere[name] == own[name]]
     assert uncalled == []
+
+
+def _calls(trees):
+    """name -> (positional count, keyword names) of every call of that name."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_optional_parameter_is_set_by_a_caller():
+    # a default that no call overrides is a setting nobody sets: the program
+    # (src/photonlab) and the benchmark driving its CLI (perfbench) are the callers
+    src = sorted(Path(photonlab.__file__).parent.glob("*.py"))
+    bench = sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in src + bench]
+    calls = _calls(trees)
+    unset = []
+    for path, tree in zip(src, trees):
+        methods = {id(d) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for d in node.body if isinstance(d, ast.FunctionDef)}
+        for d in ast.walk(tree):
+            if not isinstance(d, ast.FunctionDef) or d.name.startswith("__"):
+                continue
+            positional = d.args.posonlyargs + d.args.args
+            shift = 1 if id(d) in methods else 0  # self is not written at the call
+            optional = [(i - shift, a.arg)
+                        for i, a in enumerate(positional)
+                        if i >= len(positional) - len(d.args.defaults)]
+            optional += [(None, a.arg) for a, default in
+                         zip(d.args.kwonlyargs, d.args.kw_defaults) if default is not None]
+            for index, arg in optional:
+                if not any(arg in keywords or (index is not None and n_args > index)
+                           for n_args, keywords in calls.get(d.name, ())):
+                    unset.append(f"{path.name}:{d.name}({arg})")
+    assert unset == []

@@ -1,0 +1,126 @@
+"""Check that the working tree's outputs are byte-identical to those of a revision.
+
+    python3 tools/same_outputs.py REV
+
+Exports REV with `git archive` into a temporary directory, then runs the same
+photonlab calls with REV's `src` and with the working tree's, each in the same
+output directory, and compares every file written there (reports and CSVs),
+stdout and the exit code. Prints one line per call; exits 1 and names the
+files that differ, 0 when every output is byte-identical. Stdlib only; the
+15 call pairs take about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import importlib.util
+import io
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _perfbench_configs() -> dict:
+    """The seed-3 packet3d and lifecycle1d configs of perfbench/run.py, read-only."""
+    bench = ROOT / "perfbench"
+    sys.path.insert(0, str(bench))  # run.py imports its sibling tracer.py
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(bench))
+    return {"perfbench-packet3d-seed3": run._packet3d_config(random.Random(3)),
+            "perfbench-lifecycle1d-seed3": run._lifecycle1d_config(random.Random(3))}
+
+
+# call name -> config text; None runs `photonlab verify` with no config
+CALLS = {
+    "verify-default": None,
+    "verify-dispersion-fault": "[verify]\ninject_dispersion_error = 0.05\n",
+    **{f"{kind}-default": f"[{kind}]\n" for kind in
+       ("packet3d", "helicity", "gauge", "boost", "medium1d", "lifecycle1d", "fock")},
+    "helicity-par": "[helicity]\nlambda = par\n",
+    "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
+    "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
+    "medium1d-eps3-mu1.5": "[medium1d]\nepsilon_rel = 3.0\nmu_rel = 1.5\n",
+}
+
+
+def _export(rev: str, dest: Path) -> None:
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes]:
+    """Run one CLI call from outdir, the config's output directory ('.')."""
+    args = ["verify"] if config is None else \
+        ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    res = subprocess.run([sys.executable, "-m", "photonlab", *args], cwd=outdir, env=env,
+                         capture_output=True)
+    return res.returncode, res.stdout
+
+
+def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
+    diffs = []
+    if ref_run[0] != new_run[0]:
+        diffs.append(f"{name}: exit code {ref_run[0]} -> {new_run[0]}")
+    if ref_run[1] != new_run[1]:
+        diffs.append(f"{name}: stdout")
+    ref_files = sorted(p.name for p in ref.iterdir())
+    new_files = sorted(p.name for p in new.iterdir())
+    for f in sorted(set(ref_files) ^ set(new_files)):
+        diffs.append(f"{name}/{f}: written on one side only")
+    for f in sorted(set(ref_files) & set(new_files)):
+        if not filecmp.cmp(ref / f, new / f, shallow=False):
+            diffs.append(f"{name}/{f}")
+    return diffs
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    calls = {**CALLS, **_perfbench_configs()}
+    diffs = []
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        tmp = Path(tmp)
+        _export(argv[0], tmp / "rev")
+        out, ref = tmp / "out", tmp / "ref"
+        for name, text in calls.items():
+            config = None
+            if text is not None:
+                config = tmp / f"{name}.ini"
+                config.write_text(text)
+            # both sides write to the same path, so the echoed `output` matches
+            out.mkdir()
+            ref_run = _call(tmp / "rev" / "src", config, out)
+            out.rename(ref)
+            out.mkdir()
+            new_run = _call(ROOT / "src", config, out)
+            found = _differences(name, ref, out, ref_run, new_run)
+            print(f"{name}: exit {new_run[0]}, " + ("DIFFERS" if found else "identical"))
+            diffs += found
+            shutil.rmtree(ref)
+            shutil.rmtree(out)
+    for line in diffs:
+        print(f"differs: {line}")
+    print(f"{len(calls)} calls against {argv[0]}: "
+          + (f"{len(diffs)} differences" if diffs else "every output byte-identical"))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
