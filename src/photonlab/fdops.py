@@ -8,6 +8,10 @@ Real bilinear fields (densities, currents) use twist 1.
 Each derivative is written through slices into one preallocated array: the
 interior planes difference their neighbours directly, and only the two seam
 planes read across the wrap, with the twist (or its conjugate) applied there.
+
+An axis may also be haloed: a slab with one extra plane at each end, read
+across the seam where it wraps (fields.synthesize with planes). Its interior
+planes come out exactly as on the whole box; the caller drops the end planes.
 """
 
 from __future__ import annotations

@@ -14,6 +14,8 @@ Callers name the field groups they read (GROUPS: A, E, B, and the
 longitudinal sector phi, A_par, E_par); only those are summed, all in one
 contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
+A caller may also sum a few x-planes at a time, such as the haloed slabs of
+a box too large to hold, sharing one k-space prep (mode_coefficients).
 """
 
 from __future__ import annotations
@@ -152,26 +154,12 @@ class FieldSnapshot:
         return self.bloch
 
 
-def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: float = 1.0,
-               groups=tuple(GROUPS)) -> FieldSnapshot:
-    """Evaluate the requested field groups of A+, E+, B+, phi+ at time t.
+def mode_coefficients(m: ModeAmplitudes, t: float, omega_scale: float = 1.0) -> np.ndarray:
+    """synthesize's k-space prep: lattice-ordered coefficients of all _NCOMP columns at t.
 
-    groups names keys of GROUPS: "a" (a_plus), "e" (e_plus), "b" (b_plus)
-    and "par" (phi_plus, a_par_plus, e_par_plus); all by default. The
-    polarization rows fold into one lattice-ordered coefficient array. Every
-    requested group with a nonzero coefficient is summed in one _mode_sum
-    call and kept as a view of its rows; dead groups are zeros. Fields of
-    groups not requested are None and raise when read.
-
-    omega_scale deliberately mis-scales the frequency used in the time
-    derivative that builds E+ (a dispersion fault for verification drills);
-    1.0 is the physical value.
+    omega_scale deliberately mis-scales the frequency in the time derivative
+    that builds E+ (a dispersion fault for verification drills); 1.0 is physical.
     """
-    if grid.dimension != m.grid.dimension:
-        raise ValueError("mode grid and spatial grid dimensions differ")
-    unknown = set(groups) - GROUPS.keys()
-    if unknown:
-        raise ValueError(f"unknown field groups {sorted(unknown)}; choose from {list(GROUPS)}")
     k = kvectors(m.grid)
     kmag = np.sqrt(np.sum(k * k, axis=-1))
     omega = m.speed * kmag
@@ -179,13 +167,11 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     bases = polarization_bases(k)
     phase_t = np.exp(-1j * omega * t)
 
-    # lattice-ordered; rows sharing a k add, dead modes (c = 0) add exact zeros
+    # rows sharing a k add, dead modes (c = 0) add exact zeros
     coeffs = np.zeros((m.grid.n_points, _NCOMP), dtype=np.complex128)
-    present = set()
     for pol, c, unit in zip(POLARIZATIONS, m.amps, (bases.e_plus, bases.e_minus, bases.e_par)):
         if not np.any(c):
             continue
-        present.add(pol)
         s = AMPLITUDE_SCALE * w * c * phase_t
         a_coef = s[:, None] * unit
         coeffs[:, _COLS_A] += a_coef
@@ -200,6 +186,34 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
         else:
             coeffs[:, _COLS_E] += (1j * omega * omega_scale)[:, None] * a_coef
             coeffs[:, _COLS_B] += (pol * kmag)[:, None] * a_coef
+    return coeffs
+
+
+def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: float = 1.0,
+               groups=tuple(GROUPS), planes=None, coeffs=None) -> FieldSnapshot:
+    """Evaluate the requested field groups of A+, E+, B+, phi+ at time t.
+
+    groups names keys of GROUPS: "a" (a_plus), "e" (e_plus), "b" (b_plus)
+    and "par" (phi_plus, a_par_plus, e_par_plus); all by default. Every
+    requested group with a nonzero coefficient is summed in one _mode_sum
+    call and kept as a view of its rows; dead groups are zeros. Fields of
+    groups not requested are None and raise when read.
+
+    planes, an index array, samples only those x-planes (array axis 0); -1
+    and n_per_axis read across the seam with the Bloch twist, as
+    fdops.centered_diff does. coeffs is mode_coefficients(m, t, omega_scale)
+    when a caller shares it between the plane sets of one time.
+    """
+    if grid.dimension != m.grid.dimension:
+        raise ValueError("mode grid and spatial grid dimensions differ")
+    unknown = set(groups) - GROUPS.keys()
+    if unknown:
+        raise ValueError(f"unknown field groups {sorted(unknown)}; choose from {list(GROUPS)}")
+    if coeffs is None:
+        coeffs = mode_coefficients(m, t, omega_scale)
+    bloch = tuple(complex(np.exp(1j * m.grid.axis_values(a)[0] * grid.box_length))
+                  for a in m.grid.used_axes) if is_dual(grid, m.grid) else None
+    shape = grid.field_shape() if planes is None else planes.shape + grid.field_shape()[1:]
 
     # whole groups are summed, so every sum has at least three columns (numpy
     # sends a single row through gemv, which rounds differently from gemm)
@@ -207,7 +221,14 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     requested = [g for g in GROUPS if g in groups]
     summed_groups = [g for g in requested if live[GROUPS[g]].any()]
     cols = [c for g in summed_groups for c in range(GROUPS[g].start, GROUPS[g].stop)]
-    summed = _mode_sum(coeffs[:, cols], m.grid, grid)
+    summed = _mode_sum(coeffs[:, cols], m.grid, grid,
+                       None if planes is None else planes % grid.n_per_axis)
+    if planes is not None and ((planes < 0).any() or (planes >= grid.n_per_axis).any()):
+        if bloch is None:
+            raise ValueError("planes across the seam need the Fourier-dual spatial grid")
+        by_plane = summed.reshape((len(cols),) + shape[:1] + (-1,))
+        by_plane[:, planes < 0] *= np.conj(bloch[0])
+        by_plane[:, planes >= grid.n_per_axis] *= bloch[0]
     summed[~live[cols]] = 0.0  # a dead column sums signed zeros; store +0
     rows, start = {}, 0
     for g in requested:
@@ -216,7 +237,7 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
             rows[g] = summed[start:start + width]
             start += width
         else:
-            rows[g] = np.zeros((width, grid.n_points), dtype=np.complex128)
+            rows[g] = np.zeros((width, math.prod(shape)), dtype=np.complex128)
 
     def field(group, sl):
         # component-major rows seen with a trailing component axis: no copy
@@ -225,15 +246,8 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
         offset = GROUPS[group].start
         block = rows[group][sl.start - offset:sl.stop - offset]
         if len(block) == 1:
-            return block[0].reshape(grid.field_shape())
-        return np.moveaxis(block.reshape((3,) + grid.field_shape()), 0, -1)
-
-    bloch = None
-    if is_dual(grid, m.grid):
-        length = grid.box_length
-        bloch = tuple(
-            complex(np.exp(1j * m.grid.axis_values(a)[0] * length)) for a in m.grid.used_axes
-        )
+            return block[0].reshape(shape)
+        return np.moveaxis(block.reshape((3,) + shape), 0, -1)
 
     return FieldSnapshot(
         grid=grid,
@@ -246,25 +260,28 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
         e_par_plus=field("par", _COLS_EPAR),
         speed=m.speed,
         bloch=bloch,
-        lambdas_present=frozenset(present),
+        lambdas_present=frozenset(pol for pol, c in zip(POLARIZATIONS, m.amps) if np.any(c)),
     )
 
 
-def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid) -> np.ndarray:
-    """sum_m coeffs[m, :] e^{i k_m . x} over all grid points, one axis at a time.
+def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) -> np.ndarray:
+    """sum_m coeffs[m, :] e^{i k_m . x} over the grid points, one axis at a time.
 
     coeffs is lattice-ordered, shape (kgrid.n_points, n_components). Each
     tensordot contracts the leading k axis with that axis' phase table and
     appends the x axis, so (c, kx, ky, kz) rotates through (c, ky, kz, x) and
-    (c, kz, x, y) into (c, x, y, z). Returns shape (n_components, n_points).
+    (c, kz, x, y) into (c, x, y, z). planes, if given, are the indices of the
+    first axis to sample (the x-planes; z on a 1D grid). Returns shape
+    (n_components, sampled points).
     """
     x = grid.axis_positions()
     ncomp = coeffs.shape[1]
     t = coeffs.T.reshape((ncomp,) + (kgrid.n_per_axis,) * kgrid.dimension)
-    for axis in kgrid.used_axes:
-        phase = np.exp(1j * np.outer(kgrid.axis_values(axis), x))
+    for i, axis in enumerate(kgrid.used_axes):
+        xa = x[planes] if i == 0 and planes is not None else x
+        phase = np.exp(1j * np.outer(kgrid.axis_values(axis), xa))
         t = np.tensordot(t, phase, axes=(1, 0))
-    return t.reshape(ncomp, grid.n_points)
+    return t.reshape(ncomp, math.prod(t.shape[1:]))
 
 
 def centered_span(prev, now, nxt) -> float:

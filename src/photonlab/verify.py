@@ -23,7 +23,7 @@ from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
 from .fdops import divergence
-from .fields import SpatialGrid, dual_grid, maxwell_residual, synthesize
+from .fields import SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, synthesize
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 from .medium import VACUUM, SourceEvent, arrival_time, current_in_medium, lifecycle_1d
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
@@ -64,11 +64,14 @@ class Outcome:
         return all(c.passed for c in self.checks)
 
 
-def _worst_point(res, grid) -> str:
-    """Flat grid index and position of the largest |res| entry."""
-    i = int(np.argmax(np.abs(res).reshape(grid.n_points, -1).max(axis=1)))
+def _grid_point(i, grid) -> str:
     x = grid.axis_positions()[list(np.unravel_index(i, grid.field_shape()))]
     return f"index {i} at ({', '.join(f'{v:.6g}' for v in x)})"
+
+
+def _worst_point(res, grid) -> str:
+    """Flat grid index and position of the largest |res| entry."""
+    return _grid_point(int(np.argmax(np.abs(res).reshape(grid.n_points, -1).max(axis=1))), grid)
 
 
 def _density_norm(snap) -> float:
@@ -376,19 +379,57 @@ def _maxwell_packet():
     return packet_state(parse_config("[gauge]").packet)[1]
 
 
-def _maxwell_level(m, n_x, scale):
-    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box."""
+_SLAB_POINTS = 1 << 17  # points per haloed x-slab of the Maxwell study: 12 planes of 96^2
+
+
+def _slab_width(n_x: int) -> int:
+    """x-planes w per slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
+
+    OpenBLAS sums a slab bitwise as the whole box only when its plane count
+    is a multiple of 4 (zgemm rounds leftover columns apart): w + 2 is, and so
+    is the last slab's n_x mod w + 2 when not 0. w = 2 always qualifies.
+    """
+    assert n_x % 4 == 0, n_x
+    fits = [w for w in range(2, n_x, 4) if (w + 2) * n_x * n_x <= _SLAB_POINTS
+            and (n_x % w == 0 or n_x % w % 4 == 2)]
+    return max(fits, default=2)
+
+
+def _maxwell_slabs(m, n_x, scale):
+    """Yield (first plane, Gauss, Ampere, div B) per x-slab of an n_x^3 dual box.
+
+    The fields are summed on the slab plus a halo plane each side; the halos are dropped.
+    """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
-    # the residuals read E at t0 -+ dt and E, B at t0
-    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
-    now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
-    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
-    gauss, ampere = maxwell_residual(prev, now, nxt)
-    del prev, nxt
-    divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
-    res = (gauss, ampere, divb)
-    return [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
+    times, groups = (t0 - dt, t0, t0 + dt), (("e",), ("e", "b"), ("e",))
+    coeffs = [mode_coefficients(m, t, scale) for t in times]
+    width = _slab_width(n_x)
+    for p0 in range(0, n_x, width):
+        planes = np.arange(p0 - 1, min(p0 + width, n_x) + 1)
+        prev, now, nxt = (synthesize(m, sg, t, scale, g, planes, c)
+                          for t, g, c in zip(times, groups, coeffs))
+        gauss, ampere = maxwell_residual(prev, now, nxt)
+        divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
+        del prev, now, nxt  # freed before the next slab is summed
+        yield p0, gauss[1:-1], ampere[1:-1], divb[1:-1]
+
+
+def _maxwell_level(m, n_x, scale):
+    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box.
+
+    A slab's worst point replaces the one so far only if strictly larger, as np.argmax.
+    """
+    plane = n_x * n_x
+    worst = [(-1.0, 0)] * 3
+    for p0, *res in _maxwell_slabs(m, n_x, scale):
+        for k, r in enumerate(res):
+            point_max = np.abs(r).reshape(len(r) * plane, -1).max(axis=1)
+            i = int(np.argmax(point_max))
+            if point_max[i] > worst[k][0]:
+                worst[k] = (point_max[i], p0 * plane + i)
+    sg = dual_grid(m.grid, n_x)
+    return [v for v, _ in worst], [_grid_point(i, sg) for _, i in worst]
 
 
 def _maxwell_block(tol, scale):

@@ -4,15 +4,22 @@ import dataclasses
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import photonlab
 from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
                        run_verify, verify, write_verify_report)
 from photonlab.config import TOLERANCE_DEFAULTS
-from photonlab.verify import _maxwell_level, _maxwell_packet, lifecycle_checks
+from photonlab.fdops import divergence
+from photonlab.fields import dual_grid, maxwell_residual, synthesize
+from photonlab.modes import KGrid, gaussian_packet
+from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
+                              _slab_width, _worst_point, lifecycle_checks)
 
 
 def test_run_verify_requires_verify_kind():
@@ -102,9 +109,74 @@ def test_residual_order_failure_names_the_worst_rows(monkeypatch):
                         f"t = {fine.times[spike]:.6g}")
 
 
+def whole_box_maxwell_level(m, n_x, scale):
+    """Oracle: Gauss, Ampere and div B on the whole n_x^3 dual box at once.
+
+    Returns the three residual arrays, their maxima and their worst points.
+    """
+    sg = dual_grid(m.grid, n_x)
+    t0, dt = _MAXWELL_T0, sg.spacing / 2.0
+    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
+    now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
+    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
+    gauss, ampere = maxwell_residual(prev, now, nxt)
+    divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
+    res = (gauss, ampere, divb)
+    return res, [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
+
+
+def allowed_slab_widths(n_x):
+    """Every width the slab plan picks for some point budget."""
+    widths = set()
+    for planes in range(4, n_x + 1):
+        with mock.patch.object(verify, "_SLAB_POINTS", planes * n_x * n_x):
+            widths.add(_slab_width(n_x))
+    return sorted(widths)
+
+
+@st.composite
+def maxwell_cases(draw):
+    n_x = draw(st.sampled_from(range(8, 65, 4)))
+    n_k = draw(st.integers(3, 6))
+    dk = draw(st.floats(0.2, 0.6))
+    # an off-lattice centre: k_0 L / 2 pi is not an integer on any axis
+    center = tuple(draw(st.floats(-0.6, 0.6)) for _ in range(2)) + \
+        (draw(st.floats(0.8, 1.6)),)
+    try:
+        kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=3, center=center)
+    except ValueError:
+        assume(False)  # the lattice hit k = 0
+    m = gaussian_packet(kgrid, center, draw(st.floats(0.2, 0.8)), draw(st.sampled_from((1, -1))))
+    twists = synthesize(m, dual_grid(kgrid, n_x), 0.0, groups=()).twists()
+    assume(all(abs(t - 1.0) > 1e-3 for t in twists))
+    return m, n_x, draw(st.sampled_from((1.0, 1.05)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(maxwell_cases())
+def test_slab_streamed_maxwell_level_matches_whole_box(case):
+    m, n_x, scale = case
+    res, maxima, where = whole_box_maxwell_level(m, n_x, scale)
+    for width in allowed_slab_widths(n_x):
+        slabs = []
+
+        def recorded(*args):
+            for slab in _maxwell_slabs(*args):
+                slabs.append(slab)
+                yield slab
+
+        with mock.patch.object(verify, "_SLAB_POINTS", (width + 2) * n_x * n_x), \
+                mock.patch.object(verify, "_maxwell_slabs", recorded):
+            assert _slab_width(n_x) == width
+            assert _maxwell_level(m, n_x, scale) == (maxima, where), width
+        assert [p0 for p0, *_ in slabs] == list(range(0, n_x, width))
+        for k in range(3):
+            assert np.array_equal(np.concatenate([s[k + 1] for s in slabs]), res[k]), (width, k)
+
+
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
-    # E at t0 -+ dt and E, B at t0 are 12 components of 96^3 complex values;
-    # the residuals, one curl and one stencil temporary add 5 more
+    # one haloed x-slab holds E at t0 -+ dt, E and B at t0, the residuals and
+    # the stencil temporaries: a few whole-box components in all
     component = 96 ** 3 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -113,7 +185,7 @@ def test_fine_maxwell_level_memory_stays_near_its_snapshots():
     finally:
         tracemalloc.stop()
     assert all(0.0 < r < 1e-3 for r in maxima)
-    assert peak <= 18 * component, peak / component
+    assert peak <= 4 * component, peak / component
 
 
 def test_each_check_name_is_built_in_one_place():

@@ -6,8 +6,10 @@ Exports REV with `git archive` into a temporary directory, then runs the same
 photonlab calls with REV's `src` and with the working tree's, each in the same
 output directory, and compares every file written there (reports and CSVs),
 stdout and the exit code. Prints one line per call; exits 1 and names the
-files that differ, 0 when every output is byte-identical. Stdlib only; the
-15 call pairs take about 20 s on two cores.
+files that differ, 0 when every output is byte-identical. After each call's
+line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
+perfbench reads it), so a check of identical bytes also shows where memory
+moved. Stdlib only; the 15 call pairs take about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -62,14 +64,21 @@ def _export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes]:
-    """Run one CLI call from outdir, the config's output directory ('.')."""
+def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float]:
+    """Run one CLI call from outdir, the config's output directory ('.').
+
+    Returns the exit code, stdout and the call's peak RSS in MB.
+    """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
     env = dict(os.environ, PYTHONPATH=str(src))
-    res = subprocess.run([sys.executable, "-m", "photonlab", *args], cwd=outdir, env=env,
-                         capture_output=True)
-    return res.returncode, res.stdout
+    proc = subprocess.Popen([sys.executable, "-m", "photonlab", *args], cwd=outdir, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        stdout = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -112,6 +121,7 @@ def main(argv=None) -> int:
             new_run = _call(ROOT / "src", config, out)
             found = _differences(name, ref, out, ref_run, new_run)
             print(f"{name}: exit {new_run[0]}, " + ("DIFFERS" if found else "identical"))
+            print(f"{name}: peak RSS {ref_run[2]:.1f} MB at {argv[0]}, {new_run[2]:.1f} MB here")
             diffs += found
             shutil.rmtree(ref)
             shutil.rmtree(out)
