@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .csvio import fmt
 from .medium import MediumSpec
@@ -103,11 +103,11 @@ class LineParams:
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
-    units: str = "natural"
-    output: str = "."
-    seed: int = 0
-    tolerances: dict = field(default_factory=lambda: dict(TOLERANCE_DEFAULTS))
-    inject_dispersion_error: float = 0.0
+    units: str
+    output: str
+    seed: int
+    tolerances: dict
+    inject_dispersion_error: float | None = None
     packet: PacketParams | None = None
     times: TimeWindow | None = None
     medium: MediumSpec | None = None
@@ -495,4 +495,4 @@ def parse_config(text: str) -> ScenarioConfig:
 
 def default_verify_config() -> ScenarioConfig:
     """The configuration `photonlab verify` uses when no file is given."""
-    return ScenarioConfig(kind="verify")
+    return parse_config("[verify]")

@@ -71,14 +71,8 @@ class KGrid:
 
 def kvectors(grid: KGrid) -> np.ndarray:
     """All lattice wavevectors, shape (n_points, 3), lexicographic in (kx,ky,kz)."""
-    if grid.dimension == 1:
-        kz = grid.axis_values(2)
-        out = np.zeros((kz.size, 3))
-        out[:, 2] = kz
-        return out
-    ax, ay, az = (grid.axis_values(a) for a in (0, 1, 2))
-    gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
-    return np.stack([gx, gy, gz], axis=-1).reshape(-1, 3)
+    axes = [grid.axis_values(a) if a in grid.used_axes else np.zeros(1) for a in range(3)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 def kmagnitudes(grid: KGrid) -> np.ndarray:
@@ -208,10 +202,7 @@ def boost_amplitudes(m: ModeAmplitudes, beta: float, dest_grid: KGrid | None = N
         vals = dest.axis_values(axis)
         idx = np.rint((kb[:, axis] - vals[0]) / dest.spacing).astype(np.int64)
         inside &= (idx >= 0) & (idx < n)
-        if dest.dimension == 3:
-            flat = flat * n + np.clip(idx, 0, n - 1)
-        else:
-            flat = np.clip(idx, 0, n - 1)
+        flat = flat * n + np.clip(idx, 0, n - 1)
     if dest.dimension == 1:
         off_line = (kb[:, 0] != 0.0) | (kb[:, 1] != 0.0)
         inside &= ~off_line

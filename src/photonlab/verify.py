@@ -25,7 +25,8 @@ from .current import (CurrentField, continuity_residual, number_density, photon_
 from .fdops import divergence
 from .fields import SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, synthesize
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
-from .medium import VACUUM, SourceEvent, arrival_time, current_in_medium, lifecycle_1d
+from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
+                     lifecycle_1d)
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
 from .units import unit_system
 
@@ -245,27 +246,28 @@ def line_setup(cfg: ScenarioConfig, us):
 
 
 def line_events(cfg: ScenarioConfig, us, med, grid, times):
-    """Turn config emitter/detector settings into concrete SourceEvents."""
-    dz = grid.spacing
-    dt = times[1] - times[0]
-    e = cfg.emitter
-    e_width = 4.0 * dz if e.width == "auto" else float(e.width)
-    e_duration = 4.0 * dt if e.duration == "auto" else us.time_in * float(e.duration)
-    emit = SourceEvent(kind="emitter", center=e.center,
-                       width=e_width, time=us.time_in * float(e.time),
-                       duration=e_duration, strength=float(e.strength))
-    detect = None
-    if cfg.detector is not None:
-        d = cfg.detector
-        d_width = e_width if d.width == "matched" else \
-            (4.0 * dz if d.width == "auto" else float(d.width))
-        d_duration = e_duration if d.duration == "matched" else \
-            (4.0 * dt if d.duration == "auto" else us.time_in * float(d.duration))
-        d_time = arrival_time(emit, d.center, med.v) if d.time == "auto" \
-            else us.time_in * float(d.time)
-        d_strength = emit.strength if d.strength == "matched" else float(d.strength)
-        detect = SourceEvent(kind="detector", center=d.center, width=d_width,
-                             time=d_time, duration=d_duration, strength=d_strength)
+    """Turn config emitter/detector settings into concrete SourceEvents.
+
+    One rule resolves both events: "auto" is 4 cells wide, 4 time steps long
+    and, for the detector's time, the ballistic arrival; "matched" copies the
+    emitter; a time or duration number is in config units, scaled by time_in.
+    """
+    auto = {"width": 4.0 * grid.spacing, "duration": 4.0 * (times[1] - times[0])}
+
+    def resolve(kind, ev, emit=None):
+        vals = {}
+        for key in ("width", "time", "duration", "strength"):
+            raw = getattr(ev, key)
+            if raw == "matched":
+                vals[key] = getattr(emit, key)
+            elif raw == "auto":
+                vals[key] = arrival_time(emit, ev.center, med.v) if key == "time" else auto[key]
+            else:
+                vals[key] = us.time_in * float(raw) if key in ("time", "duration") else float(raw)
+        return SourceEvent(kind=kind, center=ev.center, **vals)
+
+    emit = resolve("emitter", cfg.emitter)
+    detect = None if cfg.detector is None else resolve("detector", cfg.detector, emit)
     return emit, detect
 
 
@@ -273,7 +275,7 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
     """Transit-norm, final-norm, causality, and peak-speed checks for one run."""
     checks, info = [], []
     v = med.v
-    margin = 6.0 * (emit.duration + emit.width / v)
+    margin = TRUNC_SIGMAS * (emit.duration + emit.width / v)
     end = detect.time - margin if detect is not None else times[-1]
     transit = (times >= emit.time + margin) & (times <= end)
     if transit.any():
@@ -292,7 +294,7 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
                            tol["lifecycle_norm"]))
 
     # everything outside the emitter light cone, padded by the envelope support
-    pad = 6.0 * (emit.width + v * emit.duration)
+    pad = TRUNC_SIGMAS * (emit.width + v * emit.duration)
     z = grid.axis_positions()
     outside = np.abs(z[None, :] - emit.center) > \
         v * np.maximum(times[:, None] - emit.time, 0.0) + pad

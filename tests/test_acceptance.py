@@ -14,13 +14,9 @@ import numpy as np
 import pytest
 
 import photonlab
-from photonlab import (
-    basis_state,
-    commutator_expectation,
-    default_verify_config,
-    ladder_pair,
-    run_verify,
-)
+from photonlab.config import default_verify_config
+from photonlab.fock import basis_state, commutator_expectation, ladder_pair
+from photonlab.verify import run_verify
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,6 @@
 import pytest
 
-from photonlab import ConfigError, default_verify_config, parse_config
-from photonlab.config import TOLERANCE_DEFAULTS
+from photonlab.config import ConfigError, TOLERANCE_DEFAULTS, default_verify_config, parse_config
 
 
 def err(text):

@@ -11,33 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonlab import (
-    CurrentField,
-    FieldSnapshot,
-    KGrid,
-    ModeAmplitudes,
-    dual_grid,
-    gaussian_packet,
-    photon_current,
-    synthesize,
-    unit_system,
-)
 from photonlab import csvio
-from photonlab.modes import POLARIZATIONS, kvectors, lambda_row
-from photonlab.csvio import (
-    CURRENT_COLUMNS,
-    FIELDS_COLUMNS,
-    LIFECYCLE_COLUMNS,
-    MODES_COLUMNS,
-    atomic_write_text,
-    fmt,
-    write_current_csv,
-    write_fields_csv,
-    write_lifecycle_csv,
-    write_modes_csv,
-)
+from photonlab.csvio import (CURRENT_COLUMNS, FIELDS_COLUMNS, LIFECYCLE_COLUMNS, MODES_COLUMNS,
+                             atomic_write_text, fmt, write_current_csv, write_fields_csv,
+                             write_lifecycle_csv, write_modes_csv)
+from photonlab.current import CurrentField, photon_current
+from photonlab.fields import FieldSnapshot, SpatialGrid, dual_grid, synthesize
 from photonlab.medium import MediumSpec, SourceEvent, lifecycle_1d
-from photonlab.fields import SpatialGrid
+from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gaussian_packet, kvectors,
+                             lambda_row)
+from photonlab.units import unit_system
 
 
 def read_table(path):

@@ -4,24 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from photonlab import (
-    KGrid,
-    ModeAmplitudes,
-    continuity_residual,
-    current_density,
-    dual_grid,
-    gauge_shift,
-    gaussian_packet,
-    helicity_density,
-    measure_weights,
-    norm,
-    normalize,
-    number_density,
-    photon_current,
-    position_norm,
-    synthesize,
-)
-from photonlab.modes import kvectors, lambda_row
+from photonlab.current import (continuity_residual, current_density, helicity_density,
+                               number_density, photon_current, position_norm)
+from photonlab.fields import dual_grid, synthesize
+from photonlab.modes import (KGrid, ModeAmplitudes, gauge_shift, gaussian_packet, kvectors,
+                             lambda_row, measure_weights, norm, normalize)
 
 
 def single_cell_state(kz=2.0, pol=1, dk=0.5):

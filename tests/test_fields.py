@@ -6,19 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonlab import (
-    KGrid,
-    ModeAmplitudes,
-    SpatialGrid,
-    dual_grid,
-    gauge_shift,
-    gaussian_packet,
-    maxwell_residual,
-    synthesize,
-)
-from photonlab.fields import AMPLITUDE_SCALE, GROUPS, _mode_sum, is_dual
-from photonlab.modes import (POLARIZATIONS, kmagnitudes, kvectors, lambda_row,
-                             measure_weights)
+from photonlab.fields import (AMPLITUDE_SCALE, GROUPS, SpatialGrid, _mode_sum, dual_grid, is_dual,
+                              maxwell_residual, synthesize)
+from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, gaussian_packet,
+                             kmagnitudes, kvectors, lambda_row, measure_weights)
 from photonlab.relativity import polarization_bases
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from photonlab import basis_state, commutator_expectation, ladder_pair, n_photon_state
+from photonlab.fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 
 
 def test_two_state_matrices():

@@ -7,35 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import (
-    VACUUM,
-    KGrid,
-    MediumSpec,
-    SourceEvent,
-    SpatialGrid,
-    current_in_medium,
-    dual_grid,
-    gaussian_packet,
-    lifecycle_1d,
-    number_density,
-    photon_current,
-    position_norm,
-    synthesize,
-)
 from photonlab import medium
 from photonlab.config import TOLERANCE_DEFAULTS
-from photonlab.current import CurrentField
-from photonlab.medium import (
-    TRUNC_SIGMAS,
-    LifecycleReport,
-    _advected_pulse,
-    _erf,
-    _source_profile,
-    _source_rate,
-    arrival_time,
-    trunc_gauss,
-    validate_events,
-)
+from photonlab.current import CurrentField, number_density, photon_current, position_norm
+from photonlab.fields import SpatialGrid, dual_grid, synthesize
+from photonlab.medium import (LifecycleReport, MediumSpec, SourceEvent, TRUNC_SIGMAS, VACUUM,
+                              _advected_pulse, _erf, _source_profile, _source_rate, arrival_time,
+                              current_in_medium, lifecycle_1d, trunc_gauss, validate_events)
+from photonlab.modes import KGrid, gaussian_packet
 from photonlab.verify import lifecycle_checks
 
 

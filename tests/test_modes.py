@@ -4,17 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from photonlab import (
-    KGrid,
-    ModeAmplitudes,
-    boost_amplitudes,
-    gauge_shift,
-    gaussian_packet,
-    measure_weights,
-    norm,
-    normalize,
-)
-from photonlab.modes import kvectors, lambda_row
+from photonlab.modes import (KGrid, ModeAmplitudes, boost_amplitudes, gauge_shift, gaussian_packet,
+                             kvectors, lambda_row, measure_weights, norm, normalize)
 
 TWO_PI = 2.0 * math.pi
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonlab import polarization_bases
+from photonlab.relativity import polarization_bases
 
 
 def test_pole_convention_plus_z():

@@ -5,8 +5,12 @@ import os
 import numpy as np
 import pytest
 
-from photonlab import (current_in_medium, default_verify_config, parse_config,
-                       photon_current, run_scenario, run_verify, scenarios)
+from photonlab import scenarios
+from photonlab.config import default_verify_config, parse_config
+from photonlab.current import photon_current
+from photonlab.medium import current_in_medium
+from photonlab.scenarios import run_scenario
+from photonlab.verify import run_verify
 
 
 def run(tmp_path, kind, body="", extra=""):

@@ -12,14 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import (MediumSpec, SourceEvent, SpatialGrid, lifecycle_1d, parse_config,
-                       run_verify, verify, write_verify_report)
-from photonlab.config import TOLERANCE_DEFAULTS
+from photonlab import verify
+from photonlab.config import TOLERANCE_DEFAULTS, parse_config
 from photonlab.fdops import divergence
-from photonlab.fields import dual_grid, maxwell_residual, synthesize
+from photonlab.fields import SpatialGrid, dual_grid, maxwell_residual, synthesize
+from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
 from photonlab.modes import KGrid, gaussian_packet
+from photonlab.units import unit_system
 from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
-                              _slab_width, _worst_point, lifecycle_checks)
+                              _slab_width, _worst_point, lifecycle_checks, line_events,
+                              line_setup, run_verify, write_verify_report)
 
 
 def test_run_verify_requires_verify_kind():
@@ -80,6 +82,38 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     z = grid.axis_positions()[cell]
     assert (f"causality worst density outside the cone: row {i} at t = {times[i]:.6g}, "
             f"cell {cell} at z = {z:.6g}") in info
+
+
+@pytest.mark.parametrize("detector", (True, False))
+@pytest.mark.parametrize("units", ("natural", "si"))
+def test_line_events_resolve_auto_matched_and_numbers(units, detector):
+    us = unit_system(units)
+    head = f"[lifecycle1d]\nunits = {units}\nn_z = 128\nt_steps = 50\n"
+    off = "" if detector else "[detector]\nenabled = false\n"
+
+    def events(body):
+        cfg = parse_config(head + body)
+        med, grid, times = line_setup(cfg, us)
+        return (*line_events(cfg, us, med, grid, times), med, grid.spacing, times[1] - times[0])
+
+    # the defaults: an auto-sized emitter, a matched detector at the ballistic arrival
+    emit, det, med, dz, dt = events(off)
+    assert emit == SourceEvent(kind="emitter", center=0.0, width=4.0 * dz, time=0.0,
+                               duration=4.0 * dt, strength=1.0)
+    assert det == (SourceEvent(kind="detector", center=10.0, width=emit.width,
+                               time=arrival_time(emit, 10.0, med.v), duration=emit.duration,
+                               strength=emit.strength) if detector else None)
+
+    # numbers: time and duration are in config units, width and strength are not
+    emit, det, med, dz, dt = events(
+        "[emitter]\nwidth = 0.3\nduration = 0.2\ntime = 0.5\nstrength = 0.7\n"
+        + ("[detector]\nwidth = auto\nduration = auto\ntime = 7\nstrength = 0.5\n"
+           if detector else off))
+    assert emit == SourceEvent(kind="emitter", center=0.0, width=0.3, time=us.time_in * 0.5,
+                               duration=us.time_in * 0.2, strength=0.7)
+    assert det == (SourceEvent(kind="detector", center=10.0, width=4.0 * dz,
+                               time=us.time_in * 7.0, duration=4.0 * dt, strength=0.5)
+                   if detector else None)
 
 
 def test_residual_order_failure_names_the_worst_rows(monkeypatch):
@@ -217,9 +251,24 @@ def _named(node):
             yield sub.attr
 
 
+def test_no_module_imports_a_name_it_does_not_use():
+    # a name is imported from its module where it is used; no module re-exports
+    unused = []
+    for path in sorted(Path(photonlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = set(_named(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
+
+
 def test_every_public_definition_has_a_caller_in_src():
-    # a public symbol stays only if the program itself uses it: tests and
-    # re-exports in __init__ (imports and __all__ strings) do not count
+    # a public symbol stays only if the program itself uses it: a test does
+    # not count, and neither does an import (an ast.alias, not an ast.Name)
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(Path(photonlab.__file__).parent.glob("*.py"))}
     everywhere = Counter(name for tree in trees.values() for name in _named(tree))

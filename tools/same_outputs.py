@@ -9,7 +9,7 @@ stdout and the exit code. Prints one line per call; exits 1 and names the
 files that differ, 0 when every output is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 15 call pairs take about 20 s on two cores.
+moved. Stdlib only; the 19 call pairs take about 23 s on two cores.
 """
 
 from __future__ import annotations
@@ -51,8 +51,13 @@ CALLS = {
     **{f"{kind}-default": f"[{kind}]\n" for kind in
        ("packet3d", "helicity", "gauge", "boost", "medium1d", "lifecycle1d", "fock")},
     "helicity-par": "[helicity]\nlambda = par\n",
+    "packet3d-par": "[packet3d]\nlambda = par\n",
+    "packet3d-refused": "[packet3d]\nn_x = 4\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
     "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
+    "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
+    "lifecycle1d-numeric-events": "[lifecycle1d]\n[emitter]\nwidth = 0.08\nduration = 0.15\n"
+                                  "[detector]\nwidth = 0.08\nduration = 0.15\n",
     "medium1d-eps3-mu1.5": "[medium1d]\nepsilon_rel = 3.0\nmu_rel = 1.5\n",
 }
 
