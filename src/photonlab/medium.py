@@ -228,52 +228,109 @@ def _advected_pulse(xi, tau_max, v: float, sigma_t: float, sigma_z: float):
     return out
 
 
-# Cells per row block of a pulse window: each of _erf's temporaries stays
+# Cells per row chunk of a pulse window: each of _erf's temporaries stays
 # near 256 KB however many rows the window has.
 _PULSE_CELLS = 1 << 15
 
 
-def _add_pulse(rho, scale: float, center: float, t0: float, sigma_z: float,
-               sigma_t: float, v: float, grid1d: SpatialGrid, times):
-    """rho += scale * advected pulse of one event, evaluated on its support only.
+def _pulse_chunks(ev: SourceEvent, v: float, grid1d: SpatialGrid, times):
+    """Yield (rows, window cells, sign * strength * pulse) of one event, chunk by chunk.
 
     Row i of the pulse is exactly zero unless
     |z - center - v (t_i - t0)| < 6 sigma_z + 6 v sigma_t, so it is evaluated
     on a window of cells that follows the characteristic, clipped to the line.
     Two cells and a rounding allowance of padding keep every nonzero cell in it.
-    The window is evaluated in blocks of rows of about _PULSE_CELLS cells.
-    Returns each row's window start and the window width.
+    Each chunk holds the windows of about _PULSE_CELLS cells of rows.
     """
     n_z = grid1d.n_points
     z = grid1d.axis_positions()
     dz = grid1d.spacing
-    tau = times - t0
-    half = TRUNC_SIGMAS * (sigma_z + v * sigma_t)
-    scale_z = np.abs(z[[0, -1]]).max() + abs(center) + v * np.abs(tau).max(initial=0.0) + half
+    tau = times - ev.time
+    half = TRUNC_SIGMAS * (ev.width + v * ev.duration)
+    scale_z = np.abs(z[[0, -1]]).max() + abs(ev.center) + v * np.abs(tau).max(initial=0.0) + half
     reach = half + 2.0 * dz + 64.0 * np.finfo(float).eps * scale_z
     width = min(n_z, int(math.ceil(2.0 * reach / dz)) + 2)
-    first = np.floor((center + v * tau - reach - z[0]) / dz)
+    first = np.floor((ev.center + v * tau - reach - z[0]) / dz)
     start = np.clip(first, 0, n_z - width).astype(np.intp)
-    rows_per_block = max(1, _PULSE_CELLS // width)
-    for r0 in range(0, times.size, rows_per_block):
-        rows = slice(r0, min(r0 + rows_per_block, times.size))
+    rows_per_chunk = max(1, _PULSE_CELLS // width)
+    for r0 in range(0, times.size, rows_per_chunk):
+        rows = slice(r0, min(r0 + rows_per_chunk, times.size))
         cells = start[rows, None] + np.arange(width)
-        xi = z[cells] - center - v * (times[rows, None] - t0)
-        pulse = _advected_pulse(xi, tau[rows, None], v, sigma_t, sigma_z)
-        cells += (np.arange(rows.start, rows.stop) * n_z)[:, None]
-        rho.reshape(-1)[cells] += scale * pulse
-    return start, width
+        xi = z[cells] - ev.center - v * (times[rows, None] - ev.time)
+        pulse = _advected_pulse(xi, tau[rows, None], v, ev.duration, ev.width)
+        yield rows, cells, ev.sign * ev.strength * pulse
+
+
+# Rows per block of the density: about 2 MB of float64 per temporary.
+_BLOCK_CELLS = 1 << 18
+
+
+def _density_blocks(events, v: float, grid1d: SpatialGrid, times):
+    """Yield (r0, block, c0, c1) per block of rows r0 .. r0 + len(block) - 3 of rho.
+
+    rho superposes the pulse of each event in order. block holds its rows
+    between two halo rows, the rows before and after them clamped to the run,
+    so the first and last rows stand in for their missing neighbour. Every
+    cell of block outside the columns [c0, c1) is zero. The pulses are
+    evaluated lazily in their chunks (_pulse_chunks), and no row twice: the
+    last two rows of a block are carried over as the first two of the next.
+    block is one buffer, overwritten by the next block.
+    """
+    n_t, n_z = times.size, grid1d.n_points
+    # per row, the columns [col_lo, col_hi) hold every cell any pulse touches
+    col_lo, col_hi = np.full(n_t, n_z, dtype=np.intp), np.zeros(n_t, dtype=np.intp)
+    feeds = [[_pulse_chunks(ev, v, grid1d, times), None] for ev in events]
+
+    def add_rows(dest, a, b):
+        # dest[i - a] += row i of every pulse, for rows a <= i < b
+        for feed in feeds:
+            i = a
+            while i < b:
+                if feed[1] is None or feed[1][0].stop <= i:
+                    feed[1] = next(feed[0])
+                rows, cells, pulse = feed[1]
+                end = min(b, rows.stop)
+                take = slice(i - rows.start, end - rows.start)
+                offsets = np.arange(i - a, end - a) * n_z
+                dest.reshape(-1)[cells[take] + offsets[:, None]] += pulse[take]
+                np.minimum(col_lo[i:end], cells[take, 0], out=col_lo[i:end])
+                np.maximum(col_hi[i:end], cells[take, -1] + 1, out=col_hi[i:end])
+                i = end
+
+    rows_per_block = max(1, _BLOCK_CELLS // n_z)
+    buf = np.empty((min(rows_per_block, n_t) + 2, n_z))
+    for r0 in range(0, n_t, rows_per_block):
+        r1 = min(r0 + rows_per_block, n_t)
+        if r0:
+            buf[:2] = buf[-2:]  # rows r0 - 1 and r0, the last block's halo
+        block = buf[:r1 - r0 + 2]
+        first = r0 + 1 if r0 else 0  # the first row not yet evaluated
+        fresh = block[first - r0 + 1:]
+        fresh.fill(0.0)
+        add_rows(fresh, first, min(r1 + 1, n_t))
+        if not r0:
+            block[0] = block[1]
+        if r1 == n_t:
+            block[-1] = block[-2]
+        halo = slice(max(r0 - 1, 0), min(r1 + 1, n_t))
+        yield r0, block, col_lo[halo].min(), col_hi[halo].max()
 
 
 @dataclass(frozen=True)
 class LifecycleReport:
-    """Emission / transit / detection summary on the 1D line."""
+    """Emission / transit / detection summary on the 1D line, one value per time.
+
+    outside_peak is the largest |rho| outside the emitter's light cone padded
+    by its envelope support (-inf in a row with no cell there), and
+    outside_cell the first cell that holds it (0 where it is not positive).
+    """
 
     times: np.ndarray
     norm: np.ndarray
     residual_max: np.ndarray
     peak_z: np.ndarray
-    rho: np.ndarray
+    outside_peak: np.ndarray
+    outside_cell: np.ndarray
     acausal: bool
     final_norm: float
 
@@ -291,11 +348,10 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     d rho/dt + d(v rho)/dz - source per time (centered in the interior,
     one-sided at the ends).
 
-    Each pulse is evaluated only on a window of about 12 (sigma_z + v sigma_t)
-    cells per row that follows its characteristic (_add_pulse); the cells
-    outside are exact zeros, as in a full-line evaluation. The residual is
-    reduced in row blocks over those windows and the source columns only
-    (_residual_max), so rho is the only (times, z) array the solve holds.
+    rho is never held whole: it is built in blocks of rows (_density_blocks),
+    each pulse only on a window of about 12 (sigma_z + v sigma_t) cells per row
+    that follows its characteristic, and each block is reduced to the per-row
+    outputs and dropped.
     """
     if grid1d.dimension != 1:
         raise ValueError("the lifecycle scenario is one-dimensional")
@@ -313,88 +369,93 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     if detect is not None:
         acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
     events = [emit] + ([detect] if detect is not None and not acausal else [])
-    rho = np.zeros((times.size, z.size))
-    # per row, the columns [col_lo, col_hi) hold every cell any pulse can touch
-    col_lo = np.full(times.size, z.size, dtype=np.intp)
-    col_hi = np.zeros(times.size, dtype=np.intp)
-    for ev in events:
-        start, width = _add_pulse(rho, ev.sign * ev.strength, ev.center, ev.time,
-                                  ev.width, ev.duration, v, grid1d, times)
-        np.minimum(col_lo, start, out=col_lo)
-        np.maximum(col_hi, start + width, out=col_hi)
 
-    dz = grid1d.spacing
-    norm_t = rho.sum(axis=1) * dz
-    peak_z = z[np.argmax(rho, axis=1)]
-    residual_max = np.zeros(times.size)
-    if times.size > 2:
-        residual_max = _residual_max(rho, events, z, times, v, dz, col_lo, col_hi)
+    n_t = times.size
+    norm_t, residual_max, outside_peak = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
+    peak_cell, outside_cell = np.zeros(n_t, np.intp), np.zeros(n_t, np.intp)
+    terms = _source_terms(events, z, times)
+    # the emitter's light cone, padded by the envelope support
+    dist = np.abs(z - emit.center)
+    reach = v * np.maximum(times - emit.time, 0.0) + \
+        TRUNC_SIGMAS * (emit.width + v * emit.duration)
+    for r0, block, c0, c1 in _density_blocks(events, v, grid1d, times):
+        rows = block[1:-1]
+        r1 = r0 + len(rows)
+        norm_t[r0:r1] = rows.sum(axis=1)
+        peak_cell[r0:r1] = np.argmax(rows, axis=1)
+        if n_t > 2:
+            residual_max[r0:r1] = _residual_rows(block, r0, c0, c1, terms, times, v,
+                                                 grid1d.spacing)
+        # whole rows, not the block's columns: the check must not trust the windows
+        outside = dist > reach[r0:r1, None]
+        # max |rho| = max(top, -bottom); 0 - bottom keeps a zero positive
+        peak = np.maximum(rows.max(axis=1, where=outside, initial=-np.inf),
+                          0.0 - rows.min(axis=1, where=outside, initial=np.inf))
+        outside_peak[r0:r1] = peak
+        if peak.max() > 0.0:
+            outside_cell[r0:r1] = np.argmax(np.where(outside, np.abs(rows), 0.0), axis=1)
+    norm_t *= grid1d.spacing
 
     return LifecycleReport(
         times=times,
         norm=norm_t,
         residual_max=residual_max,
-        peak_z=peak_z,
-        rho=rho,
+        peak_z=z[peak_cell],
+        outside_peak=outside_peak,
+        outside_cell=outside_cell,
         acausal=acausal,
         final_norm=float(norm_t[-1]),
     )
 
 
-# Rows per block of the residual: about 2 MB of float64 per temporary.
-_BLOCK_CELLS = 1 << 18
-
-
-def _residual_max(rho, events, z, times, v: float, dz: float, col_lo, col_hi):
-    """max over z of |d rho/dt + v d rho/dz - source| per row, in row blocks.
-
-    Centred differences in z (periodic) and in t, one-sided in t on the first
-    and last rows; each block reads one halo row of rho on either side. rho is
-    zero outside the columns [col_lo, col_hi) of each row and the source
-    outside its columns and rows, so each block reduces over the span of its
-    own and its halo rows' windows, widened by one cell, and of the sources
-    live in it; the residual outside is exactly zero. A span that reaches
-    an end of the line takes the whole periodic row.
-    """
-    n_t, n_z = rho.shape
-    dt = times[1] - times[0]
+def _source_terms(events, z, times):
+    """(columns, spatial profile there, rate per time) of each event with a nonzero profile."""
     terms = []
     for ev in events:
         profile = _source_profile(ev, z)
         nonzero = np.flatnonzero(profile)
         if nonzero.size == 0:
             continue
-        rate = np.zeros(n_t)
+        rate = np.zeros(times.size)
         for i in np.flatnonzero(np.abs(times - ev.time) <= TRUNC_SIGMAS * ev.duration):
             rate[i] = _source_rate(ev, times[i])
         cols = slice(nonzero[0], nonzero[-1] + 1)
         terms.append((cols, profile[cols], rate))
+    return terms
 
-    out = np.empty(n_t)
-    rows_per_block = max(1, _BLOCK_CELLS // n_z)
-    for r0 in range(0, n_t, rows_per_block):
-        r1 = min(r0 + rows_per_block, n_t)
-        rows = np.arange(r0, r1)
-        halo = slice(max(r0 - 1, 0), min(r1 + 1, n_t))
-        live = [(cols, profile, rate) for cols, profile, rate in terms if rate[r0:r1].any()]
-        c0 = min([col_lo[halo].min() - 1] + [cols.start for cols, _, _ in live])
-        c1 = max([col_hi[halo].max() + 1] + [cols.stop for cols, _, _ in live])
-        if c0 >= 1 and c1 <= n_z - 1:
-            dzrho = rho[r0:r1, c0 + 1:c1 + 1] - rho[r0:r1, c0 - 1:c1 - 1]
-        else:
-            c0, c1 = 0, n_z
-            block = rho[r0:r1]
-            dzrho = np.roll(block, -1, axis=1) - np.roll(block, 1, axis=1)
-        ends = (rows == 0) | (rows == n_t - 1)
-        res = rho[np.minimum(rows + 1, n_t - 1), c0:c1] - rho[np.maximum(rows - 1, 0), c0:c1]
-        res /= np.where(ends, dt, 2.0 * dt)[:, None]
-        dzrho /= 2.0 * dz
-        dzrho *= v
-        res += dzrho
-        source = np.zeros_like(res)
-        for cols, profile, rate in live:
-            source[:, cols.start - c0:cols.stop - c0] += profile * rate[rows, None]
-        res -= source
-        np.abs(res, out=res)
-        out[rows] = res.max(axis=1, initial=0.0)
-    return out
+
+def _residual_rows(block, r0: int, c0: int, c1: int, terms, times, v: float, dz: float):
+    """max over z of |d rho/dt + v d rho/dz - source| for the rows of one block.
+
+    Centred differences in z (periodic) and in t, one-sided in t on the first
+    and last rows, whose clamped halo rows make the difference one step. rho is
+    zero outside the block's columns [c0, c1) (_density_blocks) and the
+    source outside its columns (_source_terms) and rows, so the block reduces over
+    that span widened by one cell and the columns of the sources live in it;
+    the residual outside is exactly zero. A span that reaches an end of the
+    line takes the whole periodic row.
+    """
+    n_t, n_z = times.size, block.shape[1]
+    dt = times[1] - times[0]
+    rows = np.arange(r0, r0 + len(block) - 2)
+    live = [(cols, profile, rate) for cols, profile, rate in terms if rate[rows].any()]
+    c0 = min([c0 - 1] + [cols.start for cols, _, _ in live])
+    c1 = max([c1 + 1] + [cols.stop for cols, _, _ in live])
+    mid = block[1:-1]
+    if c0 >= 1 and c1 <= n_z - 1:
+        dzrho = mid[:, c0 + 1:c1 + 1] - mid[:, c0 - 1:c1 - 1]
+    else:
+        c0, c1 = 0, n_z
+        dzrho = np.roll(mid, -1, axis=1) - np.roll(mid, 1, axis=1)
+    ends = (rows == 0) | (rows == n_t - 1)
+    res = block[2:, c0:c1] - block[:-2, c0:c1]
+    res /= np.where(ends, dt, 2.0 * dt)[:, None]
+    dzrho /= 2.0 * dz
+    dzrho *= v
+    res += dzrho
+    source = np.zeros_like(res)
+    for cols, profile, rate in live:
+        source[:, cols.start - c0:cols.stop - c0] += profile * rate[rows, None]
+    res -= source
+    np.abs(res, out=res)
+    return res.max(axis=1, initial=0.0)

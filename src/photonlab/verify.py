@@ -293,23 +293,16 @@ def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
     checks.append(check_le("lifecycle_final_norm", abs(rep.final_norm - target),
                            tol["lifecycle_norm"]))
 
-    # everything outside the emitter light cone, padded by the envelope support
-    pad = TRUNC_SIGMAS * (emit.width + v * emit.duration)
-    z = grid.axis_positions()
-    outside = np.abs(z[None, :] - emit.center) > \
-        v * np.maximum(times[:, None] - emit.time, 0.0) + pad
-    if outside.any():
-        # the two masked extremes bound |rho| without copying the masked cells
-        top = rep.rho.max(where=outside, initial=-np.inf)
-        bottom = rep.rho.min(where=outside, initial=np.inf)
-        checks.append(check_le("causality", max(abs(top), abs(bottom)),
-                               tol["causality"]))
+    # |rho| outside the emitter light cone, padded by the envelope support, per
+    # row of the solve; -inf marks a row with no cell outside
+    if (rep.outside_peak > -np.inf).any():
+        checks.append(check_le("causality", abs(rep.outside_peak.max()), tol["causality"]))
         if not checks[-1].passed:
-            # located only on failure: this copies rho
-            row, cell = np.unravel_index(
-                np.argmax(np.where(outside, np.abs(rep.rho), 0.0)), rep.rho.shape)
+            row = int(np.argmax(rep.outside_peak))  # the first worst row
+            cell = rep.outside_cell[row]
             info.append(f"causality worst density outside the cone: row {row} at "
-                        f"t = {times[row]:.6g}, cell {cell} at z = {z[cell]:.6g}")
+                        f"t = {times[row]:.6g}, cell {cell} at "
+                        f"z = {grid.axis_positions()[cell]:.6g}")
     if rep.acausal:
         info.append("acausal detection: detector fires before ballistic arrival")
     return checks, info

@@ -41,6 +41,23 @@ fock_commutator = 1e-30
     assert "FAIL" in (out / "report.txt").read_text(encoding="utf-8")
 
 
+def test_wide_detector_fails_causality_at_its_worst_cell(tmp_path, capsys):
+    # the detector is a prescribed sink: wider and longer than the pulse it
+    # meets, it drains density outside the emitter's cone before the arrival
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[lifecycle1d]\noutput = {out}\n"
+                                 "[emitter]\nwidth = 0.08\nduration = 0.15\n"
+                                 "[detector]\nwidth = 0.1\nduration = 0.3\n")
+    assert main(["run", "--config", cfg]) == 1
+    lines = (out / "report.txt").read_text(encoding="utf-8").splitlines()
+    causality = next(line.split() for line in lines if line.startswith("causality "))
+    assert causality[2] == "2.0381653254540475e-05" and causality[-1] == "FAIL"
+    assert ("causality worst density outside the cone: row 342 at t = 17.1, "
+            "cell 1243 at z = 13.208") in lines
+    assert not any("acausal" in line for line in lines)
+    assert "result: FAIL (3/4 checks)" in lines
+
+
 def test_config_error_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, "[fock]\nbogus_key = 1\n")
     assert main(["run", "--config", cfg]) == 2

@@ -129,11 +129,22 @@ def test_emitter_budget_enforced():
     validate_events([mk(1.0), det])
 
 
+def streamed_rho(events, med, grid, times):
+    """The lifecycle solve's density: its row blocks, halos dropped, stacked.
+
+    Each block, halo rows included, must be zero outside its columns [c0, c1).
+    """
+    rows = []
+    for _, block, c0, c1 in medium._density_blocks(events, med.v, grid, times):
+        assert not block[:, :c0].any() and not block[:, c1:].any()
+        rows.append(block[1:-1].copy())
+    return np.concatenate(rows)
+
+
 def green_response(tp, zp, med, grid, times, sigma_t, sigma_z):
     """Density of one unit emission at (tp, zp): the lifecycle solve's windowed pulse."""
-    rho = np.zeros((times.size, grid.n_points))
-    medium._add_pulse(rho, 1.0, zp, tp, sigma_z, sigma_t, med.v, grid, times)
-    return rho
+    emit = SourceEvent(kind="emitter", center=zp, width=sigma_z, time=tp, duration=sigma_t)
+    return streamed_rho([emit], med, grid, times)
 
 
 def test_green_response_causal_support():
@@ -240,11 +251,12 @@ def test_lifecycle_event_roles_enforced():
 
 
 def full_grid_lifecycle_1d(emit, detect, med, grid1d, times):
-    """Oracle: lifecycle_1d evaluated on the whole (t, z) grid.
+    """Oracle: lifecycle_1d evaluated on the whole (t, z) grid; returns it and rho.
 
-    Every event's pulse and source is computed on every cell, and the residual
-    comes from full-grid np.roll copies; this is the solve the windowed one
-    must reproduce bit for bit.
+    Every event's pulse and source is computed on every cell, the residual
+    comes from full-grid np.roll copies and the causality reductions from a
+    full-grid cone mask; this is the solve the streamed one must reproduce
+    bit for bit.
     """
     times = np.asarray(times, dtype=float)
     z = grid1d.axis_positions()
@@ -280,10 +292,38 @@ def full_grid_lifecycle_1d(emit, detect, med, grid1d, times):
     else:
         residual[:] = 0.0
 
-    return LifecycleReport(times=times, norm=norm_t,
-                           residual_max=np.max(np.abs(residual), axis=1),
-                           peak_z=peak_z, rho=rho, acausal=acausal,
-                           final_norm=float(norm_t[-1]))
+    outside = cone_mask(emit, med, grid1d, times)
+    rep = LifecycleReport(times=times, norm=norm_t,
+                          residual_max=np.max(np.abs(residual), axis=1), peak_z=peak_z,
+                          outside_peak=np.abs(rho).max(axis=1, where=outside, initial=-np.inf),
+                          outside_cell=np.argmax(np.where(outside, np.abs(rho), 0.0), axis=1),
+                          acausal=acausal, final_norm=float(norm_t[-1]))
+    return rep, rho
+
+
+def cone_mask(emit, med, grid, times):
+    """Every (t, z) cell outside the emitter's light cone, padded by its envelope support."""
+    pad = TRUNC_SIGMAS * (emit.width + med.v * emit.duration)
+    return np.abs(grid.axis_positions()[None, :] - emit.center) > \
+        med.v * np.maximum(times[:, None] - emit.time, 0.0) + pad
+
+
+def whole_array_causality(rho, emit, med, grid, times):
+    """Oracle: the causality check on a whole rho; (measured, row, cell), None inside the cone."""
+    outside = cone_mask(emit, med, grid, times)
+    if not outside.any():
+        return None
+    top = rho.max(where=outside, initial=-np.inf)
+    bottom = rho.min(where=outside, initial=np.inf)
+    row, cell = np.unravel_index(np.argmax(np.where(outside, np.abs(rho), 0.0)), rho.shape)
+    return max(abs(top), abs(bottom)), row, cell
+
+
+def solved_events(emit, det, rep):
+    return [emit] + ([det] if det is not None and not rep.acausal else [])
+
+
+REPORT_ARRAYS = ("norm", "peak_z", "residual_max", "outside_peak", "outside_cell", "final_norm")
 
 
 def same_bits(a, b):
@@ -332,10 +372,25 @@ def lifecycle_cases(draw, n_z=(8, 1024), n_t=(1, 160)):
 def test_windowed_lifecycle_matches_full_grid_oracle(case):
     emit, det, med, grid, times = case
     fast = lifecycle_1d(emit, det, med, grid, times)
-    slow = full_grid_lifecycle_1d(emit, det, med, grid, times)
-    for name in ("rho", "norm", "peak_z", "residual_max", "final_norm"):
+    slow, full_rho = full_grid_lifecycle_1d(emit, det, med, grid, times)
+    assert same_bits(streamed_rho(solved_events(emit, det, slow), med, grid, times), full_rho)
+    for name in REPORT_ARRAYS:
         assert same_bits(getattr(fast, name), getattr(slow, name)), name
     assert fast.acausal is slow.acausal
+    # the causality check on the per-row reductions is the whole-array one,
+    # located wherever it measures more than zero
+    tol = dict(TOLERANCE_DEFAULTS, causality=5e-324)
+    checks, info = lifecycle_checks(fast, emit, det, med, grid, times, tol)
+    causality = [c for c in checks if c.name == "causality"]
+    located = [line for line in info if line.startswith("causality")]
+    whole = whole_array_causality(full_rho, emit, med, grid, times)
+    assert bool(causality) == (whole is not None)
+    if whole is not None:
+        measured, row, cell = whole
+        assert same_bits(causality[0].measured, measured)
+        assert located == ([f"causality worst density outside the cone: row {row} at "
+                            f"t = {times[row]:.6g}, cell {cell} at "
+                            f"z = {grid.axis_positions()[cell]:.6g}"] if measured > 0.0 else [])
     # the single-event response shares the windowed pulse
     rho = green_response(emit.time, emit.center, med, grid, times, emit.duration, emit.width)
     xi = grid.axis_positions()[None, :] - emit.center - med.v * (times[:, None] - emit.time)
@@ -344,52 +399,64 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(lifecycle_cases(n_t=(1, 60)), st.sampled_from((0, 1, 2, 5)))
-def test_pulse_row_blocks_match_full_grid_oracle(case, rows):
-    # a budget of rows * n_z cells gives blocks of at least that many rows; 0 gives one
+@given(lifecycle_cases(n_t=(1, 60)), st.sampled_from((0, 1, 2, 5)),
+       st.sampled_from((1, 2, 3, 7, 1000)))
+def test_pulse_row_blocks_match_full_grid_oracle(case, rows, block_rows):
+    # a budget of rows * n_z cells gives pulse chunks of at least that many
+    # rows, 0 gives one; density blocks of block_rows rows cut across them
     emit, det, med, grid, times = case
-    with mock.patch.object(medium, "_PULSE_CELLS", rows * grid.n_points):
+    slow, full_rho = full_grid_lifecycle_1d(emit, det, med, grid, times)
+    with mock.patch.object(medium, "_PULSE_CELLS", rows * grid.n_points), \
+            mock.patch.object(medium, "_BLOCK_CELLS", block_rows * grid.n_points):
         fast = lifecycle_1d(emit, det, med, grid, times)
-    slow = full_grid_lifecycle_1d(emit, det, med, grid, times)
-    assert same_bits(fast.rho, slow.rho)
+        rho = streamed_rho(solved_events(emit, det, slow), med, grid, times)
+    assert same_bits(rho, full_rho)
+    for name in REPORT_ARRAYS:
+        assert same_bits(getattr(fast, name), getattr(slow, name)), name
 
 
 def test_pulse_memory_does_not_grow_with_rows():
     # the fine verify line; ten times its rows would need 86 MB for one window
     med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = line_grid(n=4096)
+    emit = SourceEvent(kind="emitter", center=0.0, width=4.0 * grid.spacing, time=0.0,
+                       duration=0.1)
     for n_t in (401, 4001):
         times = np.linspace(0.0, 20.0, n_t)
-        rho = np.zeros((n_t, grid.n_points))
+        live = False
         tracemalloc.start()
         try:
-            medium._add_pulse(rho, 1.0, 0.0, 0.0, 4.0 * grid.spacing, 0.1, med.v, grid, times)
+            for _, _, pulse in medium._pulse_chunks(emit, med.v, grid, times):
+                live |= bool(np.any(pulse))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.any(rho)
+        assert live
         assert peak <= 24 * 8 * medium._PULSE_CELLS, (n_t, peak)
 
 
-def test_lifecycle_memory_stays_near_one_density_grid():
-    # the benchmark line: 8192 cells, 1601 times; only rho is full-size
+def test_lifecycle_memory_does_not_grow_with_times():
+    # the benchmark line, 8192 cells, at 1601 and 6401 times: no (times, z)
+    # array is held, so the solve and its checks stay under 20 MB (one whole
+    # rho would be 105 MB at 1601 times)
     med = MediumSpec(epsilon_rel=2.0, mu_rel=1.0)
     grid = line_grid(n=8192)
-    times = np.linspace(0.0, 20.0, 1601)
-    width, duration = 4.0 * grid.spacing, 4.0 * (times[1] - times[0])
-    emit = SourceEvent(kind="emitter", center=0.0, width=width, time=0.0,
-                       duration=duration)
-    det = SourceEvent(kind="detector", center=10.0, width=width,
-                      time=arrival_time(emit, 10.0, med.v), duration=duration)
-    tracemalloc.start()
-    try:
-        rep = lifecycle_1d(emit, det, med, grid, times)
-        checks, _ = lifecycle_checks(rep, emit, det, med, grid, times, TOLERANCE_DEFAULTS)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert all(c.passed for c in checks)
-    assert peak <= 1.5 * rep.rho.nbytes, peak / rep.rho.nbytes
+    for n_t in (1601, 6401):
+        times = np.linspace(0.0, 20.0, n_t)
+        width, duration = 4.0 * grid.spacing, 4.0 * (times[1] - times[0])
+        emit = SourceEvent(kind="emitter", center=0.0, width=width, time=0.0,
+                           duration=duration)
+        det = SourceEvent(kind="detector", center=10.0, width=width,
+                          time=arrival_time(emit, 10.0, med.v), duration=duration)
+        tracemalloc.start()
+        try:
+            rep = lifecycle_1d(emit, det, med, grid, times)
+            checks, _ = lifecycle_checks(rep, emit, det, med, grid, times, TOLERANCE_DEFAULTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak <= 20e6, (n_t, peak / 1e6)
 
 
 def full_line_residual_max(rho, events, z, times, v, dz):
@@ -438,10 +505,20 @@ def test_windowed_residual_matches_full_line_oracle(case, blocks, few):
     rows = {"one": 1, "few": few, "all": times.size}[blocks]
     with mock.patch.object(medium, "_BLOCK_CELLS", rows * grid.n_points):
         rep = lifecycle_1d(emit, det, med, grid, times)
-        events = [emit] + ([det] if det is not None and not rep.acausal else [])
-        slow = full_line_residual_max(rep.rho, events, grid.axis_positions(), times,
-                                      med.v, grid.spacing)
+        events = solved_events(emit, det, rep)
+        slow = full_line_residual_max(streamed_rho(events, med, grid, times), events,
+                                      grid.axis_positions(), times, med.v, grid.spacing)
     assert same_bits(rep.residual_max, slow)
+
+
+def array_blocks(rho, col_lo, col_hi):
+    """The row blocks of medium._density_blocks cut from a whole rho, row spans col_lo..col_hi."""
+    n_t, n_z = rho.shape
+    rows_per_block = max(1, medium._BLOCK_CELLS // n_z)
+    for r0 in range(0, n_t, rows_per_block):
+        r1 = min(r0 + rows_per_block, n_t)
+        halo = np.clip(np.arange(r0 - 1, r1 + 1), 0, n_t - 1)
+        yield r0, rho[halo], col_lo[halo].min(), col_hi[halo].max()
 
 
 @settings(max_examples=200, deadline=None)
@@ -474,7 +551,9 @@ def test_residual_max_reads_only_the_windows(n_t, n_z, blocks, few, narrow, seed
     v = rng.uniform(0.2, 1.0)
     rows = {"one": 1, "few": few, "all": n_t}[blocks]
     with mock.patch.object(medium, "_BLOCK_CELLS", rows * n_z):
-        fast = medium._residual_max(rho, events, z, times, v, dz, col_lo, col_hi)
+        terms = medium._source_terms(events, z, times)
+        fast = np.concatenate([medium._residual_rows(block, r0, c0, c1, terms, times, v, dz)
+                               for r0, block, c0, c1 in array_blocks(rho, col_lo, col_hi)])
         slow = full_line_residual_max(rho, events, z, times, v, dz)
     assert same_bits(fast, slow)
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import verify
+from photonlab import medium, verify
 from photonlab.config import TOLERANCE_DEFAULTS, parse_config
 from photonlab.fdops import divergence
 from photonlab.fields import SpatialGrid, dual_grid, maxwell_residual, synthesize
@@ -68,13 +68,23 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     assert {c.name: c for c in clean}["causality"].passed
     assert not any(line.startswith("causality") for line in clean_info)
 
-    # early in the run, at the far end of the line: outside the padded cone
-    rho = rep.rho.copy()
-    i, cell = 10, grid.n_points - 1
+    # early in the run, at the far end of the line: outside the padded cone;
+    # the same fault in a later row leaves the first one named, as in row-major order
+    i, later, cell = 10, 20, grid.n_points - 1
     pad = 6.0 * (emit.width + med.v * emit.duration)
-    assert abs(grid.axis_positions()[cell] - emit.center) > med.v * times[i] + pad
-    rho[i, cell] = sign * 1e-9
-    faulty = dataclasses.replace(rep, rho=rho)
+    assert abs(grid.axis_positions()[cell] - emit.center) > med.v * times[later] + pad
+    blocks = medium._density_blocks
+
+    def planted(*args):
+        # the solve's density gets the faults in the blocks that hold their rows
+        for r0, block, c0, c1 in blocks(*args):
+            for row in (i, later):
+                if r0 <= row < r0 + len(block) - 2:
+                    block[row - r0 + 1, cell] = sign * 1e-9
+            yield r0, block, c0, c1
+
+    with mock.patch.object(medium, "_density_blocks", planted):
+        faulty = lifecycle_1d(emit, None, med, grid, times)
     checks, info = lifecycle_checks(faulty, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
     causality = {c.name: c for c in checks}["causality"]
     assert not causality.passed

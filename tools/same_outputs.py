@@ -9,7 +9,7 @@ stdout and the exit code. Prints one line per call; exits 1 and names the
 files that differ, 0 when every output is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 19 call pairs take about 23 s on two cores.
+moved. Stdlib only; the 21 call pairs take about 25 s on two cores.
 """
 
 from __future__ import annotations
@@ -58,6 +58,12 @@ CALLS = {
     "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
     "lifecycle1d-numeric-events": "[lifecycle1d]\n[emitter]\nwidth = 0.08\nduration = 0.15\n"
                                   "[detector]\nwidth = 0.08\nduration = 0.15\n",
+    # a detector wider and longer than the pulse drains density outside the
+    # cone: causality fails (exit 1) and names its worst cell
+    "lifecycle1d-wide-detector": "[lifecycle1d]\n[emitter]\nwidth = 0.08\nduration = 0.15\n"
+                                 "[detector]\nwidth = 0.1\nduration = 0.3\n",
+    # windows clipped at the line's start: the residual takes whole periodic rows
+    "lifecycle1d-seam": "[lifecycle1d]\n[emitter]\ncenter = -4.95\n[detector]\ncenter = 24.9\n",
     "medium1d-eps3-mu1.5": "[medium1d]\nepsilon_rel = 3.0\nmu_rel = 1.5\n",
 }
 
