@@ -252,6 +252,13 @@ def _point_prefixes(grid, axis_values) -> np.ndarray:
     return out.reshape(-1, out.shape[-1])
 
 
+def _slab_prefixes(grid, p0: int, n_planes: int) -> np.ndarray:
+    """_point_prefixes of the array-axis-0 planes p0 .. p0 + n_planes - 1 of a sample box."""
+    x = grid.axis_positions()
+    sliced = 0 if grid.dimension == 3 else 2  # the axis along array axis 0
+    return _point_prefixes(grid, lambda a: x[p0:p0 + n_planes] if a == sliced else x)
+
+
 def write_modes_csv(path: str, m: ModeAmplitudes):
     """Serialize amplitudes: one row per grid point per non-silent polarization.
 
@@ -269,38 +276,47 @@ def write_modes_csv(path: str, m: ModeAmplitudes):
     _write_table(path, MODES_COLUMNS, lines())
 
 
-def write_fields_csv(path: str, snap, units: UnitSystem = NATURAL):
-    grid = snap.grid
-    n = grid.n_points
+def write_fields_csv(path: str, slabs, units: UnitSystem = NATURAL):
+    """slabs: iterable of (first x-plane, FieldSnapshot), covering the box in order.
+
+    Each snapshot holds the consecutive x-planes (array axis 0) of its grid
+    from its first plane on; a whole box is one slab at plane 0. Each slab is
+    formatted and written before the next is read.
+    """
     ka, ke = units.a_field, units.e_field
-    # complex columns viewed as float64 pairs give the re_*, im_* order; the
-    # row-major target makes that view valid whatever the snapshot layout
-    cols = np.empty((n, 10), dtype=np.complex128)
-    np.concatenate([(ka * snap.a_plus).reshape(n, 3), (ke * snap.e_plus).reshape(n, 3),
-                    (ka * snap.b_plus).reshape(n, 3), (ke * snap.phi_plus).reshape(n, 1)],
-                   axis=1, out=cols)
-    cols = cols.view(np.float64)
-    points = _point_prefixes(grid, lambda a: grid.axis_positions())
-    _write_table(path, FIELDS_COLUMNS, _lines((points,), cols))
+
+    def lines():
+        for p0, s in slabs:
+            n = s.phi_plus.size
+            # complex columns viewed as float64 pairs give the re_*, im_* order;
+            # the row-major target makes that view valid whatever the layout
+            cols = np.empty((n, 10), dtype=np.complex128)
+            np.concatenate([(ka * s.a_plus).reshape(n, 3), (ke * s.e_plus).reshape(n, 3),
+                            (ka * s.b_plus).reshape(n, 3), (ke * s.phi_plus).reshape(n, 1)],
+                           axis=1, out=cols)
+            points = _slab_prefixes(s.grid, p0, len(s.phi_plus))
+            yield from _lines((points,), cols.view(np.float64))
+    _write_table(path, FIELDS_COLUMNS, lines())
 
 
 def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
-    """blocks: iterable of (time, CurrentField, residual array or None).
+    """blocks: iterable of (time, CurrentField, residual array or None[, first x-plane]).
 
-    Each block is formatted and written before the next is read; absent
-    helicity or residual columns are written as 0.
+    A block with a first plane holds the consecutive x-planes (array axis 0)
+    of its grid from that plane on; the blocks of one time cover the box in
+    order. Each block is formatted and written before the next is read;
+    absent helicity or residual columns are written as 0.
     """
     def lines():
-        for time, cf, residual in blocks:
-            grid = cf.grid
-            cols = np.zeros((grid.n_points, 8))
+        for time, cf, residual, *first in blocks:
+            cols = np.zeros((cf.rho.size, 8))
             cols[:, 0] = cf.rho.reshape(-1)
             cols[:, 1:4] = (units.current * cf.j).reshape(-1, 3)
             if cf.s_hel is not None:
                 cols[:, 4:7] = (units.helicity * cf.s_hel).reshape(-1, 3)
             if residual is not None:
                 cols[:, 7] = (units.residual * np.asarray(residual)).reshape(-1)
-            points = _point_prefixes(grid, lambda a: grid.axis_positions())
+            points = _slab_prefixes(cf.grid, first[0] if first else 0, len(cf.rho))
             yield from _lines((_strings([fmt(units.time_out * time) + ","]), points),
                               cols)
     _write_table(path, CURRENT_COLUMNS, lines())

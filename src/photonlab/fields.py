@@ -15,7 +15,8 @@ longitudinal sector phi, A_par, E_par); only those are summed, all in one
 contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
 A caller may also sum a few x-planes at a time, such as the haloed slabs of
-a box too large to hold, sharing one k-space prep (mode_coefficients).
+x_slabs, sharing one k-space prep (mode_coefficients); the Maxwell study and
+the packet scan visit their 3D boxes that way.
 """
 
 from __future__ import annotations
@@ -262,6 +263,43 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
         bloch=bloch,
         lambdas_present=frozenset(pol for pol, c in zip(POLARIZATIONS, m.amps) if np.any(c)),
     )
+
+
+_SLAB_POINTS = 1 << 17  # points per haloed x-slab: 12 planes of 96^2
+
+
+def _slab_width(n_x: int) -> int:
+    """x-planes w per slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
+
+    OpenBLAS sums a slab bitwise as the whole box only when its plane count
+    is a multiple of 4 (zgemm rounds leftover columns apart): w + 2 is, and so
+    is the last slab's n_x mod w + 2 when not 0. w = 2 always qualifies.
+    """
+    assert n_x % 4 == 0, n_x
+    fits = [w for w in range(2, n_x, 4) if (w + 2) * n_x * n_x <= _SLAB_POINTS
+            and (n_x % w == 0 or n_x % w % 4 == 2)]
+    return max(fits, default=2)
+
+
+def x_slabs(grid: SpatialGrid, wrap: bool = False):
+    """Yield (first plane, planes, interior) per x-slab of the box, in order.
+
+    A 3D box with n_x a multiple of 4 is cut into slabs of _slab_width(n_x)
+    planes, the last one shorter, each summed with one halo plane per side:
+    planes runs first - 1 .. first + w. Without wrap, -1 and n_x stay for
+    synthesize to read across the seam with the Bloch twist; with wrap they
+    are taken mod n_x, the planes a periodic field (a density, a current)
+    repeats there. interior = slice(1, -1) cuts the halos off. Any other box
+    is one slab, (0, None, slice(None)), which synthesize samples whole.
+    """
+    n_x = grid.n_per_axis
+    if grid.dimension == 1 or n_x % 4:
+        yield 0, None, slice(None)
+        return
+    width = _slab_width(n_x)
+    for p0 in range(0, n_x, width):
+        planes = np.arange(p0 - 1, min(p0 + width, n_x) + 1)
+        yield p0, planes % n_x if wrap else planes, slice(1, -1)
 
 
 def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) -> np.ndarray:

@@ -353,39 +353,21 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     that follows its characteristic, and each block is reduced to the per-row
     outputs and dropped.
     """
-    if grid1d.dimension != 1:
-        raise ValueError("the lifecycle scenario is one-dimensional")
-    if emit.kind != "emitter":
-        raise ValueError("first event must be an emitter")
-    if detect is not None and detect.kind != "detector":
-        raise ValueError("second event must be a detector")
-    validate_events([emit] + ([detect] if detect is not None else []))
-
-    times = np.asarray(times, dtype=float)
+    acausal, times, blocks = _solve_blocks(emit, detect, med, grid1d, times)
     z = grid1d.axis_positions()
     v = med.v
-
-    acausal = False
-    if detect is not None:
-        acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
-    events = [emit] + ([detect] if detect is not None and not acausal else [])
-
     n_t = times.size
     norm_t, residual_max, outside_peak = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
     peak_cell, outside_cell = np.zeros(n_t, np.intp), np.zeros(n_t, np.intp)
-    terms = _source_terms(events, z, times)
     # the emitter's light cone, padded by the envelope support
     dist = np.abs(z - emit.center)
     reach = v * np.maximum(times - emit.time, 0.0) + \
         TRUNC_SIGMAS * (emit.width + v * emit.duration)
-    for r0, block, c0, c1 in _density_blocks(events, v, grid1d, times):
-        rows = block[1:-1]
+    for r0, rows, row_residual in blocks:
         r1 = r0 + len(rows)
         norm_t[r0:r1] = rows.sum(axis=1)
         peak_cell[r0:r1] = np.argmax(rows, axis=1)
-        if n_t > 2:
-            residual_max[r0:r1] = _residual_rows(block, r0, c0, c1, terms, times, v,
-                                                 grid1d.spacing)
+        residual_max[r0:r1] = row_residual
         # whole rows, not the block's columns: the check must not trust the windows
         outside = dist > reach[r0:r1, None]
         # max |rho| = max(top, -bottom); 0 - bottom keeps a zero positive
@@ -406,6 +388,49 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
         acausal=acausal,
         final_norm=float(norm_t[-1]),
     )
+
+
+def _residual_max(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
+                  grid1d: SpatialGrid, times) -> np.ndarray:
+    """lifecycle_1d's residual_max alone, for a solve whose other outputs nothing reads."""
+    _, times, blocks = _solve_blocks(emit, detect, med, grid1d, times)
+    residual_max = np.zeros(times.size)
+    for r0, rows, row_residual in blocks:
+        residual_max[r0:r0 + len(rows)] = row_residual
+    return residual_max
+
+
+def _solve_blocks(emit, detect, med: MediumSpec, grid1d: SpatialGrid, times):
+    """The shared solve of lifecycle_1d: (acausal, times as float, row blocks).
+
+    The events are checked at once; the blocks are then yielded lazily as
+    (first row, rows of rho, residual max of those rows), 0 on a run of at
+    most two times.
+    """
+    if grid1d.dimension != 1:
+        raise ValueError("the lifecycle scenario is one-dimensional")
+    if emit.kind != "emitter":
+        raise ValueError("first event must be an emitter")
+    if detect is not None and detect.kind != "detector":
+        raise ValueError("second event must be a detector")
+    validate_events([emit] + ([detect] if detect is not None else []))
+
+    times = np.asarray(times, dtype=float)
+    v = med.v
+    acausal = False
+    if detect is not None:
+        acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
+    events = [emit] + ([detect] if detect is not None and not acausal else [])
+    terms = _source_terms(events, grid1d.axis_positions(), times)
+
+    def blocks():
+        for r0, block, c0, c1 in _density_blocks(events, v, grid1d, times):
+            residual = 0.0
+            if times.size > 2:
+                residual = _residual_rows(block, r0, c0, c1, terms, times, v, grid1d.spacing)
+            yield r0, block[1:-1], residual
+
+    return acausal, times, blocks()
 
 
 def _source_terms(events, z, times):

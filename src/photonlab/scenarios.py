@@ -11,8 +11,9 @@ import numpy as np
 from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
-from .current import helicity_density, number_density, photon_current, position_norm
-from .fields import dual_grid
+from .current import (CurrentField, helicity_density, number_density, photon_current,
+                      position_norm)
+from .fields import dual_grid, mode_coefficients, synthesize, x_slabs
 from .fock import ladder_pair
 from .medium import arrival_time, current_in_medium, lifecycle_1d
 from .modes import norm
@@ -26,27 +27,46 @@ def _with_helicity(snap):
     return photon_current(snap, with_helicity=True)
 
 
+def _centre_slabs(m, grid, t):
+    """(first plane, snapshot of the slab's own planes) per x-slab of the box at t."""
+    coeffs = mode_coefficients(m, t)
+    for p0, planes, inner in x_slabs(grid, wrap=True):
+        s = synthesize(m, grid, t, planes=planes, coeffs=coeffs)
+        yield p0, dataclasses.replace(s, a_plus=s.a_plus[inner], e_plus=s.e_plus[inner],
+                                      b_plus=s.b_plus[inner], phi_plus=s.phi_plus[inner],
+                                      a_par_plus=s.a_par_plus[inner],
+                                      e_par_plus=s.e_par_plus[inner])
+
+
 def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     kgrid, m = packet_state(cfg.packet)
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
-    blocks = []
-    for t, centre, cfs, res in field_scan(m, sg, times, _with_helicity):
-        blocks.append((t, cfs[1], np.abs(res)))
+    norms = []
 
-    # longitudinal packets carry no on-shell position-space density, so the
-    # box integral is compared against the transverse part of the mode norm
-    target = norm(m, polarizations=(1, -1))
-    checks, norm_info = norm_check([position_norm(cf) for _, cf, _ in blocks], times,
-                                   target, cfg.tolerances)
-    info = [f"transverse mode norm = {target:.17g}"] + norm_info
+    def blocks():
+        # current.csv is written slab by slab; the box norm sums the whole
+        # density of a time at once, as the slabs' partial sums would round apart
+        rho = []
+        for t, p0, cfs, res in field_scan(m, sg, times, _with_helicity):
+            rho.append(cfs[1].rho)
+            yield t, cfs[1], np.abs(res), p0
+            if p0 + len(cfs[1].rho) == sg.n_per_axis:  # the last slab of t
+                norms.append(position_norm(CurrentField(sg, t, np.concatenate(rho), j=None)))
+                rho = []
 
     files = [os.path.join(outdir, "modes.csv"),
              os.path.join(outdir, "current.csv"),
              os.path.join(outdir, "fields.csv")]
     write_modes_csv(files[0], m)
-    write_current_csv(files[1], blocks, us)
-    write_fields_csv(files[2], centre, us)
+    write_current_csv(files[1], blocks(), us)
+    write_fields_csv(files[2], _centre_slabs(m, sg, times[-1]), us)
+
+    # longitudinal packets carry no on-shell position-space density, so the
+    # box integral is compared against the transverse part of the mode norm
+    target = norm(m, polarizations=(1, -1))
+    checks, norm_info = norm_check(norms, times, target, cfg.tolerances)
+    info = [f"transverse mode norm = {target:.17g}"] + norm_info
     return checks, info, files
 
 
@@ -89,16 +109,17 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     sg = dual_grid(kgrid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
 
+    # the scan builds a current only at the checkpoints, where the free
+    # density of the same snapshot is taken too, so no snapshot outlives it
+    free_rho = []
+
     def make_cf(snap):
+        free_rho.append(number_density(snap))
         cf = current_in_medium(snap, med)
         return dataclasses.replace(cf, s_hel=helicity_density(snap))
 
-    # the free density of each centre snapshot is taken as the scan reaches
-    # it, so no snapshot outlives its checkpoint
-    blocks, free_rho = [], []
-    for t, centre, cfs, res in field_scan(m, sg, times, make_cf):
-        blocks.append((t, cfs[1], np.abs(res)))
-        free_rho.append(number_density(centre))
+    blocks = [(t, cfs[1], np.abs(res))
+              for t, _, cfs, res in field_scan(m, sg, times, make_cf, med.epsilon_rel)]
     checks, info = medium_checks(cfg.packet, med, [cf for _, cf, _ in blocks], free_rho,
                                  cfg.tolerances)
     info = [f"medium speed v = {med.v:.17g}"] + info

@@ -23,10 +23,11 @@ from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
 from .fdops import divergence
-from .fields import SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, synthesize
+from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, synthesize,
+                     x_slabs)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
-from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
-                     lifecycle_1d)
+from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, _residual_max, arrival_time,
+                     current_in_medium, lifecycle_1d)
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
 from .units import unit_system
 
@@ -107,18 +108,37 @@ def packet_state(packet: PacketParams, speed: float = 1.0):
     return grid, gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
 
 
-def field_scan(m, grid, times, make_cf, omega_scale: float = 1.0):
-    """Yield (t, centre snapshot, currents at t - dt, t, t + dt, continuity residual).
+def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1.0):
+    """Yield (t, first plane, currents at t - dt, t, t + dt, continuity residual) per x-slab.
 
-    dt is half a grid cell. One time is built per step, so a caller holds
-    only what it keeps of the earlier ones.
+    dt is half a grid cell. Each time is visited slab by slab (x_slabs, the
+    halos wrapped: J is periodic, so a halo current is bitwise that of the
+    plane it repeats), and everything yielded is cut to the slab's own planes.
+    make_cf builds the current at t from the slab's snapshot; at t -+ dt only
+    the density is built, number_density(snap, eps), with j None, since the
+    residual reads nothing else there. One slab is held at a time.
     """
     dt = grid.spacing / 2.0
+
+    def density(s, planes, coeffs):
+        snap = synthesize(m, grid, s, omega_scale, ("a", "e"), planes, coeffs)
+        return CurrentField(grid, s, number_density(snap, eps), j=None)
+
     for t in times:
-        snaps = [synthesize(m, grid, t + k * dt, omega_scale=omega_scale) for k in (-1, 0, 1)]
-        cfs = [make_cf(s) for s in snaps]
-        yield t, snaps[1], cfs, continuity_residual(*cfs)
-        del snaps, cfs
+        steps = [t + k * dt for k in (-1, 0, 1)]
+        coeffs = [mode_coefficients(m, s, omega_scale) for s in steps]
+        for p0, planes, inner in x_slabs(grid, wrap=True):
+            prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
+            cf = make_cf(synthesize(m, grid, t, omega_scale, planes=planes, coeffs=coeffs[1]))
+            res = continuity_residual(prev, cf, nxt)
+            yield t, p0, [_cut(c, inner) for c in (prev, cf, nxt)], res[inner]
+            del prev, cf, nxt, res  # freed before the next slab is summed
+
+
+def _cut(cf, inner):
+    """The current on the planes inner of array axis 0."""
+    return replace(cf, rho=cf.rho[inner], j=None if cf.j is None else cf.j[inner],
+                   s_hel=None if cf.s_hel is None else cf.s_hel[inner])
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +365,7 @@ def _continuity_block(tol, scale):
     def level(n_x):
         sg = dual_grid(kgrid, n_x)
         dt = sg.spacing / 2.0
-        (_, _, cfs, res), = field_scan(m, sg, (t0,), photon_current, scale)
+        (_, _, cfs, res), = field_scan(m, sg, (t0,), photon_current, omega_scale=scale)
         drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
         return np.abs(res).max(), drho, _worst_point(res, sg)
 
@@ -374,40 +394,23 @@ def _maxwell_packet():
     return packet_state(parse_config("[gauge]").packet)[1]
 
 
-_SLAB_POINTS = 1 << 17  # points per haloed x-slab of the Maxwell study: 12 planes of 96^2
-
-
-def _slab_width(n_x: int) -> int:
-    """x-planes w per slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
-
-    OpenBLAS sums a slab bitwise as the whole box only when its plane count
-    is a multiple of 4 (zgemm rounds leftover columns apart): w + 2 is, and so
-    is the last slab's n_x mod w + 2 when not 0. w = 2 always qualifies.
-    """
-    assert n_x % 4 == 0, n_x
-    fits = [w for w in range(2, n_x, 4) if (w + 2) * n_x * n_x <= _SLAB_POINTS
-            and (n_x % w == 0 or n_x % w % 4 == 2)]
-    return max(fits, default=2)
-
-
 def _maxwell_slabs(m, n_x, scale):
     """Yield (first plane, Gauss, Ampere, div B) per x-slab of an n_x^3 dual box.
 
-    The fields are summed on the slab plus a halo plane each side; the halos are dropped.
+    The fields are summed on the slab plus a halo plane each side (x_slabs,
+    across the seam with the Bloch twist); the halos are dropped.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
     times, groups = (t0 - dt, t0, t0 + dt), (("e",), ("e", "b"), ("e",))
     coeffs = [mode_coefficients(m, t, scale) for t in times]
-    width = _slab_width(n_x)
-    for p0 in range(0, n_x, width):
-        planes = np.arange(p0 - 1, min(p0 + width, n_x) + 1)
+    for p0, planes, inner in x_slabs(sg):
         prev, now, nxt = (synthesize(m, sg, t, scale, g, planes, c)
                           for t, g, c in zip(times, groups, coeffs))
         gauss, ampere = maxwell_residual(prev, now, nxt)
         divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
         del prev, now, nxt  # freed before the next slab is summed
-        yield p0, gauss[1:-1], ampere[1:-1], divb[1:-1]
+        yield p0, gauss[inner], ampere[inner], divb[inner]
 
 
 def _maxwell_level(m, n_x, scale):
@@ -482,8 +485,7 @@ def _lifecycle_block(tol):
     fine_cfg = replace(cfg, line=replace(cfg.line, n_z=2 * cfg.line.n_z),
                        times=replace(cfg.times, steps=2 * cfg.times.steps))
     _, grid2, times2 = line_setup(fine_cfg, us)
-    rep2 = lifecycle_1d(emit, det, med, grid2, times2)
-    fine = rep2.residual_max[1:-1]
+    fine = _residual_max(emit, det, med, grid2, times2)[1:-1]
     r_coarse, r_fine = coarse.max(), fine.max()
     order = _order(r_coarse, r_fine)
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))

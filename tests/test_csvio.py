@@ -83,7 +83,7 @@ def field_snapshot(dimension=1, n_x=8):
 def test_fields_csv_schema_and_values(tmp_path):
     snap = field_snapshot()
     path = str(tmp_path / "fields.csv")
-    write_fields_csv(path, snap)
+    write_fields_csv(path, [(0, snap)])
     header, rows = read_table(path)
     assert header == FIELDS_COLUMNS
     assert len(header) == 23
@@ -100,7 +100,7 @@ def test_fields_csv_schema_and_values(tmp_path):
 def test_fields_csv_3d_layout_matches_positions(tmp_path):
     snap = field_snapshot(dimension=3, n_x=4)
     path = str(tmp_path / "fields.csv")
-    write_fields_csv(path, snap)
+    write_fields_csv(path, [(0, snap)])
     header, rows = read_table(path)
     assert len(rows) == 64
     ax = snap.grid.axis_positions()
@@ -200,7 +200,7 @@ def test_si_output_factors(tmp_path):
     assert float(rows[4][10]) / float(rows[4][4]) == pytest.approx(
         1.054571817e-34 * cf.s_hel[4, 2] / cf.rho[4], rel=1e-15)
     fpath = str(tmp_path / "fields.csv")
-    write_fields_csv(fpath, snap, units=si)
+    write_fields_csv(fpath, [(0, snap)], units=si)
     _, frows = read_table(fpath)
     scale = (1.054571817e-34 / 8.8541878128e-12) ** 0.5
     assert float(frows[2][9]) == pytest.approx(scale * snap.e_plus[2, 1].real, rel=1e-15)
@@ -385,7 +385,7 @@ def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, with_r
                          e_plus=cvalues(shape + (3,)), b_plus=cvalues(shape + (3,)),
                          phi_plus=cvalues(shape), a_par_plus=None, e_par_plus=None,
                          speed=1.0, bloch=None, lambdas_present=frozenset())
-    assert written(write_fields_csv, snap, units) == oracle_fields(snap, units)
+    assert written(write_fields_csv, [(0, snap)], units) == oracle_fields(snap, units)
 
     blocks = []
     for hel, res in zip(with_hel, with_res):

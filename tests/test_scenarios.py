@@ -1,16 +1,23 @@
 import csv
 import dataclasses
 import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photonlab import scenarios
+from photonlab import fields, scenarios
 from photonlab.config import default_verify_config, parse_config
-from photonlab.current import photon_current
+from photonlab.csvio import write_current_csv, write_fields_csv, write_modes_csv
+from photonlab.current import continuity_residual, photon_current, position_norm
+from photonlab.fields import dual_grid, synthesize
 from photonlab.medium import current_in_medium
+from photonlab.modes import norm
 from photonlab.scenarios import run_scenario
-from photonlab.verify import run_verify
+from photonlab.verify import field_scan, norm_check, packet_state, run_verify
 
 
 def run(tmp_path, kind, body="", extra=""):
@@ -197,3 +204,112 @@ def test_si_units_round_trip_time_column(tmp_path):
         rows = list(csv.reader(fh))
     times = sorted({float(r[0]) for r in rows[1:]})
     assert times == [0.0, 1.0, 2.0]
+
+
+# Oracle: the whole-box packet scan that the slab scan replaced. It holds three
+# 16-component snapshots per time and the currents of every time, and writes
+# fields.csv from the last centre snapshot. The streamed run must match it
+# byte for byte.
+def whole_box_field_scan(m, grid, times, make_cf):
+    dt = grid.spacing / 2.0
+    for t in times:
+        snaps = [synthesize(m, grid, t + k * dt) for k in (-1, 0, 1)]
+        cfs = [make_cf(s) for s in snaps]
+        yield t, snaps[1], cfs, continuity_residual(*cfs)
+
+
+def whole_box_packet3d(cfg, us, outdir):
+    kgrid, m = packet_state(cfg.packet)
+    sg = dual_grid(kgrid, cfg.packet.n_x)
+    times = us.time_in * cfg.times.checkpoints()
+    blocks = []
+    for t, centre, cfs, res in whole_box_field_scan(m, sg, times, scenarios._with_helicity):
+        blocks.append((t, cfs[1], np.abs(res)))
+    target = norm(m, polarizations=(1, -1))
+    checks, norm_info = norm_check([position_norm(cf) for _, cf, _ in blocks], times,
+                                   target, cfg.tolerances)
+    info = [f"transverse mode norm = {target:.17g}"] + norm_info
+    files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
+    write_modes_csv(files[0], m)
+    write_current_csv(files[1], blocks, us)
+    write_fields_csv(files[2], [(0, centre)], us)
+    return checks, info, files
+
+
+def slab_widths(n_x):
+    """Every width the slab plan picks for some point budget."""
+    widths = set()
+    for planes in range(4, n_x + 1):
+        with mock.patch.object(fields, "_SLAB_POINTS", planes * n_x * n_x):
+            widths.add(fields._slab_width(n_x))
+    return sorted(widths)
+
+
+def outputs(outdir):
+    return {name: (outdir / name).read_bytes()
+            for name in ("modes.csv", "current.csv", "fields.csv", "report.txt", "report.csv")}
+
+
+@st.composite
+def packet_configs(draw):
+    # n_x = 18 is not a multiple of 4: the box is one slab
+    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [18]))
+    k0 = [round(draw(st.floats(-0.5, 0.5)), 4) for _ in range(2)] + \
+        [round(draw(st.floats(3.0, 5.0)), 4)]
+    return n_x, (f"[packet3d]\nn_k = {draw(st.integers(3, 6))}\nn_x = {n_x}\n"
+                 f"k0 = ({k0[0]!r}, {k0[1]!r}, {k0[2]!r})\n"
+                 f"lambda = {draw(st.sampled_from(('+1', '-1', 'par')))}\n"
+                 f"t_steps = {draw(st.integers(1, 3))}\n"
+                 f"units = {draw(st.sampled_from(('natural', 'si')))}\n")
+
+
+@settings(max_examples=6, deadline=None)
+@given(packet_configs())
+def test_slab_streamed_packet_run_matches_whole_box(tmp_path_factory, case):
+    n_x, text = case
+    outdir = tmp_path_factory.mktemp("packet")
+    cfg = parse_config(text + f"output = {outdir}\n")
+    with mock.patch.dict(scenarios._RUNNERS, packet3d=whole_box_packet3d):
+        run_scenario(cfg)
+    expected = outputs(outdir)
+    for width in slab_widths(n_x) if n_x % 4 == 0 else [None]:  # None: one whole slab
+        budget = fields._SLAB_POINTS if width is None else (width + 2) * n_x * n_x
+        with mock.patch.object(fields, "_SLAB_POINTS", budget):
+            assert width is None or fields._slab_width(n_x) == width
+            run_scenario(cfg)
+        got = outputs(outdir)
+        assert [f for f in expected if got[f] != expected[f]] == [], (width, text)
+
+
+@pytest.mark.parametrize("eps, mu", [(1.0, 1.0), (2.25, 1.5)])
+def test_density_only_neighbours_give_the_full_residual(eps, mu):
+    # at t -+ dt the scan builds rho alone; the residual must keep the bits of
+    # the full current_in_medium path (photon_current's at eps = mu = 1)
+    cfg = parse_config(f"[medium1d]\nn_k = 8\nn_x = 64\nepsilon_rel = {eps}\nmu_rel = {mu}\n")
+    med = cfg.medium
+    kgrid, m = packet_state(cfg.packet, speed=med.v)
+    sg = dual_grid(kgrid, 64)
+    dt = sg.spacing / 2.0
+    times = (0.0, 0.7, 1.3)
+    scanned = list(field_scan(m, sg, times, lambda s: current_in_medium(s, med), eps))
+    assert [(t, p0) for t, p0, _, _ in scanned] == [(t, 0) for t in times]
+    for t, _, cfs, res in scanned:
+        full = [current_in_medium(synthesize(m, sg, t + k * dt), med) for k in (-1, 0, 1)]
+        assert res.tobytes() == continuity_residual(*full).tobytes()
+        assert [cf.rho.tobytes() for cf in cfs] == [cf.rho.tobytes() for cf in full]
+
+
+def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
+    # at n_x = 64 one 16-component complex snapshot of the whole box is 67 MB,
+    # and a whole-box scan holds three with their currents; streamed, the run
+    # holds one slab of at most _SLAB_POINTS points, its currents and CSV rows
+    slab_value = fields._SLAB_POINTS * np.dtype(np.complex128).itemsize
+    cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = 64\nt_steps = 1\n")
+    tracemalloc.start()
+    try:
+        out = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.all_passed
+    assert peak <= 40 * slab_value, peak / slab_value

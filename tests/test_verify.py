@@ -1,6 +1,5 @@
 import ast
 import csv
-import dataclasses
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -12,16 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import medium, verify
+from photonlab import fields, medium, verify
 from photonlab.config import TOLERANCE_DEFAULTS, parse_config
 from photonlab.fdops import divergence
-from photonlab.fields import SpatialGrid, dual_grid, maxwell_residual, synthesize
+from photonlab.fields import SpatialGrid, _slab_width, dual_grid, maxwell_residual, synthesize
 from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
 from photonlab.modes import KGrid, gaussian_packet
 from photonlab.units import unit_system
 from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
-                              _slab_width, _worst_point, lifecycle_checks, line_events,
-                              line_setup, run_verify, write_verify_report)
+                              _worst_point, lifecycle_checks, line_events, line_setup,
+                              run_verify, write_verify_report)
 
 
 def test_run_verify_requires_verify_kind():
@@ -131,26 +130,29 @@ def test_residual_order_failure_names_the_worst_rows(monkeypatch):
     assert {c.name: c for c in clean}["lifecycle_residual_order"].passed
     assert not any(line.startswith("lifecycle_residual_order") for line in clean_info)
 
-    # the fine solve (4096 cells) reports a spiked residual in one interior row
+    # the fine solve (4096 cells, residual_max alone) reports a spiked
+    # residual in one interior row
     spike, solves = 300, {}
 
-    def spiked(emit, detect, med, grid, times):
-        rep = lifecycle_1d(emit, detect, med, grid, times)
-        if grid.n_points == 4096:
-            residual = rep.residual_max.copy()
-            residual[spike] = 1e6
-            rep = dataclasses.replace(rep, residual_max=residual)
-        solves[grid.n_points] = rep
-        return rep
+    def recorded(emit, detect, med, grid, times):
+        solves[grid.n_points] = lifecycle_1d(emit, detect, med, grid, times)
+        return solves[grid.n_points]
 
-    monkeypatch.setattr(verify, "lifecycle_1d", spiked)
+    def spiked(emit, detect, med, grid, times):
+        residual = medium._residual_max(emit, detect, med, grid, times)
+        residual[spike] = 1e6
+        solves[grid.n_points] = times
+        return residual
+
+    monkeypatch.setattr(verify, "lifecycle_1d", recorded)
+    monkeypatch.setattr(verify, "_residual_max", spiked)
     checks, info = verify._lifecycle_block(TOLERANCE_DEFAULTS)
     assert not {c.name: c for c in checks}["lifecycle_residual_order"].passed
-    coarse, fine = solves[2048], solves[4096]
+    coarse, fine_times = solves[2048], solves[4096]
     row = int(np.argmax(coarse.residual_max[1:-1])) + 1
     assert info[-1] == (f"lifecycle_residual_order worst residual_max: coarse row {row} at "
                         f"t = {coarse.times[row]:.6g}, fine row {spike} at "
-                        f"t = {fine.times[spike]:.6g}")
+                        f"t = {fine_times[spike]:.6g}")
 
 
 def whole_box_maxwell_level(m, n_x, scale):
@@ -173,7 +175,7 @@ def allowed_slab_widths(n_x):
     """Every width the slab plan picks for some point budget."""
     widths = set()
     for planes in range(4, n_x + 1):
-        with mock.patch.object(verify, "_SLAB_POINTS", planes * n_x * n_x):
+        with mock.patch.object(fields, "_SLAB_POINTS", planes * n_x * n_x):
             widths.add(_slab_width(n_x))
     return sorted(widths)
 
@@ -209,7 +211,7 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
                 slabs.append(slab)
                 yield slab
 
-        with mock.patch.object(verify, "_SLAB_POINTS", (width + 2) * n_x * n_x), \
+        with mock.patch.object(fields, "_SLAB_POINTS", (width + 2) * n_x * n_x), \
                 mock.patch.object(verify, "_maxwell_slabs", recorded):
             assert _slab_width(n_x) == width
             assert _maxwell_level(m, n_x, scale) == (maxima, where), width

@@ -9,7 +9,7 @@ stdout and the exit code. Prints one line per call; exits 1 and names the
 files that differ, 0 when every output is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 21 call pairs take about 25 s on two cores.
+moved. Stdlib only; the 24 call pairs take about 35 s on two cores.
 """
 
 from __future__ import annotations
@@ -53,6 +53,11 @@ CALLS = {
     "helicity-par": "[helicity]\nlambda = par\n",
     "packet3d-par": "[packet3d]\nlambda = par\n",
     "packet3d-refused": "[packet3d]\nn_x = 4\n",
+    # slabs of 18 planes plus halos, the last one 10 planes
+    "packet3d-nx64": "[packet3d]\nn_x = 64\n",
+    # n_x not a multiple of 4: the whole box in one slab
+    "packet3d-nx18": "[packet3d]\nn_x = 18\n",
+    "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
     "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
     "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
