@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass
 
 from .csvio import fmt
 from .medium import MediumSpec
-from .modes import KGrid
+from .modes import POL_LABELS, KGrid
 
 SCENARIO_KINDS = ("verify", "packet3d", "helicity", "gauge", "boost",
                   "medium1d", "lifecycle1d", "fock")
@@ -130,7 +131,7 @@ class ScenarioConfig:
             p = self.packet
             k0 = ",".join(fmt(v) for v in p.k0)
             out.append(f"packet: n_k = {p.n_k}, dk = {fmt(p.dk)}, k0 = ({k0}), "
-                       f"sigma = {fmt(p.sigma)}, lambda = {_fmt_pol(p.pol)}, "
+                       f"sigma = {fmt(p.sigma)}, lambda = {POL_LABELS[p.pol]}, "
                        f"n_x = {p.n_x}, dimension = {p.dimension}")
         if self.times is not None:
             t = self.times
@@ -159,10 +160,6 @@ class ScenarioConfig:
         return tuple(out)
 
 
-def _fmt_pol(pol) -> str:
-    return pol if isinstance(pol, str) else format(pol, "+d")
-
-
 def _fmt_opt(v) -> str:
     return v if isinstance(v, str) else fmt(v)
 
@@ -179,9 +176,12 @@ def _as_int(raw: str, key: str) -> int:
 
 def _as_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"expected a number, got {raw!r}", field_name=key) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}", field_name=key)
+    return value
 
 
 def _as_triple(raw: str, key: str) -> tuple[float, float, float]:
@@ -204,9 +204,9 @@ def _as_enum(options):
 
 
 def _as_pol(raw: str, key: str):
-    table = {"+1": 1, "-1": -1, "par": "par"}
-    if raw in table:
-        return table[raw]
+    for pol, label in POL_LABELS.items():
+        if raw == label:
+            return pol
     raise ConfigError(f"expected +1, -1, or par, got {raw!r}", field_name=key)
 
 
@@ -344,15 +344,10 @@ def _validate_packet(vals, dimension: int) -> PacketParams:
     packet = PacketParams(n_k=vals["n_k"], dk=vals["dk"], k0=vals["k0"],
                           sigma=vals["sigma"], pol=vals["lambda"],
                           n_x=vals["n_x"], dimension=dimension)
-    # constructing the grid runs the zero-mode and extent rules; no arrays yet
+    # constructing the grid runs the zero-mode rule on its n_k^d axis values;
+    # the grid is centred on k0, so k0 lies inside it
     try:
-        grid = KGrid(n_per_axis=packet.n_k, spacing=packet.dk,
-                     dimension=dimension, center=packet.k0)
-        half = 0.5 * packet.dk
-        for a in grid.used_axes:
-            vals_a = grid.axis_values(a)
-            if not (vals_a[0] - half <= packet.k0[a] <= vals_a[-1] + half):
-                raise ValueError(f"k0 component {packet.k0[a]} outside grid extent on axis {a}")
+        KGrid(n_per_axis=packet.n_k, spacing=packet.dk, dimension=dimension, center=packet.k0)
     except ValueError as exc:
         raise ConfigError(str(exc), field_name="k0") from None
     return packet

@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 
-from .modes import POLARIZATIONS, ModeAmplitudes, lambda_row
+from .modes import POL_LABELS, POLARIZATIONS, ModeAmplitudes, lambda_row
 from .units import UnitSystem, NATURAL
 
 MODES_COLUMNS = ("kx", "ky", "kz", "lambda", "re", "im")
@@ -264,14 +264,13 @@ def write_modes_csv(path: str, m: ModeAmplitudes):
 
     Amplitudes are always written in the internal natural normalization.
     """
-    labels = {1: "+1", -1: "-1", "par": "par"}
     kpoints = _point_prefixes(m.grid, m.grid.axis_values)
 
     def lines():
         for pol in POLARIZATIONS:
             amps = m.amps[lambda_row(pol)]
             if np.any(amps):
-                yield from _lines((kpoints, _strings([labels[pol] + ","])),
+                yield from _lines((kpoints, _strings([POL_LABELS[pol] + ","])),
                                   amps.reshape(-1, 1).view(np.float64))
     _write_table(path, MODES_COLUMNS, lines())
 
@@ -319,6 +318,7 @@ def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
             points = _slab_prefixes(cf.grid, first[0] if first else 0, len(cf.rho))
             yield from _lines((_strings([fmt(units.time_out * time) + ","]), points),
                               cols)
+            del cf, residual, cols, points  # freed before the next block is read
     _write_table(path, CURRENT_COLUMNS, lines())
 
 

@@ -9,7 +9,7 @@ under a cross product without the i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,6 +31,11 @@ class CurrentField:
     rho: np.ndarray
     j: np.ndarray
     s_hel: np.ndarray | None = None
+
+    def cut(self, inner) -> CurrentField:
+        """The densities on the planes inner of array axis 0."""
+        return replace(self, rho=self.rho[inner], j=None if self.j is None else self.j[inner],
+                       s_hel=None if self.s_hel is None else self.s_hel[inner])
 
 
 def _imag_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -87,9 +92,9 @@ def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0,
     )
 
 
-def position_norm(cf: CurrentField) -> float:
-    """Box Riemann sum of rho; spectrally exact for band-limited periodic fields."""
-    return float(np.sum(cf.rho) * cf.grid.cell_volume)
+def position_norm(rho: np.ndarray, grid: SpatialGrid) -> float:
+    """Box Riemann sum of the density rho; spectrally exact for band-limited periodic fields."""
+    return float(np.sum(rho) * grid.cell_volume)
 
 
 def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField,

@@ -22,7 +22,7 @@ the packet scan visit their 3D boxes that way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,52 +107,56 @@ def is_dual(grid: SpatialGrid, kgrid: KGrid) -> bool:
     return abs(grid.box_length * kgrid.spacing / (2.0 * math.pi) - 1.0) < 1e-9
 
 
-class _Field:
-    """Snapshot field whose read raises when it was not synthesized (stored None)."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, snap, owner=None):
-        if snap is None:
-            raise AttributeError(self.name)  # a required dataclass field, no default
-        value = snap.__dict__[self.name]
-        if value is None:
-            raise ValueError(f"{self.name} was not synthesized; request its field group")
-        return value
-
-    def __set__(self, snap, value):
-        snap.__dict__[self.name] = value
+def _view(name: str, group: str, cols: slice) -> property:
+    """A snapshot field: read-only view of its columns in the group's sum."""
+    def read(snap):
+        if group not in snap.rows:
+            raise ValueError(f"{name} was not synthesized; request its field group")
+        lo = cols.start - GROUPS[group].start
+        block = snap.rows[group]
+        # component-major rows seen with a trailing component axis: no copy
+        view = block[lo] if cols.stop - cols.start == 1 else np.moveaxis(block[lo:lo + 3], 0, -1)
+        view.flags.writeable = False
+        return view
+    return property(read)
 
 
 @dataclass(frozen=True)
 class FieldSnapshot:
     """Complex positive-frequency fields sampled on a spatial grid at one time.
 
-    Vector arrays carry a trailing component axis of 3; a_par_plus/e_par_plus
+    rows maps each synthesized field group (GROUPS) to its component-major
+    sum, shape (components,) + the sample shape. The fields are read-only
+    views of it, vector fields with a trailing component axis of 3; a field
+    of a group not in rows raises ValueError when read. a_par_plus/e_par_plus
     hold the spectrally longitudinal parts so bilinears never need a position
-    space transverse split. A field given as None was not synthesized and
-    raises ValueError when read. bloch holds the per-axis quasi-periodic wrap
+    space transverse split. bloch holds the per-axis quasi-periodic wrap
     factors when the grid is the Fourier dual of the synthesizing k-lattice,
     else None (finite-difference stencils then refuse the snapshot).
     """
 
     grid: SpatialGrid
     time: float
-    a_plus: np.ndarray = _Field()
-    e_plus: np.ndarray = _Field()
-    b_plus: np.ndarray = _Field()
-    phi_plus: np.ndarray = _Field()
-    a_par_plus: np.ndarray = _Field()
-    e_par_plus: np.ndarray = _Field()
+    rows: dict
     speed: float
     bloch: tuple | None
     lambdas_present: frozenset
+
+    a_plus = _view("a_plus", "a", _COLS_A)
+    e_plus = _view("e_plus", "e", _COLS_E)
+    b_plus = _view("b_plus", "b", _COLS_B)
+    phi_plus = _view("phi_plus", "par", _COLS_PHI)
+    a_par_plus = _view("a_par_plus", "par", _COLS_APAR)
+    e_par_plus = _view("e_par_plus", "par", _COLS_EPAR)
 
     def twists(self) -> tuple:
         if self.bloch is None:
             raise ValueError("finite differences need the Fourier-dual spatial grid")
         return self.bloch
+
+    def cut(self, inner) -> FieldSnapshot:
+        """The snapshot on the planes inner of array axis 0, still views of this sum."""
+        return replace(self, rows={g: r[:, inner] for g, r in self.rows.items()})
 
 
 def mode_coefficients(m: ModeAmplitudes, t: float, omega_scale: float = 1.0) -> np.ndarray:
@@ -198,7 +202,7 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     and "par" (phi_plus, a_par_plus, e_par_plus); all by default. Every
     requested group with a nonzero coefficient is summed in one _mode_sum
     call and kept as a view of its rows; dead groups are zeros. Fields of
-    groups not requested are None and raise when read.
+    groups not requested raise when read.
 
     planes, an index array, samples only those x-planes (array axis 0); -1
     and n_per_axis read across the seam with the Bloch twist, as
@@ -235,30 +239,15 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     for g in requested:
         width = GROUPS[g].stop - GROUPS[g].start
         if g in summed_groups:
-            rows[g] = summed[start:start + width]
+            rows[g] = summed[start:start + width].reshape((width,) + shape)
             start += width
         else:
-            rows[g] = np.zeros((width, math.prod(shape)), dtype=np.complex128)
-
-    def field(group, sl):
-        # component-major rows seen with a trailing component axis: no copy
-        if group not in rows:
-            return None
-        offset = GROUPS[group].start
-        block = rows[group][sl.start - offset:sl.stop - offset]
-        if len(block) == 1:
-            return block[0].reshape(shape)
-        return np.moveaxis(block.reshape((3,) + shape), 0, -1)
+            rows[g] = np.zeros((width,) + shape, dtype=np.complex128)
 
     return FieldSnapshot(
         grid=grid,
         time=float(t),
-        a_plus=field("a", _COLS_A),
-        e_plus=field("e", _COLS_E),
-        b_plus=field("b", _COLS_B),
-        phi_plus=field("par", _COLS_PHI),
-        a_par_plus=field("par", _COLS_APAR),
-        e_par_plus=field("par", _COLS_EPAR),
+        rows=rows,
         speed=m.speed,
         bloch=bloch,
         lambdas_present=frozenset(pol for pol, c in zip(POLARIZATIONS, m.amps) if np.any(c)),

@@ -332,7 +332,10 @@ class LifecycleReport:
     outside_peak: np.ndarray
     outside_cell: np.ndarray
     acausal: bool
-    final_norm: float
+
+    @property
+    def final_norm(self) -> float:
+        return float(self.norm[-1])
 
 
 def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
@@ -386,7 +389,6 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
         outside_peak=outside_peak,
         outside_cell=outside_cell,
         acausal=acausal,
-        final_norm=float(norm_t[-1]),
     )
 
 

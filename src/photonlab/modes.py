@@ -14,6 +14,8 @@ import numpy as np
 
 # Row order of the amplitude array: helicity +1, helicity -1, longitudinal.
 POLARIZATIONS = (1, -1, "par")
+# How configs and modes.csv spell each polarization.
+POL_LABELS = {1: "+1", -1: "-1", "par": "par"}
 _ROW = {1: 0, -1: 1, "par": 2}
 
 TWO_PI = 2.0 * math.pi

@@ -11,8 +11,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
-from .current import (CurrentField, helicity_density, number_density, photon_current,
-                      position_norm)
+from .current import helicity_density, number_density, photon_current, position_norm
 from .fields import dual_grid, mode_coefficients, synthesize, x_slabs
 from .fock import ladder_pair
 from .medium import arrival_time, current_in_medium, lifecycle_1d
@@ -31,16 +30,12 @@ def _centre_slabs(m, grid, t):
     """(first plane, snapshot of the slab's own planes) per x-slab of the box at t."""
     coeffs = mode_coefficients(m, t)
     for p0, planes, inner in x_slabs(grid, wrap=True):
-        s = synthesize(m, grid, t, planes=planes, coeffs=coeffs)
-        yield p0, dataclasses.replace(s, a_plus=s.a_plus[inner], e_plus=s.e_plus[inner],
-                                      b_plus=s.b_plus[inner], phi_plus=s.phi_plus[inner],
-                                      a_par_plus=s.a_par_plus[inner],
-                                      e_par_plus=s.e_par_plus[inner])
+        yield p0, synthesize(m, grid, t, planes=planes, coeffs=coeffs).cut(inner)
 
 
 def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = packet_state(cfg.packet)
-    sg = dual_grid(kgrid, cfg.packet.n_x)
+    m = packet_state(cfg.packet)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
     norms = []
 
@@ -51,8 +46,9 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
         for t, p0, cfs, res in field_scan(m, sg, times, _with_helicity):
             rho.append(cfs[1].rho)
             yield t, cfs[1], np.abs(res), p0
-            if p0 + len(cfs[1].rho) == sg.n_per_axis:  # the last slab of t
-                norms.append(position_norm(CurrentField(sg, t, np.concatenate(rho), j=None)))
+            del cfs, res  # freed before the scan sums the next slab
+            if p0 + len(rho[-1]) == sg.n_per_axis:  # the last slab of t
+                norms.append(position_norm(np.concatenate(rho), sg))
                 rho = []
 
     files = [os.path.join(outdir, "modes.csv"),
@@ -71,15 +67,15 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 
 def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
-    kgrid, m = packet_state(cfg.packet)
-    sg = dual_grid(kgrid, cfg.packet.n_x)
+    m = packet_state(cfg.packet)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
     blocks = [(t, cfs[1], np.abs(res))
               for t, _, cfs, res in field_scan(m, sg, times, _with_helicity)]
 
     checks, located = helicity_check([cf for _, cf, _ in blocks], cfg.packet.pol,
                                      cfg.tolerances)
-    info = [f"position norm at t = {t:.6g}: {position_norm(cf):.17g}"
+    info = [f"position norm at t = {t:.6g}: {position_norm(cf.rho, sg):.17g}"
             for t, cf, _ in blocks] + located
 
     files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
@@ -105,8 +101,8 @@ def _run_boost(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     med = cfg.medium
-    kgrid, m = packet_state(cfg.packet, speed=med.v)
-    sg = dual_grid(kgrid, cfg.packet.n_x)
+    m = packet_state(cfg.packet, speed=med.v)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
 
     # the scan builds a current only at the checkpoints, where the free
@@ -135,8 +131,7 @@ def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     emit, detect = line_events(cfg, us, med, grid, times)
     rep = lifecycle_1d(emit, detect, med, grid, times)
 
-    checks, info = lifecycle_checks(rep, emit, detect, med, grid, times,
-                                    cfg.tolerances)
+    checks, info = lifecycle_checks(rep, emit, detect, med, grid, cfg.tolerances)
     if detect is not None:
         arrival = arrival_time(emit, detect.center, med.v)
         info.append(f"ballistic arrival time = {us.time_out * arrival:.17g}")

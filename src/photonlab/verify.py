@@ -76,11 +76,6 @@ def _worst_point(res, grid) -> str:
     return _grid_point(int(np.argmax(np.abs(res).reshape(grid.n_points, -1).max(axis=1))), grid)
 
 
-def _density_norm(snap) -> float:
-    """position_norm of the snapshot's number density; J is not built."""
-    return position_norm(CurrentField(snap.grid, snap.time, number_density(snap), j=None))
-
-
 def _order(coarse, fine) -> float:
     """Convergence order of a residual that shrinks from coarse to fine on halving."""
     return math.log2(coarse / fine) if fine > 0 else float("inf")
@@ -102,10 +97,10 @@ def _located_failure(check, maxima, deviation, currents) -> list:
 
 
 def packet_state(packet: PacketParams, speed: float = 1.0):
-    """The packet's k-grid and its Gaussian mode amplitudes."""
+    """The packet's Gaussian mode amplitudes on its k-grid."""
     grid = KGrid(n_per_axis=packet.n_k, spacing=packet.dk,
                  dimension=packet.dimension, center=packet.k0)
-    return grid, gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
+    return gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
 
 
 def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1.0):
@@ -131,14 +126,8 @@ def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1
             prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
             cf = make_cf(synthesize(m, grid, t, omega_scale, planes=planes, coeffs=coeffs[1]))
             res = continuity_residual(prev, cf, nxt)
-            yield t, p0, [_cut(c, inner) for c in (prev, cf, nxt)], res[inner]
+            yield t, p0, [c.cut(inner) for c in (prev, cf, nxt)], res[inner]
             del prev, cf, nxt, res  # freed before the next slab is summed
-
-
-def _cut(cf, inner):
-    """The current on the planes inner of array axis 0."""
-    return replace(cf, rho=cf.rho[inner], j=None if cf.j is None else cf.j[inner],
-                   s_hel=None if cf.s_hel is None else cf.s_hel[inner])
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +166,18 @@ def gauge_checks(packet, strength, t, tol, omega_scale: float = 1.0):
     transverse amplitudes must stay bit for bit. Returns the checks, the info
     lines and the shifted modes.
     """
-    kgrid, m = packet_state(packet)
-    gfun = strength * gaussian_packet(kgrid, packet.k0, packet.sigma,
+    m = packet_state(packet)
+    gfun = strength * gaussian_packet(m.grid, packet.k0, packet.sigma,
                                       "par").amps[lambda_row("par")]
     shifted = gauge_shift(m, gfun)
 
-    sg = dual_grid(kgrid, packet.n_x)
+    sg = dual_grid(m.grid, packet.n_x)
     s1 = synthesize(m, sg, t, omega_scale=omega_scale)
     s2 = synthesize(shifted, sg, t, omega_scale=omega_scale)
     field_dev = max(np.abs(s1.e_plus - s2.e_plus).max(),
                     np.abs(s1.b_plus - s2.b_plus).max())
-    n1 = _density_norm(s1)
-    n2 = _density_norm(s2)
+    n1 = position_norm(number_density(s1), sg)
+    n2 = position_norm(number_density(s2), sg)
     trans = [lambda_row(1), lambda_row(-1)]
     bits = 0.0 if np.array_equal(m.amps[trans], shifted.amps[trans]) else \
         np.abs(m.amps[trans] - shifted.amps[trans]).max()
@@ -206,7 +195,7 @@ def boost_checks(packet, beta, tol):
 
     Returns the checks, the info lines and the boosted modes.
     """
-    kgrid, m = packet_state(packet)
+    m = packet_state(packet)
     boosted = boost_amplitudes(m, beta)
     err_base = abs(norm(boosted) - 1.0)
     wide = KGrid(n_per_axis=2 * packet.n_k, spacing=packet.dk,
@@ -236,11 +225,11 @@ def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0
 
     rho_max = [np.abs(rho_deviation(i)).max() for i in range(len(currents))]
     j_max = [np.abs(j_deviation(i)).max() for i in range(len(currents))]
-    rescaled = [replace(cf, rho=cf.rho / med.epsilon_rel) for cf in currents]
-    norm_dev = max(abs(position_norm(cf) - 1.0) for cf in rescaled)
+    norm_dev = max(abs(position_norm(cf.rho / med.epsilon_rel, cf.grid) - 1.0)
+                   for cf in currents)
 
     first = currents[0]
-    snap_vac = synthesize(packet_state(packet)[1], first.grid, first.time,
+    snap_vac = synthesize(packet_state(packet), first.grid, first.time,
                           omega_scale=omega_scale)
     cf_v1 = current_in_medium(snap_vac, VACUUM)
     cf_v2 = photon_current(snap_vac)
@@ -251,7 +240,7 @@ def medium_checks(packet, med, currents, free_rho, tol, omega_scale: float = 1.0
               check_le("medium_norm", norm_dev, tol["medium_norm"]),
               check_le("medium_current", max(j_max), tol["medium_current"]),
               check_le("vacuum_reduction", vac_dev, tol["vacuum_reduction"])]
-    info = [f"in-medium norm of rho_pm = {position_norm(first):.17g}"]
+    info = [f"in-medium norm of rho_pm = {position_norm(first.rho, first.grid):.17g}"]
     info += _located_failure(checks[0], rho_max, rho_deviation, currents)
     info += _located_failure(checks[2], j_max, j_deviation, currents)
     return checks, info
@@ -291,10 +280,10 @@ def line_events(cfg: ScenarioConfig, us, med, grid, times):
     return emit, detect
 
 
-def lifecycle_checks(rep, emit, detect, med, grid, times, tol):
+def lifecycle_checks(rep, emit, detect, med, grid, tol):
     """Transit-norm, final-norm, causality, and peak-speed checks for one run."""
     checks, info = [], []
-    v = med.v
+    times, v = rep.times, med.v
     margin = TRUNC_SIGMAS * (emit.duration + emit.width / v)
     end = detect.time - margin if detect is not None else times[-1]
     transit = (times >= emit.time + margin) & (times <= end)
@@ -346,11 +335,12 @@ def fock_checks(lp, tol):
 
 
 def _norm_block(tol, scale):
-    packet = parse_config("[packet3d]").packet
-    kgrid, m = packet_state(packet)
-    sg = dual_grid(kgrid, packet.n_x)
-    times = (0.0, 3.0, 6.0)
-    norms = [_density_norm(synthesize(m, sg, t, omega_scale=scale, groups=("a", "e")))
+    cfg = parse_config("[packet3d]")
+    m = packet_state(cfg.packet)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
+    times = cfg.times.checkpoints()
+    norms = [position_norm(number_density(synthesize(m, sg, t, omega_scale=scale,
+                                                     groups=("a", "e"))), sg)
              for t in times]
     checks, norm_info = norm_check(norms, times, 1.0, tol)
     info = [f"mode norm (all polarizations) = {norm(m):.17g}",
@@ -359,11 +349,11 @@ def _norm_block(tol, scale):
 
 
 def _continuity_block(tol, scale):
-    kgrid, m = packet_state(parse_config("[medium1d]").packet)
+    m = packet_state(parse_config("[medium1d]").packet)
     t0 = 1.0
 
     def level(n_x):
-        sg = dual_grid(kgrid, n_x)
+        sg = dual_grid(m.grid, n_x)
         dt = sg.spacing / 2.0
         (_, _, cfs, res), = field_scan(m, sg, (t0,), photon_current, omega_scale=scale)
         drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
@@ -391,7 +381,7 @@ _MAXWELL_T0 = 0.5
 
 
 def _maxwell_packet():
-    return packet_state(parse_config("[gauge]").packet)[1]
+    return packet_state(parse_config("[gauge]").packet)
 
 
 def _maxwell_slabs(m, n_x, scale):
@@ -447,12 +437,12 @@ def _maxwell_block(tol, scale):
 
 def _helicity_block(tol, scale):
     packet = parse_config("[helicity]").packet
-    kgrid, m = packet_state(packet)
-    sg = dual_grid(kgrid, 1024)
+    m = packet_state(packet)
+    sg = dual_grid(m.grid, 1024)
     cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
     checks, located = helicity_check([cf], packet.pol, tol)
 
-    m_par = packet_state(replace(packet, pol="par"))[1]
+    m_par = packet_state(replace(packet, pol="par"))
     cf_par = photon_current(synthesize(m_par, sg, 1.0, omega_scale=scale), with_helicity=True)
     checks += helicity_check([cf_par], "par", tol)[0]
     return checks, [f"helicity deviation (lambda = +1) = {checks[0].measured:.6g}"] + located
@@ -461,8 +451,8 @@ def _helicity_block(tol, scale):
 def _medium_block(tol, scale):
     cfg = parse_config("[medium1d]")
     med = cfg.medium
-    kgrid, m = packet_state(cfg.packet, speed=med.v)
-    snap = synthesize(m, dual_grid(kgrid, 1024), 0.8, omega_scale=scale)
+    m = packet_state(cfg.packet, speed=med.v)
+    snap = synthesize(m, dual_grid(m.grid, 1024), 0.8, omega_scale=scale)
     checks, info = medium_checks(cfg.packet, med, [current_in_medium(snap, med)],
                                  [number_density(snap)], tol, scale)
     info[0] += f" (epsilon_rel = {med.epsilon_rel:g})"
@@ -477,7 +467,7 @@ def _lifecycle_block(tol):
     med, grid, times = line_setup(cfg, us)
     emit, det = line_events(cfg, us, med, grid, times)
     rep = lifecycle_1d(emit, det, med, grid, times)
-    checks, info = lifecycle_checks(rep, emit, det, med, grid, times, tol)
+    checks, info = lifecycle_checks(rep, emit, det, med, grid, tol)
 
     # end rows use one-sided time stencils; convergence is measured where the
     # stencil is centered

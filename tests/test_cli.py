@@ -66,6 +66,28 @@ def test_config_error_exits_two(tmp_path, capsys):
     assert "bogus_key" in err
 
 
+@pytest.mark.parametrize("text", [
+    "[packet3d]\nk0 = (0, 0, inf)\n",
+    "[packet3d]\ndk = inf\n",
+    "[packet3d]\nt_stop = inf\n",
+    "[gauge]\ngauge_strength = nan\n",
+    "[lifecycle1d]\nepsilon_rel = inf\n",
+    "[lifecycle1d]\nz_max = inf\n",
+])
+def test_non_finite_number_exits_two_before_computing(tmp_path, text):
+    # a separate process, so a crash would show as a traceback and exit 1
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text + f"output = {out}\n")
+    res = subprocess.run([sys.executable, "-m", "photonlab", "run", "--config", cfg],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert res.returncode == 2
+    assert "photonlab: config error: field" in res.stderr
+    assert "expected a finite number" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_missing_config_exits_three(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 3
     assert "cannot read config" in capsys.readouterr().err

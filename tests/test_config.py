@@ -58,6 +58,21 @@ def test_triple_grammar():
     assert "expected a number" in str(e)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[packet3d]\ndk = inf\n", "dk"),
+    ("[gauge]\ngauge_strength = nan\n", "gauge_strength"),
+    ("[packet3d]\nk0 = (0, 0, -inf)\n", "k0"),
+    ("[lifecycle1d]\n[emitter]\nwidth = inf\n", "width"),
+    ("[lifecycle1d]\n[detector]\nstrength = nan\n", "strength"),
+    ("[fock]\n[tolerances]\nfock_commutator = inf\n", "fock_commutator"),
+])
+def test_numbers_must_be_finite(text, key):
+    # plain numbers, triples, auto/matched-or-number keys and tolerances alike
+    e = err(text)
+    assert e.field_name == key
+    assert "expected a finite number" in str(e)
+
+
 def test_syntax_error_reports_position():
     e = err("[packet3d]\nn_k = 8\ngarbage\n")
     assert e.line == 3

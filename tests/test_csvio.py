@@ -381,10 +381,11 @@ def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, with_r
     m = ModeAmplitudes(kgrid, amps)
     assert written(write_modes_csv, m) == oracle_modes(m)
 
-    snap = FieldSnapshot(grid=grid, time=0.0, a_plus=cvalues(shape + (3,)),
-                         e_plus=cvalues(shape + (3,)), b_plus=cvalues(shape + (3,)),
-                         phi_plus=cvalues(shape), a_par_plus=None, e_par_plus=None,
-                         speed=1.0, bloch=None, lambdas_present=frozenset())
+    # component-major sums of A, E, B and the longitudinal group (phi first)
+    rows = {g: cvalues((width,) + shape) for g, width in (("a", 3), ("e", 3), ("b", 3),
+                                                          ("par", 7))}
+    snap = FieldSnapshot(grid=grid, time=0.0, rows=rows, speed=1.0, bloch=None,
+                         lambdas_present=frozenset())
     assert written(write_fields_csv, [(0, snap)], units) == oracle_fields(snap, units)
 
     blocks = []

@@ -44,7 +44,7 @@ def test_single_mode_uniform_density_and_z_current():
     j = current_density(snap)
     assert np.max(np.abs(j[:, 2] - rho)) <= 1e-12 / volume
     assert np.max(np.abs(j[:, :2])) <= 1e-14 / volume
-    assert abs(position_norm(photon_current(snap)) - 1.0) <= 1e-12
+    assert abs(position_norm(photon_current(snap).rho, sg) - 1.0) <= 1e-12
 
 
 def test_two_mode_density_oscillates_but_integrates_to_one():
@@ -55,7 +55,7 @@ def test_two_mode_density_oscillates_but_integrates_to_one():
     snap = synthesize(m, dual_grid(grid, 16), 0.4)
     cf = photon_current(snap)
     assert cf.rho.max() - cf.rho.min() > 1e-3 * cf.rho.max()
-    assert abs(position_norm(cf) - 1.0) <= 1e-10
+    assert abs(position_norm(cf.rho, cf.grid) - 1.0) <= 1e-10
 
 
 def test_longitudinal_mode_carries_no_current():
@@ -110,12 +110,11 @@ def test_position_norm_scaling_and_zero():
     m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, 1)
     sg = dual_grid(grid, 32)
     cf = photon_current(synthesize(m, sg, 0.0))
-    assert abs(position_norm(cf) - 1.0) <= 1e-10
+    assert abs(position_norm(cf.rho, sg) - 1.0) <= 1e-10
     doubled = dataclasses.replace(m, amps=2.0 * m.amps)
     cf2 = photon_current(synthesize(doubled, sg, 0.0))
-    assert abs(position_norm(cf2) - 4.0) <= 4e-10
-    zeroed = dataclasses.replace(cf, rho=np.zeros_like(cf.rho))
-    assert position_norm(zeroed) == 0.0
+    assert abs(position_norm(cf2.rho, sg) - 4.0) <= 4e-10
+    assert position_norm(np.zeros_like(cf.rho), sg) == 0.0
 
 
 def test_norm_conserved_across_times():
@@ -123,7 +122,7 @@ def test_norm_conserved_across_times():
     m = gaussian_packet(grid, (0.0, 0.0, 1.0), 0.5, 1)
     sg = dual_grid(grid, 16)
     period = 2.0 * math.pi
-    norms = [position_norm(photon_current(synthesize(m, sg, t)))
+    norms = [position_norm(photon_current(synthesize(m, sg, t)).rho, sg)
              for t in (0.0, 0.5 * period, period)]
     for n in norms:
         assert abs(n - norms[0]) <= 1e-8
@@ -209,6 +208,22 @@ def test_densities_are_real_arrays():
         assert not np.iscomplexobj(arr)
 
 
+def test_cut_current_is_a_view_of_the_planes_of_its_densities():
+    grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
+    m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, -1)
+    cf = photon_current(synthesize(m, dual_grid(grid, 32), 0.2), with_helicity=True)
+    inner = slice(3, 20)
+    cut, whole = cf.cut(inner), cf.cut(slice(None))
+    for name in ("rho", "j", "s_hel"):
+        full = getattr(cf, name)
+        assert getattr(cut, name).tobytes() == full[inner].tobytes(), name
+        assert np.shares_memory(getattr(cut, name), full), name
+        assert getattr(whole, name).tobytes() == full.tobytes(), name
+    bare = dataclasses.replace(cf, j=None, s_hel=None).cut(inner)
+    assert bare.j is None and bare.s_hel is None
+    assert bare.rho.tobytes() == cf.rho[inner].tobytes()
+
+
 def test_position_norm_matches_mode_norm_scaled_state():
     # the box Riemann sum reproduces the k-space norm for non-unit states too
     grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
@@ -216,4 +231,4 @@ def test_position_norm_matches_mode_norm_scaled_state():
     scaled = dataclasses.replace(m, amps=(0.3 + 1.1j) * m.amps)
     sg = dual_grid(grid, 32)
     cf = photon_current(synthesize(scaled, sg, 0.0))
-    assert abs(position_norm(cf) - norm(scaled)) <= 1e-10 * norm(scaled)
+    assert abs(position_norm(cf.rho, sg) - norm(scaled)) <= 1e-10 * norm(scaled)

@@ -393,6 +393,25 @@ def test_requested_groups_match_eager_synthesis(case):
                     getattr(snap, name)
 
 
+@pytest.mark.parametrize("dim, center", [(1, (0.0, 0.0, 2.0)), (3, (0.25, 0.25, 1.25))])
+def test_cut_snapshot_is_a_view_of_the_planes_of_its_sum(dim, center):
+    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=dim, center=center)
+    snap = synthesize(gaussian_packet(grid, center, 0.4, 1), dual_grid(grid, 8), 0.3,
+                      groups=("a", "par"))
+    inner = slice(1, -2)
+    cut, whole = snap.cut(inner), snap.cut(slice(None))
+    for group, names in GROUP_FIELDS.items():
+        for name in names:
+            if group in ("a", "par"):
+                assert same_bits(getattr(cut, name), getattr(snap, name)[inner]), name
+                assert np.shares_memory(getattr(cut, name), snap.rows[group]), name
+                assert same_bits(getattr(whole, name), getattr(snap, name)), name
+            else:
+                with pytest.raises(ValueError, match="not synthesized"):
+                    getattr(cut, name)
+    assert (cut.grid, cut.time, cut.bloch) == (snap.grid, snap.time, snap.bloch)
+
+
 def test_planes_across_the_seam_need_the_dual_grid():
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.2))
     m = gaussian_packet(grid, (0.0, 0.0, 2.2), 0.4, 1)

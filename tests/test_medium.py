@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from photonlab import medium
 from photonlab.config import TOLERANCE_DEFAULTS
-from photonlab.current import CurrentField, number_density, photon_current, position_norm
+from photonlab.current import number_density, photon_current, position_norm
 from photonlab.fields import SpatialGrid, dual_grid, synthesize
 from photonlab.medium import (LifecycleReport, MediumSpec, SourceEvent, TRUNC_SIGMAS, VACUUM,
                               _advected_pulse, _erf, _source_profile, _source_rate, arrival_time,
@@ -76,11 +76,9 @@ def test_density_rescale_restores_unit_norm():
     snap = packet_in_medium(med)
     cfm = current_in_medium(snap, med)
     assert np.array_equal(cfm.rho / VACUUM.epsilon_rel, cfm.rho)
-    rescaled = CurrentField(grid=snap.grid, time=cfm.time,
-                            rho=cfm.rho / med.epsilon_rel, j=cfm.j)
-    assert abs(position_norm(rescaled) - 1.0) <= 1e-6
+    assert abs(position_norm(cfm.rho / med.epsilon_rel, snap.grid) - 1.0) <= 1e-6
     # without the rescale the dressed norm is epsilon, not one
-    assert abs(position_norm(cfm) - med.epsilon_rel) <= 2e-6
+    assert abs(position_norm(cfm.rho, snap.grid) - med.epsilon_rel) <= 2e-6
 
 
 def test_current_in_medium_rejects_speed_mismatch():
@@ -297,7 +295,7 @@ def full_grid_lifecycle_1d(emit, detect, med, grid1d, times):
                           residual_max=np.max(np.abs(residual), axis=1), peak_z=peak_z,
                           outside_peak=np.abs(rho).max(axis=1, where=outside, initial=-np.inf),
                           outside_cell=np.argmax(np.where(outside, np.abs(rho), 0.0), axis=1),
-                          acausal=acausal, final_norm=float(norm_t[-1]))
+                          acausal=acausal)
     return rep, rho
 
 
@@ -380,7 +378,7 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
     # the causality check on the per-row reductions is the whole-array one,
     # located wherever it measures more than zero
     tol = dict(TOLERANCE_DEFAULTS, causality=5e-324)
-    checks, info = lifecycle_checks(fast, emit, det, med, grid, times, tol)
+    checks, info = lifecycle_checks(fast, emit, det, med, grid, tol)
     causality = [c for c in checks if c.name == "causality"]
     located = [line for line in info if line.startswith("causality")]
     whole = whole_array_causality(full_rho, emit, med, grid, times)
@@ -451,7 +449,7 @@ def test_lifecycle_memory_does_not_grow_with_times():
         tracemalloc.start()
         try:
             rep = lifecycle_1d(emit, det, med, grid, times)
-            checks, _ = lifecycle_checks(rep, emit, det, med, grid, times, TOLERANCE_DEFAULTS)
+            checks, _ = lifecycle_checks(rep, emit, det, med, grid, TOLERANCE_DEFAULTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

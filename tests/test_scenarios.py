@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonlab import fields, scenarios
+from photonlab import fields, scenarios, verify
 from photonlab.config import default_verify_config, parse_config
 from photonlab.csvio import write_current_csv, write_fields_csv, write_modes_csv
 from photonlab.current import continuity_residual, photon_current, position_norm
@@ -219,14 +219,14 @@ def whole_box_field_scan(m, grid, times, make_cf):
 
 
 def whole_box_packet3d(cfg, us, outdir):
-    kgrid, m = packet_state(cfg.packet)
-    sg = dual_grid(kgrid, cfg.packet.n_x)
+    m = packet_state(cfg.packet)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
     blocks = []
     for t, centre, cfs, res in whole_box_field_scan(m, sg, times, scenarios._with_helicity):
         blocks.append((t, cfs[1], np.abs(res)))
     target = norm(m, polarizations=(1, -1))
-    checks, norm_info = norm_check([position_norm(cf) for _, cf, _ in blocks], times,
+    checks, norm_info = norm_check([position_norm(cf.rho, sg) for _, cf, _ in blocks], times,
                                    target, cfg.tolerances)
     info = [f"transverse mode norm = {target:.17g}"] + norm_info
     files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
@@ -287,8 +287,8 @@ def test_density_only_neighbours_give_the_full_residual(eps, mu):
     # the full current_in_medium path (photon_current's at eps = mu = 1)
     cfg = parse_config(f"[medium1d]\nn_k = 8\nn_x = 64\nepsilon_rel = {eps}\nmu_rel = {mu}\n")
     med = cfg.medium
-    kgrid, m = packet_state(cfg.packet, speed=med.v)
-    sg = dual_grid(kgrid, 64)
+    m = packet_state(cfg.packet, speed=med.v)
+    sg = dual_grid(m.grid, 64)
     dt = sg.spacing / 2.0
     times = (0.0, 0.7, 1.3)
     scanned = list(field_scan(m, sg, times, lambda s: current_in_medium(s, med), eps))
@@ -313,3 +313,34 @@ def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
         tracemalloc.stop()
     assert out.all_passed
     assert peak <= 40 * slab_value, peak / slab_value
+
+
+def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
+    # as the scan starts a slab, the earlier slabs of its time leave only their
+    # densities (a cut keeps its haloed slab alive), which the box norm sums at
+    # once; their currents, residuals and CSV columns are freed. 1 MB covers
+    # the last CSV block written (_BLOCK_ROWS rows) and small objects.
+    n_x = 64
+    width = fields._slab_width(n_x)
+    rho_bytes = (width + 2) * n_x * n_x * np.dtype(np.float64).itemsize
+    cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = {n_x}\nt_steps = 1\n")
+    starts = []  # (first plane, traced bytes) as each slab's first snapshot is summed
+    synth = verify.synthesize
+
+    def traced(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+               coeffs=None):
+        if not starts or starts[-1][0] != planes[1]:
+            starts.append((int(planes[1]), tracemalloc.get_traced_memory()[0]))
+        return synth(m, grid, t, omega_scale, groups, planes, coeffs)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(verify, "synthesize", traced):
+            out = run_scenario(cfg)
+    finally:
+        tracemalloc.stop()
+    assert out.all_passed
+    assert [p0 for p0, _ in starts] == [0, 18, 36, 54] * 2
+    for p0, traced_bytes in starts:
+        grown = traced_bytes - starts[0][1]
+        assert grown <= p0 // width * rho_bytes + (1 << 20), (p0, grown)

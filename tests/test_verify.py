@@ -63,7 +63,7 @@ def test_causality_check_catches_density_outside_the_cone(sign):
     emit = SourceEvent(kind="emitter", center=0.0, width=4.0 * grid.spacing, time=0.0,
                        duration=4.0 * (times[1] - times[0]))
     rep = lifecycle_1d(emit, None, med, grid, times)
-    clean, clean_info = lifecycle_checks(rep, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    clean, clean_info = lifecycle_checks(rep, emit, None, med, grid, TOLERANCE_DEFAULTS)
     assert {c.name: c for c in clean}["causality"].passed
     assert not any(line.startswith("causality") for line in clean_info)
 
@@ -84,7 +84,7 @@ def test_causality_check_catches_density_outside_the_cone(sign):
 
     with mock.patch.object(medium, "_density_blocks", planted):
         faulty = lifecycle_1d(emit, None, med, grid, times)
-    checks, info = lifecycle_checks(faulty, emit, None, med, grid, times, TOLERANCE_DEFAULTS)
+    checks, info = lifecycle_checks(faulty, emit, None, med, grid, TOLERANCE_DEFAULTS)
     causality = {c.name: c for c in checks}["causality"]
     assert not causality.passed
     assert causality.measured == 1e-9

@@ -5,11 +5,13 @@
 Exports REV with `git archive` into a temporary directory, then runs the same
 photonlab calls with REV's `src` and with the working tree's, each in the same
 output directory, and compares every file written there (reports and CSVs),
-stdout and the exit code. Prints one line per call; exits 1 and names the
-files that differ, 0 when every output is byte-identical. After each call's
+stdout and the exit code. A call whose stderr holds a Python traceback on
+either side differs too: a crash exits 1 as a failed check does. Prints one
+line per call; exits 1 and names the files that differ, 0 when every output
+is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 24 call pairs take about 35 s on two cores.
+moved. Stdlib only; the 25 call pairs take about 35 s on two cores.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ CALLS = {
     "helicity-par": "[helicity]\nlambda = par\n",
     "packet3d-par": "[packet3d]\nlambda = par\n",
     "packet3d-refused": "[packet3d]\nn_x = 4\n",
+    "packet3d-k0-inf": "[packet3d]\nk0 = (0, 0, inf)\n",
     # slabs of 18 planes plus halos, the last one 10 planes
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
     # n_x not a multiple of 4: the whole box in one slab
@@ -80,21 +83,25 @@ def _export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float]:
+def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes]:
     """Run one CLI call from outdir, the config's output directory ('.').
 
-    Returns the exit code, stdout and the call's peak RSS in MB.
+    Returns the exit code, stdout, the call's peak RSS in MB and stderr.
     """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.Popen([sys.executable, "-m", "photonlab", *args], cwd=outdir, env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    with proc.stdout:
-        stdout = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, stdout, usage.ru_maxrss / 1024.0
+    # stderr goes to a file, so a full pipe cannot stall the call while stdout is read
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "photonlab", *args], cwd=outdir,
+                                env=env, stdout=subprocess.PIPE, stderr=err)
+        with proc.stdout:
+            stdout = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read()
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -103,6 +110,9 @@ def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]
         diffs.append(f"{name}: exit code {ref_run[0]} -> {new_run[0]}")
     if ref_run[1] != new_run[1]:
         diffs.append(f"{name}: stdout")
+    for side, run in (("at the revision", ref_run), ("here", new_run)):
+        if b"Traceback" in run[3]:
+            diffs.append(f"{name}: traceback on stderr {side}")
     ref_files = sorted(p.name for p in ref.iterdir())
     new_files = sorted(p.name for p in new.iterdir())
     for f in sorted(set(ref_files) ^ set(new_files)):
