@@ -13,9 +13,11 @@ import io
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .csvio import fmt
 from .medium import MediumSpec
-from .modes import POL_LABELS, KGrid
+from .modes import POL_LABELS, KGrid, gaussian_packet
 
 SCENARIO_KINDS = ("verify", "packet3d", "helicity", "gauge", "boost",
                   "medium1d", "lifecycle1d", "fock")
@@ -344,12 +346,20 @@ def _validate_packet(vals, dimension: int) -> PacketParams:
     packet = PacketParams(n_k=vals["n_k"], dk=vals["dk"], k0=vals["k0"],
                           sigma=vals["sigma"], pol=vals["lambda"],
                           n_x=vals["n_x"], dimension=dimension)
-    # constructing the grid runs the zero-mode rule on its n_k^d axis values;
-    # the grid is centred on k0, so k0 lies inside it
-    try:
-        KGrid(n_per_axis=packet.n_k, spacing=packet.dk, dimension=dimension, center=packet.k0)
-    except ValueError as exc:
-        raise ConfigError(str(exc), field_name="k0") from None
+    # the grid's zero-mode rule runs on its n_k^d axis values, centred on k0;
+    # building the packet normalizes it, which a finite sigma or dk can fail
+    with np.errstate(all="ignore"):  # the refusals name the key instead
+        try:
+            grid = KGrid(packet.n_k, packet.dk, dimension, packet.k0)
+        except ValueError as exc:
+            raise ConfigError(str(exc), field_name="k0") from None
+        try:
+            gaussian_packet(grid, packet.k0, packet.sigma, packet.pol)
+        except OverflowError:
+            raise ConfigError("dk overflows the mode measure dk^d", field_name="dk") from None
+        except ValueError:  # a null state
+            raise ConfigError("the packet's norm underflows to 0: sigma is too small for "
+                              "dk, or dk^d underflows", field_name="sigma") from None
     return packet
 
 

@@ -50,8 +50,7 @@ def atomic_write_chunks(path: str, chunks):
         os.umask(umask)
         os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)  # drops each chunk before it fetches the next
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -280,34 +279,37 @@ def write_fields_csv(path: str, slabs, units: UnitSystem = NATURAL):
 
     Each snapshot holds the consecutive x-planes (array axis 0) of its grid
     from its first plane on; a whole box is one slab at plane 0. Each slab is
-    formatted and written before the next is read.
+    formatted and written before the next is read, a block of whole planes
+    of about _BLOCK_ROWS rows at a time.
     """
     ka, ke = units.a_field, units.e_field
 
     def lines():
         for p0, s in slabs:
-            n = s.phi_plus.size
-            # complex columns viewed as float64 pairs give the re_*, im_* order;
-            # the row-major target makes that view valid whatever the layout
-            cols = np.empty((n, 10), dtype=np.complex128)
-            np.concatenate([(ka * s.a_plus).reshape(n, 3), (ke * s.e_plus).reshape(n, 3),
-                            (ka * s.b_plus).reshape(n, 3), (ke * s.phi_plus).reshape(n, 1)],
-                           axis=1, out=cols)
-            points = _slab_prefixes(s.grid, p0, len(s.phi_plus))
-            yield from _lines((points,), cols.view(np.float64))
+            scaled = ((ka, s.a_plus), (ke, s.e_plus), (ka, s.b_plus), (ke, s.phi_plus[..., None]))
+            step = max(1, _BLOCK_ROWS // s.phi_plus[0].size)
+            for lo in range(0, len(s.phi_plus), step):
+                # complex columns viewed as float64 pairs give the re_*, im_* order;
+                # the row-major target makes that view valid whatever the layout
+                cols = np.empty(s.phi_plus[lo:lo + step].shape + (10,), dtype=np.complex128)
+                for (k, field), c in zip(scaled, (0, 3, 6, 9)):
+                    np.multiply(k, field[lo:lo + step], out=cols[..., c:c + field.shape[-1]])
+                yield from _lines((_slab_prefixes(s.grid, p0 + lo, len(cols)),),
+                                  cols.reshape(-1, 10).view(np.float64))
     _write_table(path, FIELDS_COLUMNS, lines())
 
 
 def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
-    """blocks: iterable of (time, CurrentField, residual array or None[, first x-plane]).
+    """blocks: iterable of (first x-plane, CurrentField, residual array or None).
 
-    A block with a first plane holds the consecutive x-planes (array axis 0)
-    of its grid from that plane on; the blocks of one time cover the box in
-    order. Each block is formatted and written before the next is read;
-    absent helicity or residual columns are written as 0.
+    Each current holds the consecutive x-planes (array axis 0) of its grid
+    from its first plane on, at its own time; the blocks of one time cover
+    the box in order, and a whole box is one block at plane 0. Each block is
+    formatted and written before the next is read; absent helicity or
+    residual columns are written as 0.
     """
     def lines():
-        for time, cf, residual, *first in blocks:
+        for p0, cf, residual in blocks:
             cols = np.zeros((cf.rho.size, 8))
             cols[:, 0] = cf.rho.reshape(-1)
             cols[:, 1:4] = (units.current * cf.j).reshape(-1, 3)
@@ -315,9 +317,8 @@ def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
                 cols[:, 4:7] = (units.helicity * cf.s_hel).reshape(-1, 3)
             if residual is not None:
                 cols[:, 7] = (units.residual * np.asarray(residual)).reshape(-1)
-            points = _slab_prefixes(cf.grid, first[0] if first else 0, len(cf.rho))
-            yield from _lines((_strings([fmt(units.time_out * time) + ","]), points),
-                              cols)
+            points = _slab_prefixes(cf.grid, p0, len(cf.rho))
+            yield from _lines((_strings([fmt(units.time_out * cf.time) + ","]), points), cols)
             del cf, residual, cols, points  # freed before the next block is read
     _write_table(path, CURRENT_COLUMNS, lines())
 

@@ -22,8 +22,8 @@ class CurrentField:
     """Real densities on a spatial grid at one time.
 
     rho is the photon number density, j its flux partner in the continuity
-    equation, s_hel the helicity density (None unless built from a single
-    polarization).
+    equation, s_hel the helicity density (None for a snapshot that mixes
+    polarizations, or a density built alone).
     """
 
     grid: SpatialGrid
@@ -77,18 +77,14 @@ def helicity_density(snap: FieldSnapshot) -> np.ndarray:
     return -np.cross(snap.a_plus, np.conj(snap.e_plus)).real
 
 
-def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0,
-                   with_helicity: bool = False) -> CurrentField:
-    """Bundle rho and J (and S for single-polarization snapshots)."""
-    s = None
-    if with_helicity:
-        s = helicity_density(snap)
+def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0) -> CurrentField:
+    """Bundle rho and J, and S wherever it is defined: a single-polarization snapshot."""
     return CurrentField(
         grid=snap.grid,
         time=snap.time,
         rho=number_density(snap, eps),
         j=current_density(snap, eps, mu),
-        s_hel=s,
+        s_hel=helicity_density(snap) if len(snap.lambdas_present) <= 1 else None,
     )
 
 

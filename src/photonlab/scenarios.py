@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import time as _time
 
@@ -11,7 +10,7 @@ import numpy as np
 from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
-from .current import helicity_density, number_density, photon_current, position_norm
+from .current import number_density, photon_current, position_norm
 from .fields import dual_grid, mode_coefficients, synthesize, x_slabs
 from .fock import ladder_pair
 from .medium import arrival_time, current_in_medium, lifecycle_1d
@@ -20,10 +19,6 @@ from .units import UnitSystem, unit_system
 from .verify import (Outcome, boost_checks, field_scan, fock_checks, gauge_checks,
                      helicity_check, lifecycle_checks, line_events, line_setup, medium_checks,
                      norm_check, packet_state)
-
-
-def _with_helicity(snap):
-    return photon_current(snap, with_helicity=True)
 
 
 def _centre_slabs(m, grid, t):
@@ -43,17 +38,15 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
         # current.csv is written slab by slab; the box norm sums the whole
         # density of a time at once, as the slabs' partial sums would round apart
         rho = []
-        for t, p0, cfs, res in field_scan(m, sg, times, _with_helicity):
+        for p0, cfs, res in field_scan(m, sg, times, photon_current):
             rho.append(cfs[1].rho)
-            yield t, cfs[1], np.abs(res), p0
+            yield p0, cfs[1], np.abs(res)
             del cfs, res  # freed before the scan sums the next slab
             if p0 + len(rho[-1]) == sg.n_per_axis:  # the last slab of t
                 norms.append(position_norm(np.concatenate(rho), sg))
                 rho = []
 
-    files = [os.path.join(outdir, "modes.csv"),
-             os.path.join(outdir, "current.csv"),
-             os.path.join(outdir, "fields.csv")]
+    files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
     write_modes_csv(files[0], m)
     write_current_csv(files[1], blocks(), us)
     write_fields_csv(files[2], _centre_slabs(m, sg, times[-1]), us)
@@ -70,13 +63,13 @@ def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     m = packet_state(cfg.packet)
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
-    blocks = [(t, cfs[1], np.abs(res))
-              for t, _, cfs, res in field_scan(m, sg, times, _with_helicity)]
+    blocks = [(p0, cfs[1], np.abs(res))
+              for p0, cfs, res in field_scan(m, sg, times, photon_current)]
 
     checks, located = helicity_check([cf for _, cf, _ in blocks], cfg.packet.pol,
                                      cfg.tolerances)
-    info = [f"position norm at t = {t:.6g}: {position_norm(cf.rho, sg):.17g}"
-            for t, cf, _ in blocks] + located
+    info = [f"position norm at t = {cf.time:.6g}: {position_norm(cf.rho, sg):.17g}"
+            for _, cf, _ in blocks] + located
 
     files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
     write_modes_csv(files[0], m)
@@ -111,11 +104,10 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
     def make_cf(snap):
         free_rho.append(number_density(snap))
-        cf = current_in_medium(snap, med)
-        return dataclasses.replace(cf, s_hel=helicity_density(snap))
+        return current_in_medium(snap, med)
 
-    blocks = [(t, cfs[1], np.abs(res))
-              for t, _, cfs, res in field_scan(m, sg, times, make_cf, med.epsilon_rel)]
+    blocks = [(p0, cfs[1], np.abs(res))
+              for p0, cfs, res in field_scan(m, sg, times, make_cf, med.epsilon_rel)]
     checks, info = medium_checks(cfg.packet, med, [cf for _, cf, _ in blocks], free_rho,
                                  cfg.tolerances)
     info = [f"medium speed v = {med.v:.17g}"] + info

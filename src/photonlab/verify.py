@@ -104,7 +104,7 @@ def packet_state(packet: PacketParams, speed: float = 1.0):
 
 
 def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1.0):
-    """Yield (t, first plane, currents at t - dt, t, t + dt, continuity residual) per x-slab.
+    """Yield (first plane, currents at t - dt, t, t + dt, continuity residual) per x-slab.
 
     dt is half a grid cell. Each time is visited slab by slab (x_slabs, the
     halos wrapped: J is periodic, so a halo current is bitwise that of the
@@ -126,7 +126,7 @@ def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1
             prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
             cf = make_cf(synthesize(m, grid, t, omega_scale, planes=planes, coeffs=coeffs[1]))
             res = continuity_residual(prev, cf, nxt)
-            yield t, p0, [c.cut(inner) for c in (prev, cf, nxt)], res[inner]
+            yield p0, [c.cut(inner) for c in (prev, cf, nxt)], res[inner]
             del prev, cf, nxt, res  # freed before the next slab is summed
 
 
@@ -355,7 +355,7 @@ def _continuity_block(tol, scale):
     def level(n_x):
         sg = dual_grid(m.grid, n_x)
         dt = sg.spacing / 2.0
-        (_, _, cfs, res), = field_scan(m, sg, (t0,), photon_current, omega_scale=scale)
+        (_, cfs, res), = field_scan(m, sg, (t0,), photon_current, omega_scale=scale)
         drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
         return np.abs(res).max(), drho, _worst_point(res, sg)
 
@@ -439,11 +439,11 @@ def _helicity_block(tol, scale):
     packet = parse_config("[helicity]").packet
     m = packet_state(packet)
     sg = dual_grid(m.grid, 1024)
-    cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale), with_helicity=True)
+    cf = photon_current(synthesize(m, sg, 1.0, omega_scale=scale))
     checks, located = helicity_check([cf], packet.pol, tol)
 
     m_par = packet_state(replace(packet, pol="par"))
-    cf_par = photon_current(synthesize(m_par, sg, 1.0, omega_scale=scale), with_helicity=True)
+    cf_par = photon_current(synthesize(m_par, sg, 1.0, omega_scale=scale))
     checks += helicity_check([cf_par], "par", tol)[0]
     return checks, [f"helicity deviation (lambda = +1) = {checks[0].measured:.6g}"] + located
 

@@ -27,7 +27,7 @@ def test_zero_fields_give_zero_densities():
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
     m = dataclasses.replace(gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, 1),
                             amps=np.zeros((3, 4), dtype=np.complex128))
-    cf = photon_current(synthesize(m, dual_grid(grid, 16), 0.0), with_helicity=True)
+    cf = photon_current(synthesize(m, dual_grid(grid, 16), 0.0))
     assert np.all(cf.rho == 0.0)
     assert np.all(cf.j == 0.0)
     assert np.all(cf.s_hel == 0.0)
@@ -87,6 +87,10 @@ def test_helicity_rejects_mixed_polarizations():
     snap = synthesize(ModeAmplitudes(grid, amps), dual_grid(grid, 16), 0.0)
     with pytest.raises(ValueError, match="per lambda"):
         helicity_density(snap)
+    # the current leaves S out there, and carries it wherever it is defined
+    assert photon_current(snap).s_hel is None
+    single = synthesize(gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, -1), dual_grid(grid, 16), 0.0)
+    assert photon_current(single).s_hel.tobytes() == helicity_density(single).tobytes()
 
 
 def test_helicity_mixed_directions_integrates_to_weighted_e_k():
@@ -203,7 +207,7 @@ def test_densities_are_real_arrays():
     grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
     m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, -1)
     snap = synthesize(m, dual_grid(grid, 32), 0.2)
-    cf = photon_current(snap, with_helicity=True)
+    cf = photon_current(snap)
     for arr in (cf.rho, cf.j, cf.s_hel):
         assert not np.iscomplexobj(arr)
 
@@ -211,7 +215,7 @@ def test_densities_are_real_arrays():
 def test_cut_current_is_a_view_of_the_planes_of_its_densities():
     grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
     m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, -1)
-    cf = photon_current(synthesize(m, dual_grid(grid, 32), 0.2), with_helicity=True)
+    cf = photon_current(synthesize(m, dual_grid(grid, 32), 0.2))
     inner = slice(3, 20)
     cut, whole = cf.cut(inner), cf.cut(slice(None))
     for name in ("rho", "j", "s_hel"):

@@ -11,7 +11,7 @@ line per call; exits 1 and names the files that differ, 0 when every output
 is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 25 call pairs take about 35 s on two cores.
+moved. Stdlib only; the 27 call pairs take about 35 s on two cores.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ CALLS = {
     "packet3d-par": "[packet3d]\nlambda = par\n",
     "packet3d-refused": "[packet3d]\nn_x = 4\n",
     "packet3d-k0-inf": "[packet3d]\nk0 = (0, 0, inf)\n",
+    # finite packets whose normalization fails (amplitudes underflow, dk^3
+    # overflows): refused with exit 2 since the pre-flight builds the packet
+    "packet3d-sigma-underflow": "[packet3d]\nsigma = 1e-300\nn_k = 4\nn_x = 8\n",
+    "packet3d-dk-overflow": "[packet3d]\ndk = 1e300\n",
     # slabs of 18 planes plus halos, the last one 10 planes
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
     # n_x not a multiple of 4: the whole box in one slab
