@@ -296,6 +296,7 @@ def write_fields_csv(path: str, slabs, units: UnitSystem = NATURAL):
                     np.multiply(k, field[lo:lo + step], out=cols[..., c:c + field.shape[-1]])
                 yield from _lines((_slab_prefixes(s.grid, p0 + lo, len(cols)),),
                                   cols.reshape(-1, 10).view(np.float64))
+            del s, scaled, field, cols  # freed before the next slab is summed
     _write_table(path, FIELDS_COLUMNS, lines())
 
 

@@ -15,8 +15,8 @@ longitudinal sector phi, A_par, E_par); only those are summed, all in one
 contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
 A caller may also sum a few x-planes at a time, such as the haloed slabs of
-x_slabs, sharing one k-space prep (mode_coefficients); the Maxwell study and
-the packet scan visit their 3D boxes that way.
+x_slabs, sharing one k-space prep (mode_coefficients); every 3D box is visited
+that way, through slabs or, for the stencil scans, x_slabs itself.
 """
 
 from __future__ import annotations
@@ -289,6 +289,13 @@ def x_slabs(grid: SpatialGrid, wrap: bool = False):
     for p0 in range(0, n_x, width):
         planes = np.arange(p0 - 1, min(p0 + width, n_x) + 1)
         yield p0, planes % n_x if wrap else planes, slice(1, -1)
+
+
+def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0, groups=tuple(GROUPS)):
+    """Yield (first plane, snapshot cut to its planes) per x_slabs(grid, wrap=True) slab at t."""
+    coeffs = mode_coefficients(m, t, omega_scale)
+    for p0, planes, inner in x_slabs(grid, wrap=True):
+        yield p0, synthesize(m, grid, t, omega_scale, groups, planes, coeffs).cut(inner)
 
 
 def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) -> np.ndarray:

@@ -11,7 +11,7 @@ from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
 from .current import number_density, photon_current, position_norm
-from .fields import dual_grid, mode_coefficients, synthesize, x_slabs
+from .fields import dual_grid, slabs
 from .fock import ladder_pair
 from .medium import arrival_time, current_in_medium, lifecycle_1d
 from .modes import norm
@@ -19,13 +19,6 @@ from .units import UnitSystem, unit_system
 from .verify import (Outcome, boost_checks, field_scan, fock_checks, gauge_checks,
                      helicity_check, lifecycle_checks, line_events, line_setup, medium_checks,
                      norm_check, packet_state)
-
-
-def _centre_slabs(m, grid, t):
-    """(first plane, snapshot of the slab's own planes) per x-slab of the box at t."""
-    coeffs = mode_coefficients(m, t)
-    for p0, planes, inner in x_slabs(grid, wrap=True):
-        yield p0, synthesize(m, grid, t, planes=planes, coeffs=coeffs).cut(inner)
 
 
 def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
@@ -49,7 +42,7 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
     write_modes_csv(files[0], m)
     write_current_csv(files[1], blocks(), us)
-    write_fields_csv(files[2], _centre_slabs(m, sg, times[-1]), us)
+    write_fields_csv(files[2], slabs(m, sg, times[-1]), us)
 
     # longitudinal packets carry no on-shell position-space density, so the
     # box integral is compared against the transverse part of the mode norm

@@ -13,16 +13,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from photonlab import csvio
+from photonlab import csvio, fields
 from photonlab.csvio import (CURRENT_COLUMNS, FIELDS_COLUMNS, LIFECYCLE_COLUMNS, MODES_COLUMNS,
                              atomic_write_text, fmt, write_current_csv, write_fields_csv,
                              write_lifecycle_csv, write_modes_csv)
 from photonlab.current import CurrentField, photon_current
-from photonlab.fields import FieldSnapshot, SpatialGrid, dual_grid, synthesize
+from photonlab.fields import FieldSnapshot, SpatialGrid, dual_grid, slabs, synthesize
 from photonlab.medium import MediumSpec, SourceEvent, lifecycle_1d
 from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gaussian_packet, kvectors,
                              lambda_row)
-from photonlab.scenarios import _centre_slabs
 from photonlab.units import unit_system
 
 
@@ -523,7 +522,7 @@ def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
     k0 = (0.0, 0.0, 4.0)
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
     sg = dual_grid(grid, 64)
-    p0, snap = next(_centre_slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0))
+    p0, snap = next(slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0))
     assert snap.phi_plus.shape == (18, 64, 64)
     path = str(tmp_path / "fields.csv")
     csvio._tables()  # built once per process, outside the trace
@@ -535,3 +534,31 @@ def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
         tracemalloc.stop()
     assert os.path.getsize(path) > 35e6
     assert peak <= 12e6, peak
+
+
+def test_fields_csv_frees_each_slab_before_the_next_arrives(tmp_path):
+    # the centre pass of an n_x = 64 packet box comes in 4 haloed slabs, each a
+    # 16-component snapshot of up to 20 planes (21 MB). As a slab is handed
+    # over, the writer holds nothing of the one before; 1 MB covers the last
+    # CSV block written and small objects.
+    k0 = (0.0, 0.0, 4.0)
+    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
+    sg = dual_grid(grid, 64)
+    slab_bytes = fields._NCOMP * (fields._slab_width(64) + 2) * 64 * 64 * \
+        np.dtype(np.complex128).itemsize
+    held = []  # traced bytes as each slab is handed to the writer
+
+    def handed(centre):
+        for p0, snap in centre:
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield p0, snap
+
+    csvio._tables()  # built once per process, outside the trace
+    tracemalloc.start()
+    try:
+        write_fields_csv(str(tmp_path / "fields.csv"),
+                         handed(slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0)))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 4
+    assert max(held) <= slab_bytes + (1 << 20), [h / slab_bytes for h in held]

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 
 import photonlab
 from photonlab import fields, medium, verify
-from photonlab.config import TOLERANCE_DEFAULTS, parse_config
+from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
+from photonlab.current import number_density, position_norm
 from photonlab.fdops import divergence
 from photonlab.fields import SpatialGrid, _slab_width, dual_grid, maxwell_residual, synthesize
 from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
-from photonlab.modes import KGrid, gaussian_packet
+from photonlab.modes import KGrid, gauge_shift, gaussian_packet, lambda_row, norm
+from photonlab.scenarios import run_scenario
 from photonlab.units import unit_system
 from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
-                              _worst_point, lifecycle_checks, line_events, line_setup,
-                              run_verify, write_verify_report)
+                              _norm_block, _worst_point, check_le, gauge_checks,
+                              lifecycle_checks, line_events, line_setup, norm_check,
+                              packet_state, run_verify, write_verify_report)
 
 
 def test_run_verify_requires_verify_kind():
@@ -232,6 +235,166 @@ def test_fine_maxwell_level_memory_stays_near_its_snapshots():
         tracemalloc.stop()
     assert all(0.0 < r < 1e-3 for r in maxima)
     assert peak <= 4 * component, peak / component
+
+
+def whole_box_gauge_checks(packet, strength, t, tol, omega_scale=1.0):
+    """gauge_checks on whole boxes: both packets summed at once, the oracle of the slab scan."""
+    m = packet_state(packet)
+    gfun = strength * gaussian_packet(m.grid, packet.k0, packet.sigma,
+                                      "par").amps[lambda_row("par")]
+    shifted = gauge_shift(m, gfun)
+
+    sg = dual_grid(m.grid, packet.n_x)
+    s1 = fields.synthesize(m, sg, t, omega_scale=omega_scale)
+    s2 = fields.synthesize(shifted, sg, t, omega_scale=omega_scale)
+    field_dev = max(np.abs(s1.e_plus - s2.e_plus).max(),
+                    np.abs(s1.b_plus - s2.b_plus).max())
+    n1 = position_norm(number_density(s1), sg)
+    n2 = position_norm(number_density(s2), sg)
+    trans = [lambda_row(1), lambda_row(-1)]
+    bits = 0.0 if np.array_equal(m.amps[trans], shifted.amps[trans]) else \
+        np.abs(m.amps[trans] - shifted.amps[trans]).max()
+
+    checks = [check_le("gauge_field", field_dev, tol["gauge_field"]),
+              check_le("gauge_norm", abs(n1 - n2), tol["gauge_norm"]),
+              check_le("gauge_transverse_amps", bits, 0.0)]
+    info = [f"gauge shift moved max |phi| by {np.abs(s1.phi_plus - s2.phi_plus).max():.6g}",
+            f"position norm before/after = {n1:.17g} / {n2:.17g}"]
+    return checks, info, shifted
+
+
+def whole_box_norm_block(tol, scale):
+    """verify's norm block with each checkpoint summed as one whole box."""
+    cfg = verify.parse_config("[packet3d]")
+    m = packet_state(cfg.packet)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
+    times = cfg.times.checkpoints()
+    norms = [position_norm(number_density(fields.synthesize(m, sg, t, omega_scale=scale,
+                                                            groups=("a", "e"))), sg)
+             for t in times]
+    checks, norm_info = norm_check(norms, times, 1.0, tol)
+    info = [f"mode norm (all polarizations) = {norm(m):.17g}",
+            f"mode norm (transverse only) = {norm(m, polarizations=(1, -1)):.17g}"]
+    return checks, info + norm_info
+
+
+def slab_budgets(n_x):
+    """(width, _SLAB_POINTS) for every width the slab plan picks; (None, default) for one slab."""
+    if n_x % 4:
+        return [(None, fields._SLAB_POINTS)]
+    return [(w, (w + 2) * n_x * n_x) for w in allowed_slab_widths(n_x)]
+
+
+@st.composite
+def packet_texts(draw, kind):
+    # n_x = 18 is not a multiple of 4: the box is one slab
+    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [18]))
+    k0 = [round(draw(st.floats(-0.5, 0.5)), 4) for _ in range(2)] + \
+        [round(draw(st.floats(0.8, 4.0)), 4)]
+    text = (f"[{kind}]\nn_k = {draw(st.integers(3, 6))}\nn_x = {n_x}\n"
+            f"k0 = ({k0[0]!r}, {k0[1]!r}, {k0[2]!r})\n"
+            f"lambda = {draw(st.sampled_from(('+1', '-1', 'par')))}\n")
+    try:
+        parse_config(text)
+    except ConfigError:
+        assume(False)  # the lattice hit k = 0
+    return n_x, text
+
+
+@settings(max_examples=10, deadline=None)
+@given(packet_texts("gauge"), st.floats(-3.0, 3.0), st.floats(0.0, 6.0),
+       st.sampled_from((1.0, 1.05)))
+def test_slab_streamed_gauge_checks_match_whole_box(case, strength, t, scale):
+    n_x, text = case
+    packet, tol = parse_config(text).packet, dict(TOLERANCE_DEFAULTS)
+    checks, info, shifted = whole_box_gauge_checks(packet, strength, t, tol, scale)
+    for width, budget in slab_budgets(n_x):
+        with mock.patch.object(fields, "_SLAB_POINTS", budget):
+            assert width is None or _slab_width(n_x) == width
+            got = gauge_checks(packet, strength, t, tol, scale)
+        assert got[:2] == (checks, info), (width, text)
+        assert got[2].grid == shifted.grid and np.array_equal(got[2].amps, shifted.amps)
+
+
+@settings(max_examples=6, deadline=None)
+@given(packet_texts("packet3d"), st.integers(1, 3), st.sampled_from((1.0, 1.05)))
+def test_slab_streamed_norm_block_matches_whole_box(case, steps, scale):
+    # the block studies the default [packet3d]; here it studies the drawn packet
+    n_x, text = case
+    tol = dict(TOLERANCE_DEFAULTS)
+
+    def drawn(_):
+        return parse_config(f"{text}t_steps = {steps}\n")
+
+    with mock.patch.object(verify, "parse_config", drawn):
+        expected = whole_box_norm_block(tol, scale)
+        for width, budget in slab_budgets(n_x):
+            with mock.patch.object(fields, "_SLAB_POINTS", budget):
+                assert width is None or _slab_width(n_x) == width
+                assert _norm_block(tol, scale) == expected, (width, text)
+
+
+@pytest.mark.parametrize("width", [None, 6, 10])  # None: the whole box
+def test_a_nan_in_one_slab_of_e_fails_gauge_field(width):
+    # box plane 20 lies inside the 4th slab of 6 planes and the 2nd of 10, so
+    # the NaN is not in the first slab, where a Python max would still keep it
+    n_x, plane = 32, 20
+    cfg = parse_config(f"[gauge]\nn_x = {n_x}\n")
+    synth = fields.synthesize
+
+    def planted(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                coeffs=None):
+        snap = synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        if not m.amps[lambda_row("par")].any():  # the packet before the shift
+            snap.rows["e"][0][plane if planes is None else planes == plane] = np.nan
+        return snap
+
+    run = whole_box_gauge_checks if width is None else gauge_checks
+    with mock.patch.object(fields, "synthesize", planted), \
+            mock.patch.object(fields, "_SLAB_POINTS", (width or n_x) * n_x * n_x):
+        checks, _, _ = run(cfg.packet, cfg.gauge_strength, cfg.times.stop, cfg.tolerances)
+    field = checks[0]
+    assert field.name == "gauge_field" and np.isnan(field.measured) and not field.passed
+
+
+def test_no_3d_box_with_n_x_a_multiple_of_4_is_summed_whole(tmp_path):
+    # every such box is visited in slabs (fields.slabs or x_slabs); only a box
+    # the slab plan cannot cut (n_x not a multiple of 4) is summed whole
+    whole = []
+
+    def guarded(synth):
+        def call(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                 coeffs=None):
+            if grid.dimension == 3 and grid.n_per_axis % 4 == 0 and planes is None:
+                whole.append(grid.n_per_axis)
+            return synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        return call
+
+    with mock.patch.object(fields, "synthesize", guarded(fields.synthesize)), \
+            mock.patch.object(verify, "synthesize", guarded(verify.synthesize)):
+        assert run_verify(parse_config("[verify]\n")).all_passed
+        for kind in ("packet3d", "gauge"):
+            cfg = parse_config(f"[{kind}]\noutput = {tmp_path}\n")
+            assert run_scenario(cfg).all_passed
+    assert whole == []
+
+
+def test_gauge_memory_is_set_by_the_slab_not_the_box():
+    # at n_x = 64 one 16-component snapshot of the whole box is 67 MB, and the
+    # whole-box law held two; streamed, it holds one slab of each packet, at
+    # most _SLAB_POINTS points each, and the two whole densities (16 B a point)
+    n_x = 64
+    item = np.dtype(np.complex128).itemsize
+    cfg = parse_config(f"[gauge]\nn_x = {n_x}\n")
+    tracemalloc.start()
+    try:
+        checks, _, _ = gauge_checks(cfg.packet, cfg.gauge_strength, cfg.times.stop,
+                                    cfg.tolerances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks)
+    assert peak <= 40 * item * fields._SLAB_POINTS + item * n_x ** 3, peak / 1e6
 
 
 def test_each_check_name_is_built_in_one_place():

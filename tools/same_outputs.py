@@ -11,7 +11,7 @@ line per call; exits 1 and names the files that differ, 0 when every output
 is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 27 call pairs take about 35 s on two cores.
+moved. Stdlib only; the 29 call pairs take about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ CALLS = {
     # n_x not a multiple of 4: the whole box in one slab
     "packet3d-nx18": "[packet3d]\nn_x = 18\n",
     "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
+    # the gauge law on 4 slabs of 18 planes, and on a whole box
+    "gauge-nx64": "[gauge]\nn_x = 64\n",
+    "gauge-nx18": "[gauge]\nn_x = 18\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
     "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
     "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
