@@ -19,14 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def centered_diff(f: np.ndarray, axis: int, spacing: float, twist: complex = 1.0) -> np.ndarray:
-    """Second-order centered derivative along one array axis.
+def centered_diff(f: np.ndarray, axis: int, spacing: float, twist: complex = 1.0,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Second-order centered derivative along one array axis, in out if given.
 
     Samples past the end wrap to the start times twist, samples before the
     start wrap to the end times its inverse (the conjugate: twists are unit
     modulus). Twist 1 keeps a real field real.
     """
-    out = np.empty_like(f, dtype=np.result_type(f, 1.0) if twist == 1.0 else np.complex128)
+    if out is None:
+        out = np.empty_like(f, dtype=np.result_type(f, 1.0) if twist == 1.0 else np.complex128)
     f, o = np.moveaxis(f, axis, 0), np.moveaxis(out, axis, 0)
     np.subtract(f[2:], f[:-2], out=o[1:-1])
     # the two seam planes, kept as length-1 slices so 1D planes stay arrays
@@ -57,26 +59,23 @@ def divergence(vf: np.ndarray, spacing: float, dimension: int, twists) -> np.nda
     return out
 
 
-def curl(vf: np.ndarray, spacing: float, dimension: int, twists) -> np.ndarray:
-    """curl V with centered differences; derivatives along flat axes are 0.
+def curl(vf: np.ndarray, spacing: float, dimension: int, twists, comp: int,
+         out: np.ndarray | None = None) -> np.ndarray:
+    """Component comp of curl V with centered differences, in out if given.
 
-    Only the off-diagonal derivatives d_j V_k (j != k) enter. Each one is
-    added to or subtracted from its curl component as soon as it exists, so
-    one derivative array is alive at a time.
+    (curl V)_i = (0 + d_j V_k) - d_k V_j for (i, j, k) cyclic; a derivative
+    along a flat axis is 0. Only d_k V_j is a temporary, so a caller can build
+    the curl one component at a time in one buffer.
     """
-    out = None
-    for arr_ax, direction in axis_directions(dimension):
-        for comp in range(3):
-            if comp == direction:
-                continue
-            d = centered_diff(vf[..., comp], arr_ax, spacing, twists[arr_ax])
-            if out is None:
-                out = np.zeros_like(vf, dtype=d.dtype)
-            # (curl V)_i = d_j V_k - d_k V_j for (i, j, k) cyclic
-            target = out[..., 3 - direction - comp]
-            if (direction - comp) % 3 == 2:
-                target += d
-            else:
-                target -= d
-            del d  # freed before the next derivative is built
+    axis_of = {direction: arr_ax for arr_ax, direction in axis_directions(dimension)}
+    j, k = (comp + 1) % 3, (comp + 2) % 3
+    if out is None:
+        out = np.empty(vf.shape[:-1], np.result_type(vf, 1.0, *(t for t in twists if t != 1.0)))
+    if j in axis_of:
+        centered_diff(vf[..., k], axis_of[j], spacing, twists[axis_of[j]], out=out)
+        out += 0.0  # 0 + d_j V_k: -0 becomes +0
+    else:
+        out.fill(0.0)
+    if k in axis_of:
+        out -= centered_diff(vf[..., j], axis_of[k], spacing, twists[axis_of[k]])
     return out

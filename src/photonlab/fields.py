@@ -14,15 +14,15 @@ Callers name the field groups they read (GROUPS: A, E, B, and the
 longitudinal sector phi, A_par, E_par); only those are summed, all in one
 contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
-A caller may also sum a few x-planes at a time, such as the haloed slabs of
-x_slabs, sharing one k-space prep (mode_coefficients); every 3D box is visited
-that way, through slabs or, for the stencil scans, x_slabs itself.
+A caller may also sum a few x-planes at a time, sharing one k-space prep
+(mode_coefficients); every 3D box is visited that way, through the halo-free
+slabs of slabs or, for the stencil scans, the haloed ones of x_slabs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,10 +154,6 @@ class FieldSnapshot:
             raise ValueError("finite differences need the Fourier-dual spatial grid")
         return self.bloch
 
-    def cut(self, inner) -> FieldSnapshot:
-        """The snapshot on the planes inner of array axis 0, still views of this sum."""
-        return replace(self, rows={g: r[:, inner] for g, r in self.rows.items()})
-
 
 def mode_coefficients(m: ModeAmplitudes, t: float, omega_scale: float = 1.0) -> np.ndarray:
     """synthesize's k-space prep: lattice-ordered coefficients of all _NCOMP columns at t.
@@ -254,11 +250,11 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     )
 
 
-_SLAB_POINTS = 1 << 17  # points per haloed x-slab: 12 planes of 96^2
+_SLAB_POINTS = 1 << 17  # points per x-slab, halos included: 12 planes of 96^2
 
 
 def _slab_width(n_x: int) -> int:
-    """x-planes w per slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
+    """x-planes w per haloed slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
 
     OpenBLAS sums a slab bitwise as the whole box only when its plane count
     is a multiple of 4 (zgemm rounds leftover columns apart): w + 2 is, and so
@@ -291,11 +287,24 @@ def x_slabs(grid: SpatialGrid, wrap: bool = False):
         yield p0, planes % n_x if wrap else planes, slice(1, -1)
 
 
-def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0, groups=tuple(GROUPS)):
-    """Yield (first plane, snapshot cut to its planes) per x_slabs(grid, wrap=True) slab at t."""
+def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0,
+          groups=tuple(GROUPS)):
+    """Yield (first plane, snapshot of its planes) per halo-free x-slab of the box at t.
+
+    A 3D box with n_x a multiple of 4 is cut into slabs of _slab_width(n_x) + 2
+    planes, the last one shorter: each a multiple of 4 planes of at most
+    _SLAB_POINTS points, which sums bitwise as the whole box. Any other box is
+    one slab. All slabs share one k-space prep.
+    """
     coeffs = mode_coefficients(m, t, omega_scale)
-    for p0, planes, inner in x_slabs(grid, wrap=True):
-        yield p0, synthesize(m, grid, t, omega_scale, groups, planes, coeffs).cut(inner)
+    n_x = grid.n_per_axis
+    if grid.dimension == 1 or n_x % 4:
+        yield 0, synthesize(m, grid, t, omega_scale, groups, coeffs=coeffs)
+        return
+    width = _slab_width(n_x) + 2
+    for p0 in range(0, n_x, width):
+        planes = np.arange(p0, min(p0 + width, n_x))
+        yield p0, synthesize(m, grid, t, omega_scale, groups, planes, coeffs)
 
 
 def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) -> np.ndarray:
@@ -318,37 +327,64 @@ def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) 
     return t.reshape(ncomp, math.prod(t.shape[1:]))
 
 
+def _span(t_prev: float, t_now: float, t_next: float) -> float:
+    """(t_now - t_prev) + (t_next - t_now); the three times must be equally spaced."""
+    dt_lo = t_now - t_prev
+    dt_hi = t_next - t_now
+    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
+        raise ValueError("samples must be equally spaced in time")
+    return dt_lo + dt_hi
+
+
+def _on_grid(s, grid: SpatialGrid):
+    """s, a snapshot or a current, checked to lie on grid."""
+    if s.grid != grid:
+        raise ValueError("samples must share one spatial grid")
+    return s
+
+
 def centered_span(prev, now, nxt) -> float:
     """(now - prev) + (nxt - now), the divisor of a centered time difference.
 
     The three samples (snapshots or currents) share one grid and are equally
     spaced in time.
     """
-    if not (prev.grid == now.grid == nxt.grid):
-        raise ValueError("samples must share one spatial grid")
-    dt_lo = now.time - prev.time
-    dt_hi = nxt.time - now.time
-    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
-        raise ValueError("samples must be equally spaced in time")
-    return dt_lo + dt_hi
+    for s in (now, nxt):
+        _on_grid(s, prev.grid)
+    return _span(prev.time, now.time, nxt.time)
 
 
-def maxwell_residual(prev: FieldSnapshot, now: FieldSnapshot, nxt: FieldSnapshot):
-    """Residuals of the two source-free Maxwell equations on the + frequency part.
+def maxwell_residual(sample, times, out: np.ndarray | None = None):
+    """Yield the residuals of the source-free Maxwell equations on the + frequency part.
 
-    Returns (div E, dE/dt - curl B) in natural units (c = eps0 = 1), with a
-    centered difference in time and second-order centered differences in space.
+    In natural units (c = eps0 = 1), with a centered difference in time and
+    second-order centered differences in space, one at a time: div E, then
+    dE/dt - curl B, then div B; each is built only when the caller asks for
+    it, so a caller that drops each one holds a single residual.
+
+    sample(t, groups) is the snapshot of the named field groups at time t, and
+    times are three equally spaced times t0 - dt, t0, t0 + dt on one grid.
+    E at t0 -+ dt is differenced first into out, component-major with shape
+    (3,) + the sample shape (allocated when None), and released before E and
+    B at t0 are summed; dE/dt - curl B is then written over out and yielded
+    as a view with a trailing component axis.
     """
-    span = centered_span(prev, now, nxt)
-    twists = now.twists()
-    grid = now.grid
-    gauss = fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
-    # dE/dt is formed one component at a time in one buffer and taken from
-    # curl B in place, so no full vector temporary is built
-    ampere = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists)
-    dt_e = np.empty_like(ampere[..., 0])
+    span = _span(*times)
+    prev = sample(times[0], ("e",))
+    nxt = _on_grid(sample(times[2], ("e",)), prev.grid)
+    dt_e = np.empty((3,) + prev.e_plus.shape[:-1], prev.e_plus.dtype) if out is None else out
     for comp in range(3):
-        np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e)
-        dt_e /= span
-        np.subtract(dt_e, ampere[..., comp], out=ampere[..., comp])
-    return gauss, ampere
+        np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e[comp])
+        dt_e[comp] /= span
+    grid = prev.grid
+    del prev, nxt  # freed before t0 is summed
+    now = _on_grid(sample(times[1], ("e", "b")), grid)
+    twists = now.twists()
+    yield fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
+    curl_b = None
+    for comp in range(3):
+        curl_b = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists, comp, curl_b)
+        dt_e[comp] -= curl_b
+    del curl_b
+    yield np.moveaxis(dt_e, 0, -1)
+    yield fdops.divergence(now.b_plus, grid.spacing, grid.dimension, twists)

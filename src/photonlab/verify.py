@@ -22,7 +22,6 @@ from .config import PacketParams, ScenarioConfig, parse_config
 from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
-from .fdops import divergence
 from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slabs,
                      synthesize, x_slabs)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
@@ -389,22 +388,30 @@ def _maxwell_packet():
 
 
 def _maxwell_slabs(m, n_x, scale):
-    """Yield (first plane, Gauss, Ampere, div B) per x-slab of an n_x^3 dual box.
+    """Yield (first plane, k, residual k) per x-slab of an n_x^3 dual box, k = 0, 1, 2.
 
-    The fields are summed on the slab plus a halo plane each side (x_slabs,
-    across the seam with the Bloch twist); the halos are dropped.
+    The residuals (Gauss, Ampere, div B) come one at a time from
+    maxwell_residual on the slab plus a halo plane each side (x_slabs, across
+    the seam with the Bloch twist), cut to the slab's own planes. dE/dt is
+    formed in one buffer, sized by the first (widest) slab and reused by the
+    rest. The caller drops each residual before it asks for the next.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
-    times, groups = (t0 - dt, t0, t0 + dt), (("e",), ("e", "b"), ("e",))
-    coeffs = [mode_coefficients(m, t, scale) for t in times]
+    times = (t0 - dt, t0, t0 + dt)
+    coeffs = {t: mode_coefficients(m, t, scale) for t in times}
+    dt_e = None
     for p0, planes, inner in x_slabs(sg):
-        prev, now, nxt = (synthesize(m, sg, t, scale, g, planes, c)
-                          for t, g, c in zip(times, groups, coeffs))
-        gauss, ampere = maxwell_residual(prev, now, nxt)
-        divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
-        del prev, now, nxt  # freed before the next slab is summed
-        yield p0, gauss[inner], ampere[inner], divb[inner]
+        n_planes = n_x if planes is None else len(planes)
+        if dt_e is None:
+            dt_e = np.empty((3, n_planes) + sg.field_shape()[1:], dtype=np.complex128)
+
+        def sample(t, groups):
+            return synthesize(m, sg, t, scale, groups, planes, coeffs[t])
+
+        residuals = maxwell_residual(sample, times, dt_e[:, :n_planes])
+        for k in range(3):  # enumerate's reused result tuple would hold the last residual
+            yield p0, k, next(residuals)[inner]
 
 
 def _maxwell_level(m, n_x, scale):
@@ -414,12 +421,12 @@ def _maxwell_level(m, n_x, scale):
     """
     plane = n_x * n_x
     worst = [(-1.0, 0)] * 3
-    for p0, *res in _maxwell_slabs(m, n_x, scale):
-        for k, r in enumerate(res):
-            point_max = np.abs(r).reshape(len(r) * plane, -1).max(axis=1)
-            i = int(np.argmax(point_max))
-            if point_max[i] > worst[k][0]:
-                worst[k] = (point_max[i], p0 * plane + i)
+    for p0, k, res in _maxwell_slabs(m, n_x, scale):
+        point_max = np.abs(res).reshape(len(res) * plane, -1).max(axis=1)
+        i = int(np.argmax(point_max))
+        if point_max[i] > worst[k][0]:
+            worst[k] = (point_max[i], p0 * plane + i)
+        del res, point_max  # dropped before the next residual is built
     sg = dual_grid(m.grid, n_x)
     return [v for v, _ in worst], [_grid_point(i, sg) for _, i in worst]
 

@@ -515,15 +515,15 @@ def test_fields_table_memory_stays_within_a_few_blocks(tmp_path):
 
 
 def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
-    # the first centre slab of an n_x = 64 packet box: 18 planes of 4096
-    # points, whose (points, 10) complex columns alone are 11.8 MB. Scaled
+    # the first centre slab of an n_x = 64 packet box: 20 planes of 4096
+    # points, whose (points, 10) complex columns alone are 13.1 MB. Scaled
     # and formatted a block of whole planes at a time, the writer holds about
     # what _lines' kernel holds for one block.
     k0 = (0.0, 0.0, 4.0)
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
     sg = dual_grid(grid, 64)
     p0, snap = next(slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0))
-    assert snap.phi_plus.shape == (18, 64, 64)
+    assert snap.phi_plus.shape == (20, 64, 64)
     path = str(tmp_path / "fields.csv")
     csvio._tables()  # built once per process, outside the trace
     tracemalloc.start()
@@ -537,7 +537,7 @@ def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
 
 
 def test_fields_csv_frees_each_slab_before_the_next_arrives(tmp_path):
-    # the centre pass of an n_x = 64 packet box comes in 4 haloed slabs, each a
+    # the centre pass of an n_x = 64 packet box comes in 4 slabs, each a
     # 16-component snapshot of up to 20 planes (21 MB). As a slab is handed
     # over, the writer holds nothing of the one before; 1 MB covers the last
     # CSV block written and small objects.

@@ -10,8 +10,9 @@ either side differs too: a crash exits 1 as a failed check does. Prints one
 line per call; exits 1 and names the files that differ, 0 when every output
 is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
-perfbench reads it), so a check of identical bytes also shows where memory
-moved. Stdlib only; the 29 call pairs take about 40 s on two cores.
+perfbench reads it) and its minor page faults (ru_minflt, from the same
+os.wait4), so a check of identical bytes also shows where memory moved and
+what the move cost in page faults. Stdlib only; the 29 call pairs take about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ CALLS = {
     # overflows): refused with exit 2 since the pre-flight builds the packet
     "packet3d-sigma-underflow": "[packet3d]\nsigma = 1e-300\nn_k = 4\nn_x = 8\n",
     "packet3d-dk-overflow": "[packet3d]\ndk = 1e300\n",
-    # slabs of 18 planes plus halos, the last one 10 planes
+    # the scan in slabs of 18 planes plus halos, the last one 10 planes;
+    # fields.csv in halo-free slabs of 20 planes, the last one 4
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
     # n_x not a multiple of 4: the whole box in one slab
     "packet3d-nx18": "[packet3d]\nn_x = 18\n",
     "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
-    # the gauge law on 4 slabs of 18 planes, and on a whole box
+    # the gauge law on 4 slabs (20, 20, 20 and 4 planes), and on a whole box
     "gauge-nx64": "[gauge]\nn_x = 64\n",
     "gauge-nx18": "[gauge]\nn_x = 18\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
@@ -90,10 +92,11 @@ def _export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes]:
+def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes, int]:
     """Run one CLI call from outdir, the config's output directory ('.').
 
-    Returns the exit code, stdout, the call's peak RSS in MB and stderr.
+    Returns the exit code, stdout, the call's peak RSS in MB, stderr and the
+    call's minor page faults.
     """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
@@ -108,7 +111,7 @@ def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, flo
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         stderr = err.read()
-    return proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr
+    return proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr, usage.ru_minflt
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -154,7 +157,8 @@ def main(argv=None) -> int:
             new_run = _call(ROOT / "src", config, out)
             found = _differences(name, ref, out, ref_run, new_run)
             print(f"{name}: exit {new_run[0]}, " + ("DIFFERS" if found else "identical"))
-            print(f"{name}: peak RSS {ref_run[2]:.1f} MB at {argv[0]}, {new_run[2]:.1f} MB here")
+            print(f"{name}: peak RSS {ref_run[2]:.1f} MB, {ref_run[4]} minor faults at "
+                  f"{argv[0]}; {new_run[2]:.1f} MB, {new_run[4]} minor faults here")
             diffs += found
             shutil.rmtree(ref)
             shutil.rmtree(out)
