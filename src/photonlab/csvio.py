@@ -25,7 +25,7 @@ CURRENT_COLUMNS = ("t", "x", "y", "z", "rho", "jx", "jy", "jz",
 LIFECYCLE_COLUMNS = ("t", "norm", "residual_max", "peak_z")
 REPORT_COLUMNS = ("check", "measured", "tolerance", "order", "passed")
 
-_BLOCK_ROWS = 1 << 11  # rows per formatted block; bounds the buffers held at once
+_BLOCK_CELLS = 2048 * 8  # values per formatted block; bounds the buffers held at once
 
 
 def fmt(x) -> str:
@@ -207,7 +207,7 @@ def _format_cells(x, out):
 
 
 def _lines(prefixes, values):
-    """Yield CSV bytes, _BLOCK_ROWS rows at a time: row i is the prefixes' row i, then values[i].
+    """Yield CSV bytes, _BLOCK_CELLS values a block: row i is the prefixes' row i, then values[i].
 
     prefixes: NUL-padded (n, w) or (1, w) uint8 cells, joined left to right.
     Each block is one uint64 buffer of prefix words and four-word value
@@ -220,8 +220,9 @@ def _lines(prefixes, values):
     width = -(-int(edges[-1]) // 8)
     sep = np.full(ncol, ord(","), dtype=np.uint64) << 56
     sep[-1] = ord("\n") << 56
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, n)
+    rows = max(1, _BLOCK_CELLS // ncol)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         buf = np.zeros((hi - lo, width + 4 * ncol), dtype=np.uint64)
         text = buf.view(np.uint8)
         for p, left, right in zip(prefixes, edges, edges[1:]):
@@ -280,14 +281,14 @@ def write_fields_csv(path: str, slabs, units: UnitSystem = NATURAL):
     Each snapshot holds the consecutive x-planes (array axis 0) of its grid
     from its first plane on; a whole box is one slab at plane 0. Each slab is
     formatted and written before the next is read, a block of whole planes
-    of about _BLOCK_ROWS rows at a time.
+    of about _BLOCK_CELLS values at a time.
     """
     ka, ke = units.a_field, units.e_field
 
     def lines():
         for p0, s in slabs:
             scaled = ((ka, s.a_plus), (ke, s.e_plus), (ka, s.b_plus), (ke, s.phi_plus[..., None]))
-            step = max(1, _BLOCK_ROWS // s.phi_plus[0].size)
+            step = max(1, _BLOCK_CELLS // (20 * s.phi_plus[0].size))  # 20 values a point
             for lo in range(0, len(s.phi_plus), step):
                 # complex columns viewed as float64 pairs give the re_*, im_* order;
                 # the row-major target makes that view valid whatever the layout

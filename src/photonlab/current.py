@@ -4,7 +4,10 @@ All bilinears pair the positive-frequency fields with their conjugates in the
 convention rho = Im[conj(A+).E+] (natural units), whose box integral equals
 the k-space norm; the current splits into a transverse A x B part and a
 longitudinal phi E_par part, and the helicity density is the same pairing
-under a cross product without the i.
+under a cross product without the i. Each is built a component at a time
+straight into its output through reused scratch, with the operations, operand
+order and summation order of the whole-vector np.sum and np.cross forms: its
+bits are theirs, but for the sign of a NaN made from two NaNs.
 """
 
 from __future__ import annotations
@@ -38,19 +41,19 @@ class CurrentField:
                        s_hel=None if self.s_hel is None else self.s_hel[inner])
 
 
-def _imag_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Im[conj(x).y] over the trailing component axis."""
-    return np.sum((np.conj(x) * y).imag, axis=-1)
-
-
-def _imag_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Im[conj(x) x y] componentwise."""
-    return np.cross(np.conj(x), y).imag
+# (i, p, q) cyclic: component i of the cross product x X y is x_p y_q - x_q y_p
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 def number_density(snap: FieldSnapshot, eps: float = 1.0) -> np.ndarray:
     """rho = eps Im[conj(A+).E+]; eps is the relative permittivity scale."""
-    return eps * _imag_dot(snap.a_plus, snap.e_plus)
+    a, e = snap.a_plus, snap.e_plus
+    rho = np.zeros(a.shape[:-1])
+    t = np.empty(rho.shape, dtype=np.complex128)
+    for i in range(3):
+        # ((+0 + x0) + x1) + x2, the order np.sum takes over the component axis
+        rho += np.multiply(np.conj(a[..., i], out=t), e[..., i], out=t).imag
+    return np.multiply(eps, rho, out=rho)
 
 
 def current_density(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0) -> np.ndarray:
@@ -60,10 +63,18 @@ def current_density(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0) -> n
     synthesis; nothing here applies a position-space projection. The second
     term broadcasts the scalar phi over the longitudinal E vector.
     """
-    a_perp = snap.a_plus - snap.a_par_plus
-    transverse = _imag_cross(a_perp, snap.b_plus) / mu
-    longitudinal = eps * (np.conj(snap.phi_plus)[..., None] * snap.e_par_plus).imag
-    return transverse + longitudinal
+    a, a_par, b, e_par = snap.a_plus, snap.a_par_plus, snap.b_plus, snap.e_par_plus
+    j = np.empty(b.shape)
+    s, t = np.empty((2,) + b.shape[:-1], dtype=np.complex128)
+    longitudinal = np.empty(b.shape[:-1])
+    for i, p, q in _CYCLIC:
+        np.multiply(np.conj(np.subtract(a[..., p], a_par[..., p], out=s), out=s), b[..., q], out=t)
+        np.conj(np.subtract(a[..., q], a_par[..., q], out=s), out=s)
+        t -= np.multiply(s, b[..., p], out=s)
+        np.divide(t.imag, mu, out=j[..., i])
+        np.multiply(np.conj(snap.phi_plus, out=t), e_par[..., i], out=t)
+        j[..., i] += np.multiply(eps, t.imag, out=longitudinal)
+    return j
 
 
 def helicity_density(snap: FieldSnapshot) -> np.ndarray:
@@ -74,7 +85,14 @@ def helicity_density(snap: FieldSnapshot) -> np.ndarray:
     """
     if len(snap.lambdas_present) > 1:
         raise ValueError("helicity density defined per lambda")
-    return -np.cross(snap.a_plus, np.conj(snap.e_plus)).real
+    a, e = snap.a_plus, snap.e_plus
+    s_hel = np.empty(a.shape)
+    s, t = np.empty((2,) + a.shape[:-1], dtype=np.complex128)
+    for i, p, q in _CYCLIC:
+        np.multiply(a[..., p], np.conj(e[..., q], out=t), out=t)
+        t -= np.multiply(a[..., q], np.conj(e[..., p], out=s), out=s)
+        np.negative(t.real, out=s_hel[..., i])
+    return s_hel
 
 
 def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0) -> CurrentField:

@@ -369,18 +369,19 @@ def writer_cases(draw):
     n_blocks = draw(st.integers(1, 3))
     with_hel = [draw(st.booleans()) for _ in range(n_blocks)]
     with_res = [draw(st.booleans()) for _ in range(n_blocks)]
-    block_rows = draw(st.integers(1, 40))
+    block_cells = draw(st.integers(1, 320))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return block_rows, (grid, kgrid, sorted(live), units, with_hel, with_res, rng)
+    return block_cells, (grid, kgrid, sorted(live), units, with_hel, with_res, rng)
 
 
 @settings(max_examples=150, deadline=None)
 @given(writer_cases())
 def test_block_writers_match_per_value_oracle(tmp_path_factory, case):
-    block_rows, args = case
-    # small blocks put block boundaries inside and between time blocks;
-    # scaling inf and huge values overflows or makes nan on both sides alike
-    with mock.patch.object(csvio, "_BLOCK_ROWS", block_rows), \
+    block_cells, args = case
+    # small blocks (1-40 rows of current.csv, 1-16 of fields.csv) put block
+    # boundaries inside and between time blocks; scaling inf and huge values
+    # overflows or makes nan on both sides alike
+    with mock.patch.object(csvio, "_BLOCK_CELLS", block_cells), \
             np.errstate(over="ignore", invalid="ignore"):
         check_writers_against_oracle(tmp_path_factory.mktemp("csv"), *args)
 
@@ -512,6 +513,30 @@ def test_fields_table_memory_stays_within_a_few_blocks(tmp_path):
         tracemalloc.stop()
     assert os.path.getsize(path) > 14e6
     assert peak <= 12e6, peak
+
+
+def test_blocks_are_sized_by_values_not_rows(tmp_path):
+    # a 20-column fields.csv row holds 2.5 times the values of an 8-column
+    # current.csv row, so blocks of equal rows would hold 2.5 times the
+    # buffers; with blocks of _BLOCK_CELLS values the wide table peaks no
+    # higher. 4096 rows are more than one block of either table.
+    grid = SpatialGrid(n_per_axis=16, spacing=0.3, dimension=3, origin=-2.4)
+    rng = np.random.default_rng(5)
+    points = csvio._point_prefixes(grid, lambda a: grid.axis_positions())
+    tables = (("fields.csv", FIELDS_COLUMNS, (points,), 20),
+              ("current.csv", CURRENT_COLUMNS, (csvio._strings(["0.25,"]), points), 8))
+    csvio._tables()  # built once per process, outside the trace
+    peaks = {}
+    for name, columns, prefixes, ncol in tables:
+        shape = (grid.n_points, ncol)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3, shape)
+        tracemalloc.start()
+        try:
+            csvio._write_table(str(tmp_path / name), columns, csvio._lines(prefixes, values))
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["fields.csv"] <= peaks["current.csv"], peaks
 
 
 def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):

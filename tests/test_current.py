@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from photonlab.current import (continuity_residual, current_density, helicity_density,
                                number_density, photon_current, position_norm)
-from photonlab.fields import dual_grid, synthesize
+from photonlab.fields import FieldSnapshot, SpatialGrid, dual_grid, synthesize
 from photonlab.modes import (KGrid, ModeAmplitudes, gauge_shift, gaussian_packet, kvectors,
                              lambda_row, measure_weights, norm, normalize)
 
@@ -236,3 +238,138 @@ def test_position_norm_matches_mode_norm_scaled_state():
     sg = dual_grid(grid, 32)
     cf = photon_current(synthesize(scaled, sg, 0.0))
     assert abs(position_norm(cf.rho, sg) - norm(scaled)) <= 1e-10 * norm(scaled)
+
+
+# Oracle: the whole-vector bilinears that the per-component kernels replaced,
+# kept verbatim. The kernels must match them bit for bit, signed zeros and the
+# summation order of rho included; only NaN signs are free (assert_same_bits).
+
+def _imag_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Im[conj(x).y] over the trailing component axis."""
+    return np.sum((np.conj(x) * y).imag, axis=-1)
+
+
+def _imag_cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Im[conj(x) x y] componentwise."""
+    return np.cross(np.conj(x), y).imag
+
+
+def oracle_number_density(snap, eps=1.0):
+    return eps * _imag_dot(snap.a_plus, snap.e_plus)
+
+
+def oracle_current_density(snap, eps=1.0, mu=1.0):
+    a_perp = snap.a_plus - snap.a_par_plus
+    transverse = _imag_cross(a_perp, snap.b_plus) / mu
+    longitudinal = eps * (np.conj(snap.phi_plus)[..., None] * snap.e_par_plus).imag
+    return transverse + longitudinal
+
+
+def oracle_helicity_density(snap):
+    if len(snap.lambdas_present) > 1:
+        raise ValueError("helicity density defined per lambda")
+    return -np.cross(snap.a_plus, np.conj(snap.e_plus)).real
+
+
+SPECIALS = (0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, 1e300)
+GROUP_WIDTHS = (("a", 3), ("e", 3), ("b", 3), ("par", 7))  # par: phi, A_par, E_par
+
+
+def complex_of(re, im):
+    # assembled part by part: x + 1j * y would turn -0 and inf parts into +0 and nan
+    z = np.empty(re.shape, dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+@st.composite
+def bilinear_cases(draw):
+    """A snapshot of drawn component-major fields, with a drawn eps and mu."""
+    dim = draw(st.sampled_from((1, 3)))
+    n = draw(st.integers(2, 48 if dim == 1 else 6))
+    grid = SpatialGrid(n_per_axis=n, spacing=0.5, dimension=dim)
+    sample = grid.field_shape()
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rate = draw(st.sampled_from((0.0, 0.1, 0.4)))
+
+    def parts(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        hit = rng.random(shape) < rate
+        values[hit] = np.array(SPECIALS)[rng.integers(0, len(SPECIALS), size=int(hit.sum()))]
+        return values
+
+    rows = {g: complex_of(parts((width,) + sample), parts((width,) + sample))
+            for g, width in GROUP_WIDTHS}
+    # points that are -0 in every component of every field, and points where
+    # A = +0 and E = +0 - 0i instead, whose three terms Im[conj(A_i) E_i] are -0
+    zero = rng.random(sample) < 0.2
+    for block in rows.values():
+        block.real[:, zero] = block.imag[:, zero] = -0.0
+    plus = zero & (rng.random(sample) < 0.5)
+    rows["a"].real[:, plus] = rows["a"].imag[:, plus] = rows["e"].real[:, plus] = 0.0
+    # a snapshot of the whole box, or of some planes of array axis 0, with at
+    # least two points, as every snapshot of the program has (a line has
+    # n >= 2 points, a plane n^2): on a one-point snapshot numpy runs the
+    # oracle's loops along the strided component axis, where they round some
+    # values differently (seen: 1 ulp)
+    lo = draw(st.integers(0, n - 2))
+    hi = draw(st.integers(lo + 2, n))
+    rows = {g: block[:, lo:hi] for g, block in rows.items()}
+    lambdas = draw(st.sampled_from(((1,), (-1,), ("par",), (1, -1), (1, -1, "par"))))
+    snap = FieldSnapshot(grid=grid, time=0.0, rows=rows, speed=1.0, bloch=None,
+                         lambdas_present=frozenset(lambdas))
+    eps = draw(st.sampled_from((1.0, 2.25)) | st.floats(0.05, 20.0))
+    mu = draw(st.sampled_from((1.0, 0.5)) | st.floats(0.05, 20.0))
+    return snap, eps, mu
+
+
+@settings(max_examples=200, deadline=None)
+@given(bilinear_cases())
+def test_component_kernels_match_whole_vector_oracle(case):
+    snap, eps, mu = case
+    single = len(snap.lambdas_present) == 1
+    with np.errstate(all="ignore"):  # nan and inf parts make nan and overflow on both sides
+        oracles = [oracle_number_density(snap, eps), oracle_current_density(snap, eps, mu)]
+        results = [number_density(snap, eps), current_density(snap, eps, mu)]
+        if single:
+            oracles.append(oracle_helicity_density(snap))
+            results.append(helicity_density(snap))
+        cf = photon_current(snap, eps, mu)
+    assert (cf.s_hel is not None) == single
+    bundled = [cf.rho, cf.j] + ([cf.s_hel] if single else [])
+    for new, old in zip(results + bundled, oracles * 2):
+        assert new.shape == old.shape and new.dtype == old.dtype
+        assert_same_bits(new, old)
+
+
+def assert_same_bits(new, old):
+    # Every value that is not a NaN, signed zeros included, must match bit for
+    # bit. A NaN made from two NaN operands takes the sign of whichever the
+    # instruction propagates, and numpy's complex multiply propagates a
+    # different one in different parts of its loop: with AVX-512, the
+    # imaginary part of (nan - inf i)(1e300 - nan i) is +nan at positions 0-3
+    # and 6 of a length-7 product and -nan at 4-5. The oracle's loop runs over
+    # all three components at once and the kernels' over one, so a point's NaN
+    # can sit at another position. A NaN must stay a NaN; the CSV writes both
+    # signs as "nan".
+    nan = np.isnan(old)
+    assert np.array_equal(np.isnan(new), nan)
+    assert new[~nan].tobytes() == old[~nan].tobytes()
+
+
+def test_photon_current_memory_per_point():
+    # rho, j and s_hel are 56 B a point; the kernels add their reused scratch
+    # components, where the whole-vector forms held about 264 B a point
+    k0 = (0.0, 0.0, 4.0)
+    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
+    snap = synthesize(gaussian_packet(grid, k0, 0.4, 1), dual_grid(grid, 32), 0.3)
+    points = snap.grid.n_points
+    assert points == 32768
+    tracemalloc.start()
+    try:
+        cf = photon_current(snap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cf.s_hel is not None
+    assert peak <= 120 * points, peak / points

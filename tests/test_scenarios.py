@@ -313,14 +313,14 @@ def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.all_passed
-    assert peak <= 40 * slab_value, peak / slab_value
+    assert peak <= 18 * slab_value, peak / slab_value
 
 
 def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
     # as the scan starts a slab, the earlier slabs of its time leave only their
     # densities (a cut keeps its haloed slab alive), which the box norm sums at
     # once; their currents, residuals and CSV columns are freed. 1 MB covers
-    # the last CSV block written (_BLOCK_ROWS rows) and small objects.
+    # the last CSV block written (_BLOCK_CELLS values) and small objects.
     n_x = 64
     width = fields._slab_width(n_x)
     rho_bytes = (width + 2) * n_x * n_x * np.dtype(np.float64).itemsize

@@ -1,6 +1,8 @@
 import ast
 import cmath
 import csv
+import importlib.util
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -601,3 +603,21 @@ def test_every_optional_parameter_is_set_by_a_caller():
                            for n_args, keywords in calls.get(d.name, ())):
                     unset.append(f"{path.name}:{d.name}({arg})")
     assert unset == []
+
+
+def test_every_benchmark_tracer_target_exists():
+    # perfbench/tracer.py wraps photonlab functions by module and name, and
+    # Tracer.install calls getattr on each, so renaming or folding one of them
+    # (current_density, say) would break every `perfbench/run.py --trace 1` run
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # read-only: leave no __pycache__ in perfbench/
+    try:
+        spec.loader.exec_module(tracer)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    missing = [f"{module}.{name}" for module, name, *_ in tracer.TARGETS
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert len(tracer.TARGETS) > 0 and missing == []
