@@ -82,7 +82,6 @@ class TimeWindow:
     steps: int
 
     def checkpoints(self):
-        import numpy as np
         return np.linspace(self.start, self.stop, self.steps + 1)
 
 
@@ -106,13 +105,13 @@ class LineParams:
 @dataclass(frozen=True)
 class ScenarioConfig:
     kind: str
-    units: str
     output: str
-    seed: int
     tolerances: dict
+    units: str | None = None
     inject_dispersion_error: float | None = None
     packet: PacketParams | None = None
     times: TimeWindow | None = None
+    t_stop: float | None = None
     medium: MediumSpec | None = None
     beta: float | None = None
     gauge_strength: float | None = None
@@ -123,10 +122,10 @@ class ScenarioConfig:
 
     def echo_lines(self) -> tuple[str, ...]:
         """Effective settings, defaults included, for the report header."""
-        out = [f"scenario = {self.kind}",
-               f"units = {self.units}",
-               f"output = {self.output}",
-               f"seed = {self.seed}"]
+        out = [f"scenario = {self.kind}"]
+        if self.units is not None:
+            out.append(f"units = {self.units}")
+        out.append(f"output = {self.output}")
         if self.kind == "verify":
             out.append(f"inject_dispersion_error = {fmt(self.inject_dispersion_error)}")
         if self.packet is not None:
@@ -138,6 +137,8 @@ class ScenarioConfig:
         if self.times is not None:
             t = self.times
             out.append(f"times: start = {fmt(t.start)}, stop = {fmt(t.stop)}, steps = {t.steps}")
+        if self.t_stop is not None:
+            out.append(f"t_stop = {fmt(self.t_stop)}")
         if self.medium is not None:
             out.append(f"medium: epsilon_rel = {fmt(self.medium.epsilon_rel)}, "
                        f"mu_rel = {fmt(self.medium.mu_rel)}")
@@ -230,13 +231,10 @@ def _as_path(raw: str, key: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# schemas: key -> (parser, default); defaults of None mean scenario-specific
+# schemas: key -> (parser, default); `units` where a time or a column is scaled
 
-_COMMON = {
-    "units": (_as_enum(("natural", "si")), "natural"),
-    "output": (_as_path, "."),
-    "seed": (_as_int, 0),
-}
+_OUTPUT = {"output": (_as_path, ".")}
+_COMMON = {"units": (_as_enum(("natural", "si")), "natural"), **_OUTPUT}
 
 _PACKET3D_KEYS = {
     "n_k": (_as_int, 16),
@@ -256,14 +254,15 @@ _LINE_PACKET_KEYS = {**_PACKET3D_KEYS,
                      "t_stop": (_as_float, 2.0)}
 
 _SECTION_KEYS = {
-    "verify": {**_COMMON, "inject_dispersion_error": (_as_float, 0.0)},
+    "verify": {**_OUTPUT, "inject_dispersion_error": (_as_float, 0.0)},
     "packet3d": {**_COMMON, **_PACKET3D_KEYS},
     "helicity": {**_COMMON, **_LINE_PACKET_KEYS},
-    "gauge": {**_COMMON, **_PACKET3D_KEYS,
+    "gauge": {**_COMMON, **{k: v for k, v in _PACKET3D_KEYS.items()
+                            if k not in ("t_start", "t_steps")},
               "k0": (_as_triple, (0.0, 0.0, 1.0)),
               "n_k": (_as_int, 8),
               "gauge_strength": (_as_float, 1.0)},
-    "boost": {**_COMMON, **{k: v for k, v in _PACKET3D_KEYS.items()
+    "boost": {**_OUTPUT, **{k: v for k, v in _PACKET3D_KEYS.items()
                             if not k.startswith("t_") and k != "n_x"},
               "beta": (_as_float, 0.3)},
     "medium1d": {**_COMMON, **_LINE_PACKET_KEYS,
@@ -278,7 +277,7 @@ _SECTION_KEYS = {
                     "t_start": (_as_float, 0.0),
                     "t_stop": (_as_float, 20.0),
                     "t_steps": (_as_int, 400)},
-    "fock": {**_COMMON, "n_states": (_as_int, 32)},
+    "fock": {**_OUTPUT, "n_states": (_as_int, 32)},
 }
 
 _EMITTER_KEYS = {
@@ -438,20 +437,12 @@ def parse_config(text: str) -> ScenarioConfig:
         _require(v > 0, "tolerances must be > 0", key)
         tol[key] = v
 
-    base = dict(kind=kind, units=vals["units"], output=vals["output"],
-                seed=vals["seed"], tolerances=tol)
+    base = dict(kind=kind, units=vals.get("units"), output=vals["output"], tolerances=tol)
 
     if kind == "verify":
         _require(vals["inject_dispersion_error"] >= 0,
                  "inject_dispersion_error must be >= 0", "inject_dispersion_error")
         return ScenarioConfig(**base, inject_dispersion_error=vals["inject_dispersion_error"])
-
-    if kind in ("packet3d", "gauge", "boost"):
-        dimension = 3
-    elif kind in ("helicity", "medium1d"):
-        dimension = 1
-    else:
-        dimension = None
 
     if kind == "fock":
         _require(vals["n_states"] >= 2, "n_states must be >= 2", "n_states")
@@ -472,6 +463,7 @@ def parse_config(text: str) -> ScenarioConfig:
         return ScenarioConfig(**base, medium=medium, times=times, line=line,
                               emitter=emitter, detector=detector)
 
+    dimension = 1 if kind in ("helicity", "medium1d") else 3
     if kind == "boost":
         _require(abs(vals["beta"]) < 1.0, "beta must satisfy |beta| < 1", "beta")
         # boost scenarios reuse the packet grid as the deposit destination
@@ -482,10 +474,10 @@ def parse_config(text: str) -> ScenarioConfig:
         _require(vals["k0"][0] == 0.0 and vals["k0"][1] == 0.0,
                  "1D scenarios need k0 = (0, 0, kz)", "k0")
     packet = _validate_packet(vals, dimension)
-    times = _validate_times(vals)
     if kind == "gauge":
-        return ScenarioConfig(**base, packet=packet, times=times,
+        return ScenarioConfig(**base, packet=packet, t_stop=vals["t_stop"],
                               gauge_strength=vals["gauge_strength"])
+    times = _validate_times(vals)
     if kind == "medium1d":
         if packet.pol == "par":
             # with phi = A_par, E_par = i(v|k| - |k|) s e_k is nonzero in a medium

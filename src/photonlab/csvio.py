@@ -209,6 +209,8 @@ def _format_cells(x, out):
 def _lines(prefixes, values):
     """Yield CSV bytes, _BLOCK_CELLS values a block: row i is the prefixes' row i, then values[i].
 
+    The fewest blocks of at most _BLOCK_CELLS values share the rows evenly,
+    so their row counts differ by one at most and no block is a straggler.
     prefixes: NUL-padded (n, w) or (1, w) uint8 cells, joined left to right.
     Each block is one uint64 buffer of prefix words and four-word value
     cells (_format_cells) with the separator in each cell's last byte; the
@@ -220,9 +222,9 @@ def _lines(prefixes, values):
     width = -(-int(edges[-1]) // 8)
     sep = np.full(ncol, ord(","), dtype=np.uint64) << 56
     sep[-1] = ord("\n") << 56
-    rows = max(1, _BLOCK_CELLS // ncol)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
+    count = -(-n // max(1, _BLOCK_CELLS // ncol))
+    for b in range(count):
+        lo, hi = b * n // count, (b + 1) * n // count
         buf = np.zeros((hi - lo, width + 4 * ncol), dtype=np.uint64)
         text = buf.view(np.uint8)
         for p, left, right in zip(prefixes, edges, edges[1:]):

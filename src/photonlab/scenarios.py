@@ -72,7 +72,7 @@ def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
 
 def _run_gauge(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     checks, info, shifted = gauge_checks(cfg.packet, cfg.gauge_strength,
-                                         us.time_in * cfg.times.stop, cfg.tolerances)
+                                         us.time_in * cfg.t_stop, cfg.tolerances)
     files = [os.path.join(outdir, "modes.csv")]
     write_modes_csv(files[0], shifted)
     return checks, info, files
@@ -148,7 +148,7 @@ def run_scenario(cfg: ScenarioConfig) -> Outcome:
     """Execute one non-verify scenario; writes CSVs and the summary report."""
     if cfg.kind == "verify":
         raise ValueError("use run_verify for [verify] configurations")
-    us = unit_system(cfg.units)
+    us = None if cfg.units is None else unit_system(cfg.units)  # boost and fock scale nothing
     runner = _RUNNERS[cfg.kind]
     started = _time.perf_counter()
     checks, info, files = runner(cfg, us, cfg.output)

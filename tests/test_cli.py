@@ -8,6 +8,8 @@ import pytest
 import photonlab
 from photonlab.cli import main
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def write_config(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
@@ -85,16 +87,46 @@ EXTREME_PACKETS = {
 ])
 def test_non_finite_number_exits_two_before_computing(tmp_path, text):
     # a separate process, so a crash would show as a traceback and exit 1
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, text + f"output = {out}\n")
     res = subprocess.run([sys.executable, "-m", "photonlab", "run", "--config", cfg],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert res.returncode == 2
     assert "photonlab: config error: field" in res.stderr
     assert EXTREME_PACKETS.get(text, "expected a finite number") in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section, key, value", [
+    ("run", "fock", "seed", "1"),
+    ("run", "gauge", "t_start", "3"),
+    ("run", "gauge", "t_steps", "7"),
+    ("run", "boost", "units", "si"),
+    ("verify", "verify", "units", "si"),
+])
+def test_key_that_changes_nothing_exits_two_before_computing(tmp_path, command, section,
+                                                             key, value):
+    # every run is deterministic, the gauge law holds at one instant, and these
+    # sections scale no time or column: each key is unknown, at its line
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[{section}]\noutput = {out}\n{key} = {value}\n")
+    res = subprocess.run([sys.executable, "-m", "photonlab", command, "--config", cfg],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    assert res.returncode == 2
+    assert (f"photonlab: config error: line 3 field '{key}': unknown key '{key}' in "
+            f"[{section}]") in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_gauge_t_stop_needs_no_start(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[gauge]\nt_stop = -1\noutput = {out}\n")
+    assert main(["run", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "t_stop = -1" in lines
+    assert "result: PASS (3/3 checks)" in lines
 
 
 def test_missing_config_exits_three(tmp_path, capsys):
@@ -146,8 +178,7 @@ def test_console_script_reports_version():
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # erf is computed in numpy; neither the import nor a lifecycle solve loads scipy
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     cfg = write_config(tmp_path, "[lifecycle1d]\nn_z = 512\nt_steps = 100\n"
                                  f"output = {tmp_path / 'out'}\n")
     res = subprocess.run(
@@ -160,7 +191,7 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     lines = res.stdout.splitlines()
     where, loaded = lines[:2]
     code, loaded_after = lines[-1].split()
-    assert where.startswith(src)
+    assert where.startswith(SRC)
     assert loaded == "False"
     assert code == "0" and loaded_after == "False"
     assert (tmp_path / "out" / "lifecycle.csv").exists()

@@ -1,6 +1,9 @@
 import pytest
 
+from photonlab import config
 from photonlab.config import ConfigError, TOLERANCE_DEFAULTS, default_verify_config, parse_config
+from photonlab.scenarios import run_scenario
+from photonlab.verify import run_verify, write_verify_report
 
 
 def err(text):
@@ -12,7 +15,7 @@ def err(text):
 def test_packet3d_defaults():
     cfg = parse_config("[packet3d]\n")
     assert cfg.kind == "packet3d"
-    assert cfg.units == "natural" and cfg.output == "." and cfg.seed == 0
+    assert cfg.units == "natural" and cfg.output == "."
     p = cfg.packet
     assert (p.n_k, p.dk, p.sigma, p.n_x, p.dimension) == (16, 0.25, 0.5, 32, 3)
     assert p.k0 == (0.0, 0.0, 4.0)
@@ -30,7 +33,6 @@ k0 = (0, 0, 2.5)   # on the grid
 sigma = 0.3
 lambda = -1
 n_x = 24
-seed = 7
 units = si
 """
     cfg = parse_config(text)
@@ -38,7 +40,7 @@ units = si
     assert (p.n_k, p.dk, p.sigma, p.n_x) == (8, 0.5, 0.3, 24)
     assert p.k0 == (0.0, 0.0, 2.5)
     assert p.pol == -1
-    assert cfg.seed == 7 and cfg.units == "si"
+    assert cfg.units == "si"
     assert parse_config(text) == cfg
 
 
@@ -154,6 +156,7 @@ def test_gauge_defaults():
     cfg = parse_config("[gauge]\n")
     assert cfg.packet.n_k == 8 and cfg.packet.k0 == (0.0, 0.0, 1.0)
     assert cfg.gauge_strength == 1.0
+    assert cfg.t_stop == 6.0 and cfg.times is None
 
 
 def test_time_window_validation():
@@ -214,7 +217,7 @@ def test_lifecycle_geometry_validation():
 
 
 def test_units_enum():
-    e = err("[fock]\nunits = imperial\n")
+    e = err("[packet3d]\nunits = imperial\n")
     assert "expected one of {natural, si}" in str(e)
 
 
@@ -244,7 +247,7 @@ def test_verify_config():
 
 
 def test_echo_lines_are_deterministic_and_complete():
-    text = "[packet3d]\nlambda = +1\nseed = 3\n"
+    text = "[packet3d]\nlambda = +1\n"
     lines = parse_config(text).echo_lines()
     assert lines == parse_config(text).echo_lines()
     assert lines[0] == "scenario = packet3d"
@@ -252,3 +255,57 @@ def test_echo_lines_are_deterministic_and_complete():
     tol_lines = [line for line in lines if line.startswith("tolerance ")]
     assert len(tol_lines) == len(TOLERANCE_DEFAULTS)
     assert tol_lines == sorted(tol_lines)
+
+
+# small boxes and lines, so that a run per key takes milliseconds; [boost]
+# keeps its default n_k, at which the boosted packet stays on its grid
+KEY_SWEEP_BASES = {"packet3d": {"n_k": "4", "n_x": "8"}, "gauge": {"n_k": "4", "n_x": "8"},
+                   "lifecycle1d": {"n_z": "512", "t_steps": "100"}}
+
+# one value per key, other than its default and its base value above
+KEY_SWEEP_VALUES = {
+    "units": "si", "inject_dispersion_error": "0.05", "n_k": "6", "dk": "0.3",
+    "k0": "(0, 0, 3)", "sigma": "0.4", "lambda": "-1", "n_x": "20", "t_start": "0.5",
+    "t_stop": "3", "t_steps": "3", "gauge_strength": "0.5", "beta": "0.2",
+    "epsilon_rel": "3", "mu_rel": "1.5", "n_z": "300", "z_min": "-4", "z_max": "24",
+    "n_states": "8", "enabled": "false", "center": "1", "time": "0.5", "width": "0.2",
+    "duration": "0.2", "strength": "0.5",
+}
+
+
+def test_every_key_changes_the_run_or_is_refused(tmp_path):
+    # a key that only echoes itself in the report header tells a reader that
+    # it shaped the run; each one must change some other output or be refused
+    def outputs(kind, section=None, key=None):
+        name = kind if key is None else f"{section}-{key}"
+        sections = {kind: {"output": str(tmp_path / name), **KEY_SWEEP_BASES.get(kind, {})}}
+        if key is not None:
+            sections.setdefault(section, {})[key] = KEY_SWEEP_VALUES[key]
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for s, keys in sections.items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return None
+        (tmp_path / name).mkdir()
+        if kind == "verify":
+            write_verify_report(run_verify(cfg), cfg)
+        else:
+            run_scenario(cfg)
+        files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+        # the header is the block from "# configuration" to the first blank line
+        title, _, rest = files.pop("report.txt").partition(b"# configuration\n")
+        return files, title + rest.split(b"\n\n", 1)[1]
+
+    dead = []
+    for kind, keys in config._SECTION_KEYS.items():
+        sections = [(kind, keys)]
+        if kind == "lifecycle1d":
+            sections += [("emitter", config._EMITTER_KEYS), ("detector", config._DETECTOR_KEYS)]
+        base = outputs(kind)
+        for section, keyset in sections:
+            for key in keyset:
+                # output is a path: where the run goes, not what it computes
+                if key != "output" and outputs(kind, section, key) == base:
+                    dead.append(f"[{section}] {key}")
+    assert dead == []

@@ -519,7 +519,9 @@ def test_blocks_are_sized_by_values_not_rows(tmp_path):
     # a 20-column fields.csv row holds 2.5 times the values of an 8-column
     # current.csv row, so blocks of equal rows would hold 2.5 times the
     # buffers; with blocks of _BLOCK_CELLS values the wide table peaks no
-    # higher. 4096 rows are more than one block of either table.
+    # higher. 4096 rows are more than one block of either table, and the
+    # fewest blocks share them evenly: fields.csv's are 6 of 682-683 rows,
+    # not 5 of 819 and a straggler of 1.
     grid = SpatialGrid(n_per_axis=16, spacing=0.3, dimension=3, origin=-2.4)
     rng = np.random.default_rng(5)
     points = csvio._point_prefixes(grid, lambda a: grid.axis_positions())
@@ -536,6 +538,10 @@ def test_blocks_are_sized_by_values_not_rows(tmp_path):
             peaks[name] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        rows = [block.count(b"\n") for block in csvio._lines(prefixes, values)]
+        assert sum(rows) == grid.n_points and max(rows) * ncol <= csvio._BLOCK_CELLS
+        assert len(rows) == -(-grid.n_points // (csvio._BLOCK_CELLS // ncol))
+        assert max(rows) - min(rows) <= 1, rows
     assert peaks["fields.csv"] <= peaks["current.csv"], peaks
 
 

@@ -450,7 +450,7 @@ def test_a_nan_in_one_slab_of_e_fails_gauge_field(width):
     run = whole_box_gauge_checks if width is None else gauge_checks
     with mock.patch.object(fields, "synthesize", planted), \
             mock.patch.object(fields, "_SLAB_POINTS", (width or n_x) * n_x * n_x):
-        checks, _, _ = run(cfg.packet, cfg.gauge_strength, cfg.times.stop, cfg.tolerances)
+        checks, _, _ = run(cfg.packet, cfg.gauge_strength, cfg.t_stop, cfg.tolerances)
     field = checks[0]
     assert field.name == "gauge_field" and np.isnan(field.measured) and not field.passed
 
@@ -486,7 +486,7 @@ def test_gauge_memory_is_set_by_the_slab_not_the_box():
     cfg = parse_config(f"[gauge]\nn_x = {n_x}\n")
     tracemalloc.start()
     try:
-        checks, _, _ = gauge_checks(cfg.packet, cfg.gauge_strength, cfg.times.stop,
+        checks, _, _ = gauge_checks(cfg.packet, cfg.gauge_strength, cfg.t_stop,
                                     cfg.tolerances)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

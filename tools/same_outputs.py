@@ -12,7 +12,7 @@ is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it) and its minor page faults (ru_minflt, from the same
 os.wait4), so a check of identical bytes also shows where memory moved and
-what the move cost in page faults. Stdlib only; the 29 call pairs take about 40 s on two cores.
+what the move cost in page faults. Stdlib only; the 30 call pairs take about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ CALLS = {
     # the gauge law on 4 slabs (20, 20, 20 and 4 planes), and on a whole box
     "gauge-nx64": "[gauge]\nn_x = 64\n",
     "gauge-nx18": "[gauge]\nn_x = 18\n",
+    # the one call on which [gauge] scales its lone t_stop by `units`
+    "gauge-si-t-stop": "[gauge]\nunits = si\nt_stop = 2e-9\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
     "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
     "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
