@@ -1,7 +1,8 @@
 """Command line front end: verification suite and scenario runner.
 
 Exit codes: 0 all checks pass, 1 check failure, 2 configuration error,
-3 I/O error (unreadable config or unwritable output directory).
+3 I/O error (unreadable config, unwritable output directory, or a failed
+output write).
 """
 
 from __future__ import annotations
@@ -11,6 +12,10 @@ import os
 import sys
 
 from . import __version__
+
+# One BLAS thread unless the user set a count: OpenBLAS reads this once, when numpy
+# loads it, and every gemm in photonlab is a contraction only n_k deep.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import ConfigError, default_verify_config, parse_config
 from .scenarios import run_scenario
 from .verify import run_verify, write_verify_report
@@ -85,15 +90,20 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_IO_ERROR
 
-    if args.command == "verify":
-        outcome = run_verify(cfg)
-        txt_path, _ = write_verify_report(outcome, cfg)
-    else:
-        outcome = run_scenario(cfg)
-        txt_path = next(p for p in outcome.files if p.endswith("report.txt"))
+    try:
+        if args.command == "verify":
+            outcome = run_verify(cfg)
+            txt_path, _ = write_verify_report(outcome, cfg)
+        else:
+            outcome = run_scenario(cfg)
+            txt_path = next(p for p in outcome.files if p.endswith("report.txt"))
+        with open(txt_path, "r", encoding="utf-8") as fh:
+            report = fh.read()
+    except OSError as exc:
+        print(f"photonlab: cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
 
-    with open(txt_path, "r", encoding="utf-8") as fh:
-        sys.stdout.write(fh.read())
+    sys.stdout.write(report)
     return EXIT_PASS if outcome.all_passed else EXIT_CHECK_FAILURE
 
 

@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import subprocess
@@ -195,6 +196,72 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     assert loaded == "False"
     assert code == "0" and loaded_after == "False"
     assert (tmp_path / "out" / "lifecycle.csv").exists()
+
+
+def _blas_env(threads):
+    """The child's env: importing photonlab.cli set the variable in this process too."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(threads)
+    return env
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+@pytest.mark.parametrize("threads, expected", [
+    (None, 1),
+    pytest.param(2, 2, marks=pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                                                reason="fewer than 2 CPUs")),
+])
+def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import os, photonlab.cli, numpy as np\n"
+         "a = np.ones((256, 256), dtype=complex)\n"
+         "a @ a\n"
+         "print(len(os.listdir('/proc/self/task')))"],
+        capture_output=True, text=True, env=_blas_env(threads))
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) == expected
+
+
+@pytest.mark.parametrize("config", [None, "[packet3d]\n", "[gauge]\nn_x = 18\n"],
+                         ids=["verify", "packet3d", "gauge-nx18"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
+    """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads.
+
+    The default packet3d box is slabbed and the n_x = 18 gauge box is summed
+    whole, so fields._slab_width's multiple-of-4 rule is checked at 1 and 2
+    threads too.
+    """
+    args = ["verify"]
+    if config is not None:
+        args = ["run", "--config", write_config(tmp_path, config)]
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        res = subprocess.run([sys.executable, "-m", "photonlab", *args], cwd=out,
+                             capture_output=True, env=_blas_env(threads))
+        assert res.returncode == 0, res.stderr
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((res.stdout, files))
+    assert runs[0][1] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command, section", [("run", "fock"), ("verify", "verify")])
+def test_failed_output_write_exits_three(tmp_path, capsys, monkeypatch, command, section):
+    def no_space(path, chunks):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr("photonlab.csvio.atomic_write_chunks", no_space)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"[{section}]\noutput = {out}\n")
+    assert main([command, "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "photonlab: cannot write outputs: [Errno 28] No space left on device" in captured.err
+    assert captured.out == ""
+    assert os.listdir(out) == []
 
 
 def test_medium1d_longitudinal_packet_exits_two(tmp_path, capsys):

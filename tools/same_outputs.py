@@ -10,9 +10,11 @@ either side differs too: a crash exits 1 as a failed check does. Prints one
 line per call; exits 1 and names the files that differ, 0 when every output
 is byte-identical. After each call's
 line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
-perfbench reads it) and its minor page faults (ru_minflt, from the same
-os.wait4), so a check of identical bytes also shows where memory moved and
-what the move cost in page faults. Stdlib only; the 30 call pairs take about 40 s on two cores.
+perfbench reads it), its minor page faults (ru_minflt) and its CPU seconds
+(ru_utime + ru_stime, both from the same os.wait4), so a check of identical
+bytes also shows where memory moved, what the move cost in page faults, and
+how much CPU time every thread of the call spent. Stdlib only; the 30 call
+pairs take about 40 s on two cores.
 """
 
 from __future__ import annotations
@@ -94,11 +96,11 @@ def _export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes, int]:
+def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes, int, float]:
     """Run one CLI call from outdir, the config's output directory ('.').
 
-    Returns the exit code, stdout, the call's peak RSS in MB, stderr and the
-    call's minor page faults.
+    Returns the exit code, stdout, the call's peak RSS in MB, stderr, the
+    call's minor page faults and its CPU seconds (user plus system).
     """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
@@ -113,7 +115,8 @@ def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, flo
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         stderr = err.read()
-    return proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr, usage.ru_minflt
+    return (proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr, usage.ru_minflt,
+            usage.ru_utime + usage.ru_stime)
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -159,8 +162,9 @@ def main(argv=None) -> int:
             new_run = _call(ROOT / "src", config, out)
             found = _differences(name, ref, out, ref_run, new_run)
             print(f"{name}: exit {new_run[0]}, " + ("DIFFERS" if found else "identical"))
-            print(f"{name}: peak RSS {ref_run[2]:.1f} MB, {ref_run[4]} minor faults at "
-                  f"{argv[0]}; {new_run[2]:.1f} MB, {new_run[4]} minor faults here")
+            print(f"{name}: peak RSS {ref_run[2]:.1f} MB, {ref_run[4]} minor faults, "
+                  f"{ref_run[5]:.2f} s CPU at {argv[0]}; {new_run[2]:.1f} MB, "
+                  f"{new_run[4]} minor faults, {new_run[5]:.2f} s CPU here")
             diffs += found
             shutil.rmtree(ref)
             shutil.rmtree(out)
