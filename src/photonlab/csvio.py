@@ -304,13 +304,13 @@ def write_fields_csv(path: str, slabs, units: UnitSystem = NATURAL):
 
 
 def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
-    """blocks: iterable of (first x-plane, CurrentField, residual array or None).
+    """blocks: iterable of (first x-plane, CurrentField, |continuity residual|).
 
     Each current holds the consecutive x-planes (array axis 0) of its grid
-    from its first plane on, at its own time; the blocks of one time cover
-    the box in order, and a whole box is one block at plane 0. Each block is
-    formatted and written before the next is read; absent helicity or
-    residual columns are written as 0.
+    from its first plane on, at its own time, and its residual array the
+    same points; the blocks of one time cover the box in order, and a whole
+    box is one block at plane 0. Each block is formatted and written before
+    the next is read; an absent helicity column is written as 0.
     """
     def lines():
         for p0, cf, residual in blocks:
@@ -319,8 +319,7 @@ def write_current_csv(path: str, blocks, units: UnitSystem = NATURAL):
             cols[:, 1:4] = (units.current * cf.j).reshape(-1, 3)
             if cf.s_hel is not None:
                 cols[:, 4:7] = (units.helicity * cf.s_hel).reshape(-1, 3)
-            if residual is not None:
-                cols[:, 7] = (units.residual * np.asarray(residual)).reshape(-1)
+            cols[:, 7] = (units.residual * residual).reshape(-1)
             points = _slab_prefixes(cf.grid, p0, len(cf.rho))
             yield from _lines((_strings([fmt(units.time_out * cf.time) + ","]), points), cols)
             del cf, residual, cols, points  # freed before the next block is read

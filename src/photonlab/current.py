@@ -25,19 +25,19 @@ class CurrentField:
     """Real densities on a spatial grid at one time.
 
     rho is the photon number density, j its flux partner in the continuity
-    equation, s_hel the helicity density (None for a snapshot that mixes
-    polarizations, or a density built alone).
+    equation, s_hel the helicity density. s_hel is None for a snapshot that
+    mixes polarizations; j and s_hel are None only for a density built alone.
     """
 
     grid: SpatialGrid
     time: float
     rho: np.ndarray
-    j: np.ndarray
+    j: np.ndarray | None
     s_hel: np.ndarray | None = None
 
     def cut(self, inner) -> CurrentField:
         """The densities on the planes inner of array axis 0."""
-        return replace(self, rho=self.rho[inner], j=None if self.j is None else self.j[inner],
+        return replace(self, rho=self.rho[inner], j=self.j[inner],
                        s_hel=None if self.s_hel is None else self.s_hel[inner])
 
 

@@ -256,11 +256,11 @@ _SLAB_POINTS = 1 << 17  # points per x-slab, halos included: 12 planes of 96^2
 def _slab_width(n_x: int) -> int:
     """x-planes w per haloed slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
 
-    OpenBLAS sums a slab bitwise as the whole box only when its plane count
-    is a multiple of 4 (zgemm rounds leftover columns apart): w + 2 is, and so
-    is the last slab's n_x mod w + 2 when not 0. w = 2 always qualifies.
+    zgemm rounds a sum's leftover columns apart, so a slab sums bitwise as the
+    whole box only if its leftover planes are the box's own. w + 2 is a
+    multiple of 4, so halo-free slabs qualify at any n_x; haloed ones when n_x
+    is a multiple of 4, and the last one's n_x mod w + 2 too when not 0.
     """
-    assert n_x % 4 == 0, n_x
     fits = [w for w in range(2, n_x, 4) if (w + 2) * n_x * n_x <= _SLAB_POINTS
             and (n_x % w == 0 or n_x % w % 4 == 2)]
     return max(fits, default=2)
@@ -275,7 +275,8 @@ def x_slabs(grid: SpatialGrid, wrap: bool = False):
     synthesize to read across the seam with the Bloch twist; with wrap they
     are taken mod n_x, the planes a periodic field (a density, a current)
     repeats there. interior = slice(1, -1) cuts the halos off. Any other box
-    is one slab, (0, None, slice(None)), which synthesize samples whole.
+    is one slab, (0, None, slice(None)), which synthesize samples whole: a
+    trailing halo plane would round the box's leftover planes apart.
     """
     n_x = grid.n_per_axis
     if grid.dimension == 1 or n_x % 4:
@@ -291,14 +292,14 @@ def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0,
           groups=tuple(GROUPS)):
     """Yield (first plane, snapshot of its planes) per halo-free x-slab of the box at t.
 
-    A 3D box with n_x a multiple of 4 is cut into slabs of _slab_width(n_x) + 2
-    planes, the last one shorter: each a multiple of 4 planes of at most
-    _SLAB_POINTS points, which sums bitwise as the whole box. Any other box is
-    one slab. All slabs share one k-space prep.
+    A 3D box is cut into slabs of _slab_width(n_x) + 2 planes, the last one
+    shorter: each of at most _SLAB_POINTS points, and all but the last a
+    multiple of 4 planes, so every slab sums bitwise as the whole box at any
+    n_x. A 1D box is one slab. All slabs share one k-space prep.
     """
     coeffs = mode_coefficients(m, t, omega_scale)
     n_x = grid.n_per_axis
-    if grid.dimension == 1 or n_x % 4:
+    if grid.dimension == 1:
         yield 0, synthesize(m, grid, t, omega_scale, groups, coeffs=coeffs)
         return
     width = _slab_width(n_x) + 2

@@ -392,14 +392,14 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     )
 
 
-def _residual_max(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
-                  grid1d: SpatialGrid, times) -> np.ndarray:
+def residual_max(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
+                 grid1d: SpatialGrid, times) -> np.ndarray:
     """lifecycle_1d's residual_max alone, for a solve whose other outputs nothing reads."""
     _, times, blocks = _solve_blocks(emit, detect, med, grid1d, times)
-    residual_max = np.zeros(times.size)
+    out = np.zeros(times.size)
     for r0, rows, row_residual in blocks:
-        residual_max[r0:r0 + len(rows)] = row_residual
-    return residual_max
+        out[r0:r0 + len(rows)] = row_residual
+    return out
 
 
 def _solve_blocks(emit, detect, med: MediumSpec, grid1d: SpatialGrid, times):

@@ -10,10 +10,10 @@ import numpy as np
 from .config import ScenarioConfig
 from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
                     write_modes_csv, write_report_files)
-from .current import number_density, photon_current, position_norm
-from .fields import dual_grid, slabs
+from .current import number_density, position_norm
+from .fields import dual_grid, slabs, synthesize
 from .fock import ladder_pair
-from .medium import arrival_time, current_in_medium, lifecycle_1d
+from .medium import arrival_time, lifecycle_1d
 from .modes import norm
 from .units import UnitSystem, unit_system
 from .verify import (Outcome, boost_checks, field_scan, fock_checks, gauge_checks,
@@ -31,10 +31,10 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
         # current.csv is written slab by slab; the box norm sums the whole
         # density of a time at once, as the slabs' partial sums would round apart
         rho = []
-        for p0, cfs, res in field_scan(m, sg, times, photon_current):
-            rho.append(cfs[1].rho)
-            yield p0, cfs[1], np.abs(res)
-            del cfs, res  # freed before the scan sums the next slab
+        for p0, cf, res in field_scan(m, sg, times):
+            rho.append(cf.rho)
+            yield p0, cf, res
+            del cf, res  # freed before the scan sums the next slab
             if p0 + len(rho[-1]) == sg.n_per_axis:  # the last slab of t
                 norms.append(position_norm(np.concatenate(rho), sg))
                 rho = []
@@ -56,8 +56,7 @@ def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     m = packet_state(cfg.packet)
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
-    blocks = [(p0, cfs[1], np.abs(res))
-              for p0, cfs, res in field_scan(m, sg, times, photon_current)]
+    blocks = list(field_scan(m, sg, times))
 
     checks, located = helicity_check([cf for _, cf, _ in blocks], cfg.packet.pol,
                                      cfg.tolerances)
@@ -91,16 +90,10 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
 
-    # the scan builds a current only at the checkpoints, where the free
-    # density of the same snapshot is taken too, so no snapshot outlives it
-    free_rho = []
-
-    def make_cf(snap):
-        free_rho.append(number_density(snap))
-        return current_in_medium(snap, med)
-
-    blocks = [(p0, cfs[1], np.abs(res))
-              for p0, cfs, res in field_scan(m, sg, times, make_cf, med.epsilon_rel)]
+    blocks = list(field_scan(m, sg, times, med))
+    # the free density of each checkpoint's snapshot, summed again: on the 1D
+    # line it is bitwise the snapshot the scan built its current from
+    free_rho = [number_density(synthesize(m, sg, cf.time)) for _, cf, _ in blocks]
     checks, info = medium_checks(cfg.packet, med, [cf for _, cf, _ in blocks], free_rho,
                                  cfg.tolerances)
     info = [f"medium speed v = {med.v:.17g}"] + info

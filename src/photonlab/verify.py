@@ -25,8 +25,8 @@ from .current import (CurrentField, continuity_residual, number_density, photon_
 from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slabs,
                      synthesize, x_slabs)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
-from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, _residual_max, arrival_time,
-                     current_in_medium, lifecycle_1d)
+from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
+                     lifecycle_1d, residual_max)
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
 from .units import unit_system
 
@@ -102,30 +102,30 @@ def packet_state(packet: PacketParams, speed: float = 1.0):
     return gaussian_packet(grid, packet.k0, packet.sigma, packet.pol, speed=speed)
 
 
-def field_scan(m, grid, times, make_cf, eps: float = 1.0, omega_scale: float = 1.0):
-    """Yield (first plane, currents at t - dt, t, t + dt, continuity residual) per x-slab.
+def field_scan(m, grid, times, med=VACUUM):
+    """Yield the current.csv record (first plane, current, |residual|) per x-slab and time.
 
-    dt is half a grid cell. Each time is visited slab by slab (x_slabs, the
-    halos wrapped: J is periodic, so a halo current is bitwise that of the
-    plane it repeats), and everything yielded is cut to the slab's own planes.
-    make_cf builds the current at t from the slab's snapshot; at t -+ dt only
-    the density is built, number_density(snap, eps), with j None, since the
-    residual reads nothing else there. One slab is held at a time.
+    The current is current_in_medium of the snapshot at t; at t -+ dt, dt half
+    a grid cell, only the density is built, scaled by med.epsilon_rel, since
+    the continuity residual reads nothing else there. Each time is visited slab
+    by slab (x_slabs, the halos wrapped: J is periodic, so a halo current is
+    bitwise that of the plane it repeats), and everything yielded is cut to
+    the slab's own planes. One slab is held at a time.
     """
     dt = grid.spacing / 2.0
 
     def density(s, planes, coeffs):
-        snap = synthesize(m, grid, s, omega_scale, ("a", "e"), planes, coeffs)
-        return CurrentField(grid, s, number_density(snap, eps), j=None)
+        snap = synthesize(m, grid, s, groups=("a", "e"), planes=planes, coeffs=coeffs)
+        return CurrentField(grid, s, number_density(snap, med.epsilon_rel), j=None)
 
     for t in times:
         steps = [t + k * dt for k in (-1, 0, 1)]
-        coeffs = [mode_coefficients(m, s, omega_scale) for s in steps]
+        coeffs = [mode_coefficients(m, s) for s in steps]
         for p0, planes, inner in x_slabs(grid, wrap=True):
             prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
-            cf = make_cf(synthesize(m, grid, t, omega_scale, planes=planes, coeffs=coeffs[1]))
+            cf = current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
             res = continuity_residual(prev, cf, nxt)
-            yield p0, [c.cut(inner) for c in (prev, cf, nxt)], res[inner]
+            yield p0, cf.cut(inner), np.abs(res[inner])
             del prev, cf, nxt, res  # freed before the next slab is summed
 
 
@@ -358,8 +358,10 @@ def _continuity_block(tol, scale):
     def level(n_x):
         sg = dual_grid(m.grid, n_x)
         dt = sg.spacing / 2.0
-        (_, cfs, res), = field_scan(m, sg, (t0,), photon_current, omega_scale=scale)
-        drho = np.abs(cfs[2].rho - cfs[0].rho).max() / (2.0 * dt)
+        prev, nxt = (CurrentField(sg, t0 + k * dt, number_density(
+            synthesize(m, sg, t0 + k * dt, scale, ("a", "e"))), j=None) for k in (-1, 1))
+        res = continuity_residual(prev, photon_current(synthesize(m, sg, t0, scale)), nxt)
+        drho = np.abs(nxt.rho - prev.rho).max() / (2.0 * dt)
         return np.abs(res).max(), drho, _worst_point(res, sg)
 
     r_coarse, _, _ = level(2048)
@@ -486,7 +488,7 @@ def _lifecycle_block(tol):
     fine_cfg = replace(cfg, line=replace(cfg.line, n_z=2 * cfg.line.n_z),
                        times=replace(cfg.times, steps=2 * cfg.times.steps))
     _, grid2, times2 = line_setup(fine_cfg, us)
-    fine = _residual_max(emit, det, med, grid2, times2)[1:-1]
+    fine = residual_max(emit, det, med, grid2, times2)[1:-1]
     r_coarse, r_fine = coarse.max(), fine.max()
     order = _order(r_coarse, r_fine)
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))

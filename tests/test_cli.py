@@ -225,14 +225,16 @@ def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
     assert int(res.stdout) == expected
 
 
-@pytest.mark.parametrize("config", [None, "[packet3d]\n", "[gauge]\nn_x = 18\n"],
-                         ids=["verify", "packet3d", "gauge-nx18"])
+@pytest.mark.parametrize("config", [None, "[packet3d]\n", "[gauge]\nn_x = 18\n",
+                                    "[gauge]\nn_x = 66\n"],
+                         ids=["verify", "packet3d", "gauge-nx18", "gauge-nx66"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads.
 
-    The default packet3d box is slabbed and the n_x = 18 gauge box is summed
-    whole, so fields._slab_width's multiple-of-4 rule is checked at 1 and 2
-    threads too.
+    The default packet3d box is slabbed, and the gauge boxes, whose n_x is
+    not a multiple of 4, are cut into 8 + 8 + 2 planes (n_x = 18) and
+    28 + 28 + 10 (n_x = 66), so fields._slab_width's multiple-of-4 rule is
+    checked at 1 and 2 threads too, on boxes with leftover planes.
     """
     args = ["verify"]
     if config is not None:

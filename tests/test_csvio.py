@@ -121,7 +121,7 @@ def test_current_csv_zero_fills_optional_columns(tmp_path):
     cf = photon_current(synthesize(m, dual_grid(grid, 8), 0.3))
     assert cf.s_hel is None
     path = str(tmp_path / "current.csv")
-    write_current_csv(path, [(0, cf, None)])
+    write_current_csv(path, [(0, cf, np.zeros(cf.rho.shape))])
     header, rows = read_table(path)
     assert header == CURRENT_COLUMNS
     assert all(row[8:12] == ["0", "0", "0", "0"] for row in rows)
@@ -204,8 +204,9 @@ def test_writes_are_deterministic(tmp_path):
     snap = field_snapshot()
     cf = photon_current(snap)
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    write_current_csv(p1, [(0, cf, None)])
-    write_current_csv(p2, [(0, cf, None)])
+    res = np.zeros(cf.rho.shape)
+    write_current_csv(p1, [(0, cf, res)])
+    write_current_csv(p2, [(0, cf, res)])
     with open(p1, "rb") as f1, open(p2, "rb") as f2:
         assert f1.read() == f2.read()
 
@@ -215,7 +216,7 @@ def test_si_output_factors(tmp_path):
     snap = field_snapshot()
     cf = photon_current(snap)
     path = str(tmp_path / "current.csv")
-    write_current_csv(path, [(0, replace(cf, time=1.0), None)], units=si)
+    write_current_csv(path, [(0, replace(cf, time=1.0), np.zeros(cf.rho.shape))], units=si)
     _, rows = read_table(path)
     c_light = 299792458.0
     assert float(rows[0][0]) == 1.0 / c_light
@@ -239,7 +240,7 @@ def test_failing_block_stream_leaves_existing_file(tmp_path):
     atomic_write_text(path, "previous\n")
 
     def blocks():
-        yield (0, cf, None)
+        yield (0, cf, np.zeros(cf.rho.shape))
         raise RuntimeError("block failed")
 
     with pytest.raises(RuntimeError, match="block failed"):
@@ -315,14 +316,12 @@ def oracle_current(blocks, units):
         rho = cf.rho.reshape(-1)
         j = (units.current * cf.j).reshape(-1, 3)
         s = None if cf.s_hel is None else (units.helicity * cf.s_hel).reshape(-1, 3)
-        r = None if residual is None else \
-            (units.residual * np.asarray(residual)).reshape(-1)
+        r = (units.residual * residual).reshape(-1)
         for i in range(pts.shape[0]):
             srow = ("0", "0", "0") if s is None else tuple(fmt(s[i, c]) for c in range(3))
-            res = "0" if r is None else fmt(r[i])
             rows.append((t, fmt(pts[i, 0]), fmt(pts[i, 1]), fmt(pts[i, 2]),
                          fmt(rho[i]), fmt(j[i, 0]), fmt(j[i, 1]), fmt(j[i, 2]),
-                         *srow, res))
+                         *srow, fmt(r[i])))
     return oracle_table(CURRENT_COLUMNS, rows)
 
 
@@ -368,10 +367,9 @@ def writer_cases(draw):
     units = unit_system(draw(st.sampled_from(("natural", "si"))))
     n_blocks = draw(st.integers(1, 3))
     with_hel = [draw(st.booleans()) for _ in range(n_blocks)]
-    with_res = [draw(st.booleans()) for _ in range(n_blocks)]
     block_cells = draw(st.integers(1, 320))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return block_cells, (grid, kgrid, sorted(live), units, with_hel, with_res, rng)
+    return block_cells, (grid, kgrid, sorted(live), units, with_hel, rng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -386,7 +384,7 @@ def test_block_writers_match_per_value_oracle(tmp_path_factory, case):
         check_writers_against_oracle(tmp_path_factory.mktemp("csv"), *args)
 
 
-def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, with_res, rng):
+def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, rng):
     shape = grid.field_shape()
 
     def cvalues(shape):
@@ -414,11 +412,11 @@ def check_writers_against_oracle(tmp, grid, kgrid, live, units, with_hel, with_r
     assert written(write_fields_csv, [(0, snap)], units) == oracle_fields(snap, units)
 
     blocks = []
-    for hel, res in zip(with_hel, with_res):
+    for hel in with_hel:
         cf = CurrentField(grid=grid, time=float(draw_values(rng, 1)[0]),
                           rho=draw_values(rng, shape), j=draw_values(rng, shape + (3,)),
                           s_hel=draw_values(rng, shape + (3,)) if hel else None)
-        blocks.append((0, cf, draw_values(rng, shape) if res else None))
+        blocks.append((0, cf, draw_values(rng, shape)))
     assert written(write_current_csv, blocks, units) == oracle_current(blocks, units)
 
     steps = int(rng.integers(1, 40))

@@ -225,8 +225,8 @@ def test_cut_current_is_a_view_of_the_planes_of_its_densities():
         assert getattr(cut, name).tobytes() == full[inner].tobytes(), name
         assert np.shares_memory(getattr(cut, name), full), name
         assert getattr(whole, name).tobytes() == full.tobytes(), name
-    bare = dataclasses.replace(cf, j=None, s_hel=None).cut(inner)
-    assert bare.j is None and bare.s_hel is None
+    bare = dataclasses.replace(cf, s_hel=None).cut(inner)
+    assert bare.s_hel is None
     assert bare.rho.tobytes() == cf.rho[inner].tobytes()
 
 

@@ -13,8 +13,8 @@ line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), its minor page faults (ru_minflt) and its CPU seconds
 (ru_utime + ru_stime, both from the same os.wait4), so a check of identical
 bytes also shows where memory moved, what the move cost in page faults, and
-how much CPU time every thread of the call spent. Stdlib only; the 30 call
-pairs take about 40 s on two cores.
+how much CPU time every thread of the call spent. Stdlib only; the 32 call
+pairs take about 45 s on two cores.
 """
 
 from __future__ import annotations
@@ -66,12 +66,18 @@ CALLS = {
     # the scan in slabs of 18 planes plus halos, the last one 10 planes;
     # fields.csv in halo-free slabs of 20 planes, the last one 4
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
-    # n_x not a multiple of 4: the whole box in one slab
+    # n_x not a multiple of 4: the scan sums the whole box in one haloed slab,
+    # while fields.csv is written in halo-free slabs of 8, 8 and 2 planes
     "packet3d-nx18": "[packet3d]\nn_x = 18\n",
+    # both sides of that fork on a larger box: the scan whole, fields.csv in
+    # slabs of 24, 24 and 2 planes
+    "packet3d-nx50": "[packet3d]\nn_k = 6\nn_x = 50\nt_steps = 1\n",
     "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
-    # the gauge law on 4 slabs (20, 20, 20 and 4 planes), and on a whole box
+    # the gauge law on 4 slabs (20, 20, 20 and 4 planes), and on boxes whose
+    # last slab leaves 2 planes over (8 + 8 + 2 and 28 + 28 + 10 planes)
     "gauge-nx64": "[gauge]\nn_x = 64\n",
     "gauge-nx18": "[gauge]\nn_x = 18\n",
+    "gauge-nx66": "[gauge]\nn_x = 66\n",
     # the one call on which [gauge] scales its lone t_stop by `units`
     "gauge-si-t-stop": "[gauge]\nunits = si\nt_stop = 2e-9\n",
     "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
