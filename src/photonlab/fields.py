@@ -355,7 +355,7 @@ def centered_span(prev, now, nxt) -> float:
     return _span(prev.time, now.time, nxt.time)
 
 
-def maxwell_residual(sample, times, out: np.ndarray | None = None):
+def maxwell_residual(sample, times):
     """Yield the residuals of the source-free Maxwell equations on the + frequency part.
 
     In natural units (c = eps0 = 1), with a centered difference in time and
@@ -365,23 +365,25 @@ def maxwell_residual(sample, times, out: np.ndarray | None = None):
 
     sample(t, groups) is the snapshot of the named field groups at time t, and
     times are three equally spaced times t0 - dt, t0, t0 + dt on one grid.
-    E at t0 -+ dt is differenced first into out, component-major with shape
-    (3,) + the sample shape (allocated when None), and released before E and
-    B at t0 are summed; dE/dt - curl B is then written over out and yielded
-    as a view with a trailing component axis.
+    Each snapshot belongs to the law: dE/dt is written over the E sum of the
+    first, which is all that is kept of E at t0 -+ dt, and dE/dt - curl B over
+    that, yielded as a view with a trailing component axis. E at t0 is summed
+    alone for div E and released before B at t0 is summed.
     """
     span = _span(*times)
     prev = sample(times[0], ("e",))
     nxt = _on_grid(sample(times[2], ("e",)), prev.grid)
-    dt_e = np.empty((3,) + prev.e_plus.shape[:-1], prev.e_plus.dtype) if out is None else out
+    dt_e = prev.rows["e"]
     for comp in range(3):
-        np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e[comp])
+        np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
         dt_e[comp] /= span
     grid = prev.grid
-    del prev, nxt  # freed before t0 is summed
-    now = _on_grid(sample(times[1], ("e", "b")), grid)
+    del prev, nxt  # E at t0 + dt freed before t0 is summed
+    now = _on_grid(sample(times[1], ("e",)), grid)
     twists = now.twists()
     yield fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
+    del now  # freed before B is summed, so B reuses its pages
+    now = _on_grid(sample(times[1], ("b",)), grid)
     curl_b = None
     for comp in range(3):
         curl_b = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists, comp, curl_b)

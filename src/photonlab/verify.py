@@ -394,24 +394,19 @@ def _maxwell_slabs(m, n_x, scale):
 
     The residuals (Gauss, Ampere, div B) come one at a time from
     maxwell_residual on the slab plus a halo plane each side (x_slabs, across
-    the seam with the Bloch twist), cut to the slab's own planes. dE/dt is
-    formed in one buffer, sized by the first (widest) slab and reused by the
-    rest. The caller drops each residual before it asks for the next.
+    the seam with the Bloch twist), cut to the slab's own planes; Ampere is
+    formed in the slab's sum of E at t0 - dt. The caller drops each residual
+    before it asks for the next.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
     times = (t0 - dt, t0, t0 + dt)
     coeffs = {t: mode_coefficients(m, t, scale) for t in times}
-    dt_e = None
     for p0, planes, inner in x_slabs(sg):
-        n_planes = n_x if planes is None else len(planes)
-        if dt_e is None:
-            dt_e = np.empty((3, n_planes) + sg.field_shape()[1:], dtype=np.complex128)
-
         def sample(t, groups):
             return synthesize(m, sg, t, scale, groups, planes, coeffs[t])
 
-        residuals = maxwell_residual(sample, times, dt_e[:, :n_planes])
+        residuals = maxwell_residual(sample, times)
         for k in range(3):  # enumerate's reused result tuple would hold the last residual
             yield p0, k, next(residuals)[inner]
 

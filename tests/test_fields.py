@@ -172,9 +172,15 @@ def test_gauge_shift_leaves_e_and_b_exactly():
 
 
 def residuals(*snaps):
-    """div E, dE/dt - curl B and div B of three ready snapshots, in time order."""
+    """div E, dE/dt - curl B and div B of three ready snapshots, in time order.
+
+    The law owns what sample returns and writes dE/dt over it, so it gets copies.
+    """
     by_time = {s.time: s for s in snaps}
-    return list(maxwell_residual(lambda t, groups: by_time[t], [s.time for s in snaps]))
+
+    def sample(t, groups):
+        return dataclasses.replace(by_time[t], rows={g: by_time[t].rows[g].copy() for g in groups})
+    return list(maxwell_residual(sample, [s.time for s in snaps]))
 
 
 def test_maxwell_residual_zero_fields():

@@ -4,7 +4,9 @@ import csv
 import importlib.util
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -232,23 +234,48 @@ def residual_cases(draw):
             for t in (t0 - dt, t0, t0 + dt)]
 
 
-@settings(max_examples=200, deadline=None)
-@given(residual_cases(), st.booleans())
-def test_streamed_maxwell_residuals_match_whole_vector_oracle(snaps, reused):
+def owned_copies(snaps):
+    """maxwell_residual's sample: fresh copies of the groups asked for, the law's to overwrite."""
     by_time = {s.time: s for s in snaps}
-    times = [s.time for s in snaps]
-    out = None
-    if reused:
-        # a view of a wider buffer still holding another slab's values
-        shape = snaps[0].e_plus.shape[:-1]
-        out = np.full((3, shape[0] + 2) + shape[1:], np.nan + 1j)[:, :shape[0]]
-    streamed = list(maxwell_residual(lambda t, groups: by_time[t], times, out))
+
+    def sample(t, groups):
+        s = by_time[t]
+        return replace(s, rows={g: s.rows[g].copy() for g in groups})
+    return sample
+
+
+@settings(max_examples=200, deadline=None)
+@given(residual_cases())
+def test_streamed_maxwell_residuals_match_whole_vector_oracle(snaps):
+    streamed = list(maxwell_residual(owned_copies(snaps), [s.time for s in snaps]))
     gauss, ampere = whole_vector_maxwell_residual(*snaps)
     now = snaps[1]
     divb = divergence(now.b_plus, now.grid.spacing, now.grid.dimension, now.twists())
     assert len(streamed) == 3
     for got, want in zip(streamed, (gauss, ampere, divb)):
         assert same_bits(got, want)
+
+
+def test_maxwell_residual_sums_e_and_b_at_t0_apart():
+    m = _maxwell_packet()
+    sg = dual_grid(m.grid, 8)
+    dt = sg.spacing / 2.0
+    times = (_MAXWELL_T0 - dt, _MAXWELL_T0, _MAXWELL_T0 + dt)
+    calls, snaps, alive_at_b = [], [], []
+
+    def sample(t, groups):
+        calls.append((t, groups))
+        if groups == ("b",):
+            alive_at_b.extend(ref() is not None for ref in snaps)
+        snap = synthesize(m, sg, t, groups=groups)
+        snaps.append(weakref.ref(snap))
+        return snap
+
+    assert len(list(maxwell_residual(sample, times))) == 3
+    assert calls == [(times[0], ("e",)), (times[2], ("e",)), (times[1], ("e",)),
+                     (times[1], ("b",))]
+    # every earlier snapshot, E at t0 included, is gone before B at t0 is summed
+    assert alive_at_b == [False, False, False]
 
 
 def whole_box_maxwell_level(m, n_x, scale):
@@ -304,7 +331,7 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
 
         def recorded(*args):
             for p0, k, r in _maxwell_slabs(*args):
-                yields.append((p0, k, r.copy()))  # Ampere is a view of the reused buffer
+                yields.append((p0, k, r.copy()))  # Ampere is a view of the t0 - dt sum
                 yield p0, k, r
 
         with mock.patch.object(fields, "_SLAB_POINTS", (width + 2) * n_x * n_x), \
@@ -320,10 +347,10 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
 
 
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
-    # a haloed x-slab of the 96^3 box holds dE/dt in a buffer reused by every
-    # slab, E and B at t0, one residual at a time and its stencil temporaries:
-    # well under two whole-box components, where holding E at t0 -+ dt with
-    # every residual at once took three
+    # a haloed x-slab of the 96^3 box holds dE/dt in its sum of E at t0 - dt,
+    # then E at t0 or B at t0 (never both), one residual at a time and its
+    # stencil temporaries: about one whole-box component, where summing E and
+    # B at t0 together beside a reused dE/dt buffer took about 1.4
     component = 96 ** 3 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -332,7 +359,7 @@ def test_fine_maxwell_level_memory_stays_near_its_snapshots():
     finally:
         tracemalloc.stop()
     assert all(0.0 < r < 1e-3 for r in maxima)
-    assert peak <= 2 * component, peak / component
+    assert peak <= 1.2 * component, peak / component
 
 
 def whole_box_gauge_checks(packet, strength, t, tol, omega_scale=1.0):

@@ -13,8 +13,10 @@ line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
 perfbench reads it), its minor page faults (ru_minflt) and its CPU seconds
 (ru_utime + ru_stime, both from the same os.wait4), so a check of identical
 bytes also shows where memory moved, what the move cost in page faults, and
-how much CPU time every thread of the call spent. Stdlib only; the 32 call
-pairs take about 45 s on two cores.
+how much CPU time every thread of the call spent. After the per-call lines
+one summary line names every call whose peak RSS or minor faults moved by
+more than 10% either way. Stdlib only; the 32 call pairs take about 45 s on
+two cores.
 """
 
 from __future__ import annotations
@@ -144,13 +146,23 @@ def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]
     return diffs
 
 
+def _moved(name: str, ref_run, new_run) -> list[str]:
+    """The call's peak RSS and minor faults that moved by more than 10%, either way."""
+    moved = []
+    for what, i, fmt in (("peak RSS", 2, "{:.1f} MB"), ("minor faults", 4, "{}")):
+        ref, new = ref_run[i], new_run[i]
+        if abs(new - ref) > 0.1 * ref:
+            moved.append(f"{name} {what} {fmt.format(ref)} -> {fmt.format(new)}")
+    return moved
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     calls = {**CALLS, **_perfbench_configs()}
-    diffs = []
+    diffs, moved = [], []
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         tmp = Path(tmp)
         _export(argv[0], tmp / "rev")
@@ -172,8 +184,11 @@ def main(argv=None) -> int:
                   f"{ref_run[5]:.2f} s CPU at {argv[0]}; {new_run[2]:.1f} MB, "
                   f"{new_run[4]} minor faults, {new_run[5]:.2f} s CPU here")
             diffs += found
+            moved += _moved(name, ref_run, new_run)
             shutil.rmtree(ref)
             shutil.rmtree(out)
+    print("moved by more than 10%: " + ("; ".join(moved) if moved else "no call's peak RSS "
+                                         "or minor faults"))
     for line in diffs:
         print(f"differs: {line}")
     print(f"{len(calls)} calls against {argv[0]}: "
