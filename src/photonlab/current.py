@@ -12,7 +12,7 @@ bits are theirs, but for the sign of a NaN made from two NaNs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class CurrentField:
     rho: np.ndarray
     j: np.ndarray | None
     s_hel: np.ndarray | None = None
-
-    def cut(self, inner) -> CurrentField:
-        """The densities on the planes inner of array axis 0."""
-        return replace(self, rho=self.rho[inner], j=self.j[inner],
-                       s_hel=None if self.s_hel is None else self.s_hel[inner])
 
 
 # (i, p, q) cyclic: component i of the cross product x X y is x_p y_q - x_q y_p
@@ -112,9 +107,9 @@ def position_norm(rho: np.ndarray, grid: SpatialGrid) -> float:
 
 
 def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField,
-                        cf_next: CurrentField) -> np.ndarray:
-    """d rho/dt + div J with centered differences, periodic wrap."""
+                        cf_next: CurrentField, ends=None) -> np.ndarray:
+    """d rho/dt + div J with centered differences, periodic wrap; ends as fdops.Lag's."""
     span = centered_span(cf_prev, cf_now, cf_next)
     g = cf_now.grid
-    div_j = fdops.divergence(cf_now.j, g.spacing, g.dimension, (1.0,) * g.dimension)
+    div_j = fdops.divergence(cf_now.j, g.spacing, g.dimension, (1.0,) * g.dimension, ends)
     return (cf_next.rho - cf_prev.rho) / span + div_j

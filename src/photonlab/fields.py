@@ -15,8 +15,8 @@ longitudinal sector phi, A_par, E_par); only those are summed, all in one
 contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
 A caller may also sum a few x-planes at a time, sharing one k-space prep
-(mode_coefficients); every 3D box is visited that way, through the halo-free
-slabs of slabs or, for the stencil scans, the haloed ones of x_slabs.
+(mode_coefficients); every 3D box is visited that way, in the x-slabs of
+slab_plan, the stencil scans taking x-neighbour planes from adjacent slabs.
 """
 
 from __future__ import annotations
@@ -200,10 +200,9 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     call and kept as a view of its rows; dead groups are zeros. Fields of
     groups not requested raise when read.
 
-    planes, an index array, samples only those x-planes (array axis 0); -1
-    and n_per_axis read across the seam with the Bloch twist, as
-    fdops.centered_diff does. coeffs is mode_coefficients(m, t, omega_scale)
-    when a caller shares it between the plane sets of one time.
+    planes, an index array, samples only those x-planes (array axis 0).
+    coeffs is mode_coefficients(m, t, omega_scale) when a caller shares it
+    between the plane sets of one time.
     """
     if grid.dimension != m.grid.dimension:
         raise ValueError("mode grid and spatial grid dimensions differ")
@@ -222,14 +221,7 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     requested = [g for g in GROUPS if g in groups]
     summed_groups = [g for g in requested if live[GROUPS[g]].any()]
     cols = [c for g in summed_groups for c in range(GROUPS[g].start, GROUPS[g].stop)]
-    summed = _mode_sum(coeffs[:, cols], m.grid, grid,
-                       None if planes is None else planes % grid.n_per_axis)
-    if planes is not None and ((planes < 0).any() or (planes >= grid.n_per_axis).any()):
-        if bloch is None:
-            raise ValueError("planes across the seam need the Fourier-dual spatial grid")
-        by_plane = summed.reshape((len(cols),) + shape[:1] + (-1,))
-        by_plane[:, planes < 0] *= np.conj(bloch[0])
-        by_plane[:, planes >= grid.n_per_axis] *= bloch[0]
+    summed = _mode_sum(coeffs[:, cols], m.grid, grid, planes)
     summed[~live[cols]] = 0.0  # a dead column sums signed zeros; store +0
     rows, start = {}, 0
     for g in requested:
@@ -250,61 +242,38 @@ def synthesize(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale: floa
     )
 
 
-_SLAB_POINTS = 1 << 17  # points per x-slab, halos included: 12 planes of 96^2
+_SLAB_POINTS = 1 << 13  # points per x-slab: 8 planes of 32^2; larger boxes take 4 planes
 
 
 def _slab_width(n_x: int) -> int:
-    """x-planes w per haloed slab of an n_x^3 box, at most _SLAB_POINTS with its two halos.
+    """x-planes per slab of an n_x^3 box: most whole groups of 4 within _SLAB_POINTS, at least 1."""
+    return 4 * max(1, _SLAB_POINTS // (4 * n_x * n_x))
 
-    zgemm rounds a sum's leftover columns apart, so a slab sums bitwise as the
-    whole box only if its leftover planes are the box's own. w + 2 is a
-    multiple of 4, so halo-free slabs qualify at any n_x; haloed ones when n_x
-    is a multiple of 4, and the last one's n_x mod w + 2 too when not 0.
+
+def slab_plan(grid: SpatialGrid) -> list:
+    """(first plane, planes) per x-slab of the box, in order; a 1D box is one slab (0, None).
+
+    zgemm rounds a sum's leftover columns apart, and gemv (a one-plane sum)
+    rounds apart from gemm. So the slabs are _slab_width(n_x) planes, the last
+    one shorter or, where it would be one plane, joined to the one before: the
+    last leaves over the n_x mod 4 planes the box does, and every slab sums
+    bitwise as the whole box.
     """
-    fits = [w for w in range(2, n_x, 4) if (w + 2) * n_x * n_x <= _SLAB_POINTS
-            and (n_x % w == 0 or n_x % w % 4 == 2)]
-    return max(fits, default=2)
-
-
-def x_slabs(grid: SpatialGrid, wrap: bool = False):
-    """Yield (first plane, planes, interior) per x-slab of the box, in order.
-
-    A 3D box with n_x a multiple of 4 is cut into slabs of _slab_width(n_x)
-    planes, the last one shorter, each summed with one halo plane per side:
-    planes runs first - 1 .. first + w. Without wrap, -1 and n_x stay for
-    synthesize to read across the seam with the Bloch twist; with wrap they
-    are taken mod n_x, the planes a periodic field (a density, a current)
-    repeats there. interior = slice(1, -1) cuts the halos off. Any other box
-    is one slab, (0, None, slice(None)), which synthesize samples whole: a
-    trailing halo plane would round the box's leftover planes apart.
-    """
+    if grid.dimension == 1:
+        return [(0, None)]
     n_x = grid.n_per_axis
-    if grid.dimension == 1 or n_x % 4:
-        yield 0, None, slice(None)
-        return
-    width = _slab_width(n_x)
-    for p0 in range(0, n_x, width):
-        planes = np.arange(p0 - 1, min(p0 + width, n_x) + 1)
-        yield p0, planes % n_x if wrap else planes, slice(1, -1)
+    bounds = list(range(0, n_x - 1, _slab_width(n_x))) + [n_x]
+    return [(a, np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0,
           groups=tuple(GROUPS)):
-    """Yield (first plane, snapshot of its planes) per halo-free x-slab of the box at t.
+    """Yield (first plane, snapshot of its planes) per x-slab of slab_plan at t.
 
-    A 3D box is cut into slabs of _slab_width(n_x) + 2 planes, the last one
-    shorter: each of at most _SLAB_POINTS points, and all but the last a
-    multiple of 4 planes, so every slab sums bitwise as the whole box at any
-    n_x. A 1D box is one slab. All slabs share one k-space prep.
+    All slabs share one k-space prep.
     """
     coeffs = mode_coefficients(m, t, omega_scale)
-    n_x = grid.n_per_axis
-    if grid.dimension == 1:
-        yield 0, synthesize(m, grid, t, omega_scale, groups, coeffs=coeffs)
-        return
-    width = _slab_width(n_x) + 2
-    for p0 in range(0, n_x, width):
-        planes = np.arange(p0, min(p0 + width, n_x))
+    for p0, planes in slab_plan(grid):
         yield p0, synthesize(m, grid, t, omega_scale, groups, planes, coeffs)
 
 
@@ -355,39 +324,51 @@ def centered_span(prev, now, nxt) -> float:
     return _span(prev.time, now.time, nxt.time)
 
 
-def maxwell_residual(sample, times):
-    """Yield the residuals of the source-free Maxwell equations on the + frequency part.
+def maxwell_residual(samples, times):
+    """Yield (first plane, k, residual) pieces of the source-free Maxwell equations on E+ and B+.
 
     In natural units (c = eps0 = 1), with a centered difference in time and
-    second-order centered differences in space, one at a time: div E, then
-    dE/dt - curl B, then div B; each is built only when the caller asks for
-    it, so a caller that drops each one holds a single residual.
-
-    sample(t, groups) is the snapshot of the named field groups at time t, and
-    times are three equally spaced times t0 - dt, t0, t0 + dt on one grid.
-    Each snapshot belongs to the law: dE/dt is written over the E sum of the
-    first, which is all that is kept of E at t0 -+ dt, and dE/dt - curl B over
-    that, yielded as a view with a trailing component axis. E at t0 is summed
-    alone for div E and released before B at t0 is summed.
+    second-order centered differences in space: k = 0 is div E, 1 dE/dt -
+    curl B, 2 div B, each built only when the caller asks for it. samples
+    holds (first plane, sample) per x-slab of one box, in a cyclic walk;
+    sample(t, groups) is the snapshot of the named field groups on the slab's
+    planes at t, and times are t0 - dt, t0, t0 + dt. The residuals come in the
+    pieces of fdops.Lag, whole for a box of one slab. The box is walked once
+    for E at t0 and once for B at t0: each snapshot belongs to the law, and
+    dE/dt is written over a slab's E sum at t0 - dt, dE/dt - curl B over that
+    (a view with a trailing component axis). So a slab holds one field group
+    at t0 beside dE/dt at most.
     """
-    span = _span(*times)
-    prev = sample(times[0], ("e",))
-    nxt = _on_grid(sample(times[2], ("e",)), prev.grid)
-    dt_e = prev.rows["e"]
-    for comp in range(3):
-        np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
-        dt_e[comp] /= span
-    grid = prev.grid
-    del prev, nxt  # E at t0 + dt freed before t0 is summed
-    now = _on_grid(sample(times[1], ("e",)), grid)
-    twists = now.twists()
-    yield fdops.divergence(now.e_plus, grid.spacing, grid.dimension, twists)
-    del now  # freed before B is summed, so B reuses its pages
-    now = _on_grid(sample(times[1], ("b",)), grid)
-    curl_b = None
-    for comp in range(3):
-        curl_b = fdops.curl(now.b_plus, grid.spacing, grid.dimension, twists, comp, curl_b)
-        dt_e[comp] -= curl_b
-    del curl_b
-    yield np.moveaxis(dt_e, 0, -1)
-    yield fdops.divergence(now.b_plus, grid.spacing, grid.dimension, twists)
+    span, grid = _span(*times), None
+
+    def residuals(pieces):  # div f, after dE/dt - curl f where dE/dt comes along (f is B)
+        for p, (f, *dt_e), (ends,) in pieces:
+            if dt_e:
+                curl_b = None
+                for comp in range(3):
+                    curl_b = fdops.curl(f, grid.spacing, grid.dimension, twists, comp, curl_b, ends)
+                    dt_e[0][..., comp] -= curl_b
+                del curl_b
+                yield p, 1, dt_e[0]
+            yield p, 2 if dt_e else 0, fdops.divergence(f, grid.spacing, grid.dimension, twists,
+                                                        ends)
+
+    for group in ("e", "b"):
+        lag = None
+        for p0, sample in samples:
+            fields = []
+            if group == "b":
+                prev = _on_grid(sample(times[0], ("e",)), grid)
+                nxt = _on_grid(sample(times[2], ("e",)), grid)
+                dt_e = prev.rows["e"]
+                for comp in range(3):
+                    np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
+                    dt_e[comp] /= span
+                fields.append(np.moveaxis(dt_e, 0, -1))
+                del prev, nxt, dt_e  # E at t0 + dt freed before B is summed
+            now = sample(times[1], (group,))
+            grid, twists = _on_grid(now, grid or now.grid).grid, now.twists()
+            lag = lag or fdops.Lag(grid.n_per_axis, twists[0], local=len(fields))
+            yield from residuals(lag.step(p0, [np.moveaxis(now.rows[group], 0, -1)] + fields))
+            del now, fields  # freed before the next slab is summed
+        yield from residuals(lag.close())

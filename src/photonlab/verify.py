@@ -22,8 +22,9 @@ from .config import PacketParams, ScenarioConfig, parse_config
 from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
-from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slabs,
-                     synthesize, x_slabs)
+from .fdops import Lag
+from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slab_plan,
+                     slabs, synthesize)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
                      lifecycle_1d, residual_max)
@@ -76,7 +77,10 @@ def _worst_point(res, grid) -> str:
 
 
 def _order(coarse, fine) -> float:
-    """Convergence order of a residual that shrinks from coarse to fine on halving."""
+    """Convergence order of a residual that shrinks from coarse to fine on halving; NaN
+    unless both are finite, so a NaN or inf residual fails its check."""
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return float("nan")
     return math.log2(coarse / fine) if fine > 0 else float("inf")
 
 
@@ -107,26 +111,38 @@ def field_scan(m, grid, times, med=VACUUM):
 
     The current is current_in_medium of the snapshot at t; at t -+ dt, dt half
     a grid cell, only the density is built, scaled by med.epsilon_rel, since
-    the continuity residual reads nothing else there. Each time is visited slab
-    by slab (x_slabs, the halos wrapped: J is periodic, so a halo current is
-    bitwise that of the plane it repeats), and everything yielded is cut to
-    the slab's own planes. One slab is held at a time.
+    the continuity residual reads nothing else there. Each time walks the slabs
+    of slab_plan from the last one, whose record is held and yielded last, so
+    the records come in plane order; J's x-neighbours come from the adjacent
+    slabs (fdops.Lag, twist 1), so a slab's record is done once the next
+    slab's arrival completes its last plane.
     """
-    dt = grid.spacing / 2.0
+    dt, plan = grid.spacing / 2.0, slab_plan(grid)
 
     def density(s, planes, coeffs):
         snap = synthesize(m, grid, s, groups=("a", "e"), planes=planes, coeffs=coeffs)
         return CurrentField(grid, s, number_density(snap, med.epsilon_rel), j=None)
 
+    def fill(pieces):  # each piece's |residual| into the record holding its planes
+        for p, (j, *rho), (ends,) in pieces:
+            p0, _, res = next(r for r in records if r[0] <= p < r[0] + len(r[2]))
+            at = [CurrentField(grid, s, r, jj) for s, r, jj in zip(steps, rho, (None, j, None))]
+            np.abs(continuity_residual(*at, ends=ends), out=res[p - p0:p - p0 + len(j)])
+
     for t in times:
         steps = [t + k * dt for k in (-1, 0, 1)]
         coeffs = [mode_coefficients(m, s) for s in steps]
-        for p0, planes, inner in x_slabs(grid, wrap=True):
+        lag, records = Lag(grid.n_per_axis, local=3), []  # records not yet yielded
+        for p0, planes in plan[-1:] + plan[:-1]:
             prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
             cf = current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
-            res = continuity_residual(prev, cf, nxt)
-            yield p0, cf.cut(inner), np.abs(res[inner])
-            del prev, cf, nxt, res  # freed before the next slab is summed
+            records.append((p0, cf, np.empty_like(cf.rho)))
+            fill(lag.step(p0, [cf.j, prev.rho, cf.rho, nxt.rho]))
+            del prev, cf, nxt  # freed before the next slab is summed
+            if len(records) == 3:  # the previous slab is done; the first waits for the seam
+                yield records.pop(1)
+        fill(lag.close())
+        yield from records[1:] + records[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -390,40 +406,40 @@ def _maxwell_packet():
 
 
 def _maxwell_slabs(m, n_x, scale):
-    """Yield (first plane, k, residual k) per x-slab of an n_x^3 dual box, k = 0, 1, 2.
+    """Yield maxwell_residual's (first plane, k, residual k) on the slabs of an n_x^3 dual box.
 
-    The residuals (Gauss, Ampere, div B) come one at a time from
-    maxwell_residual on the slab plus a halo plane each side (x_slabs, across
-    the seam with the Bloch twist), cut to the slab's own planes; Ampere is
-    formed in the slab's sum of E at t0 - dt. The caller drops each residual
+    k = 0, 1, 2 are Gauss, Ampere and div B; the caller drops each residual
     before it asks for the next.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
     times = (t0 - dt, t0, t0 + dt)
     coeffs = {t: mode_coefficients(m, t, scale) for t in times}
-    for p0, planes, inner in x_slabs(sg):
-        def sample(t, groups):
-            return synthesize(m, sg, t, scale, groups, planes, coeffs[t])
 
-        residuals = maxwell_residual(sample, times)
-        for k in range(3):  # enumerate's reused result tuple would hold the last residual
-            yield p0, k, next(residuals)[inner]
+    def sampler(planes):
+        return lambda t, groups: synthesize(m, sg, t, scale, groups, planes, coeffs[t])
+
+    return maxwell_residual([(p0, sampler(planes)) for p0, planes in slab_plan(sg)], times)
 
 
 def _maxwell_level(m, n_x, scale):
     """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box.
 
-    A slab's worst point replaces the one so far only if strictly larger, as np.argmax.
+    The pieces come out of plane order, so the worst point is picked once all
+    are in, as np.argmax picks it on the whole box: the first NaN, else the
+    first largest value.
     """
     plane = n_x * n_x
-    worst = [(-1.0, 0)] * 3
-    for p0, k, res in _maxwell_slabs(m, n_x, scale):
+    found = [[], [], []]  # (first plane, max |residual|, its point) per piece
+    for p, k, res in _maxwell_slabs(m, n_x, scale):
         point_max = np.abs(res).reshape(len(res) * plane, -1).max(axis=1)
         i = int(np.argmax(point_max))
-        if point_max[i] > worst[k][0]:
-            worst[k] = (point_max[i], p0 * plane + i)
+        found[k].append((p, point_max[i], p * plane + i))
         del res, point_max  # dropped before the next residual is built
+    worst = []
+    for pieces in found:
+        pieces.sort(key=lambda piece: piece[0])
+        worst.append(pieces[int(np.argmax([v for _, v, _ in pieces]))][1:])
     sg = dual_grid(m.grid, n_x)
     return [v for v, _ in worst], [_grid_point(i, sg) for _, i in worst]
 

@@ -231,10 +231,11 @@ def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads.
 
-    The default packet3d box is slabbed, and the gauge boxes, whose n_x is
-    not a multiple of 4, are cut into 8 + 8 + 2 planes (n_x = 18) and
-    28 + 28 + 10 (n_x = 66), so fields._slab_width's multiple-of-4 rule is
-    checked at 1 and 2 threads too, on boxes with leftover planes.
+    The default packet3d box is cut into 4 slabs of 8 planes, and the gauge
+    boxes, whose n_x is not a multiple of 4, into slabs of 4 planes and a
+    last one of 2 (4 x 4 + 2 at n_x = 18, 16 x 4 + 2 at n_x = 66), so
+    fields.slab_plan's multiple-of-4 rule is checked at 1 and 2 threads too,
+    on boxes with leftover planes.
     """
     args = ["verify"]
     if config is not None:

@@ -544,14 +544,14 @@ def test_blocks_are_sized_by_values_not_rows(tmp_path):
 
 
 def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
-    # the first centre slab of an n_x = 64 packet box: 20 planes of 4096
-    # points, whose (points, 10) complex columns alone are 13.1 MB. Scaled
-    # and formatted a block of whole planes at a time, the writer holds about
-    # what _lines' kernel holds for one block.
+    # a slab of 20 planes of an n_x = 64 packet box, 4096 points each, whose
+    # (points, 10) complex columns alone are 13.1 MB. Scaled and formatted a
+    # block of whole planes at a time, the writer holds about what _lines'
+    # kernel holds for one block.
     k0 = (0.0, 0.0, 4.0)
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
     sg = dual_grid(grid, 64)
-    p0, snap = next(slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0))
+    p0, snap = 0, synthesize(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0, planes=np.arange(20))
     assert snap.phi_plus.shape == (20, 64, 64)
     path = str(tmp_path / "fields.csv")
     csvio._tables()  # built once per process, outside the trace
@@ -566,14 +566,15 @@ def test_fields_csv_holds_a_block_of_planes_not_the_slab(tmp_path):
 
 
 def test_fields_csv_frees_each_slab_before_the_next_arrives(tmp_path):
-    # the centre pass of an n_x = 64 packet box comes in 4 slabs, each a
-    # 16-component snapshot of up to 20 planes (21 MB). As a slab is handed
-    # over, the writer holds nothing of the one before; 1 MB covers the last
-    # CSV block written and small objects.
+    # the centre pass of an n_x = 64 packet box comes in the slabs of its
+    # plan, each a 16-component snapshot of its planes (4 planes: 4.2 MB). As
+    # a slab is handed over, the writer holds nothing of the one before; 1 MB
+    # covers the last CSV block written and small objects.
     k0 = (0.0, 0.0, 4.0)
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=3, center=k0)
     sg = dual_grid(grid, 64)
-    slab_bytes = fields._NCOMP * (fields._slab_width(64) + 2) * 64 * 64 * \
+    plan = fields.slab_plan(sg)
+    slab_bytes = fields._NCOMP * max(len(planes) for _, planes in plan) * 64 * 64 * \
         np.dtype(np.complex128).itemsize
     held = []  # traced bytes as each slab is handed to the writer
 
@@ -589,5 +590,5 @@ def test_fields_csv_frees_each_slab_before_the_next_arrives(tmp_path):
                          handed(slabs(gaussian_packet(grid, k0, 0.4, 1), sg, 0.0)))
     finally:
         tracemalloc.stop()
-    assert len(held) == 4
+    assert len(held) == len(plan)
     assert max(held) <= slab_bytes + (1 << 20), [h / slab_bytes for h in held]

@@ -214,22 +214,6 @@ def test_densities_are_real_arrays():
         assert not np.iscomplexobj(arr)
 
 
-def test_cut_current_is_a_view_of_the_planes_of_its_densities():
-    grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))
-    m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, -1)
-    cf = photon_current(synthesize(m, dual_grid(grid, 32), 0.2))
-    inner = slice(3, 20)
-    cut, whole = cf.cut(inner), cf.cut(slice(None))
-    for name in ("rho", "j", "s_hel"):
-        full = getattr(cf, name)
-        assert getattr(cut, name).tobytes() == full[inner].tobytes(), name
-        assert np.shares_memory(getattr(cut, name), full), name
-        assert getattr(whole, name).tobytes() == full.tobytes(), name
-    bare = dataclasses.replace(cf, s_hel=None).cut(inner)
-    assert bare.s_hel is None
-    assert bare.rho.tobytes() == cf.rho[inner].tobytes()
-
-
 def test_position_norm_matches_mode_norm_scaled_state():
     # the box Riemann sum reproduces the k-space norm for non-unit states too
     grid = KGrid(n_per_axis=8, spacing=0.25, dimension=1, center=(0.0, 0.0, 2.0))

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab.fdops import axis_directions, curl, divergence
+from photonlab.fdops import Lag, axis_directions, curl, divergence
 
 
 # ---------------------------------------------------------------------------
@@ -107,3 +107,39 @@ def test_slice_stencils_match_roll_oracle(case):
         comps.append(buf.copy())
     assert same_bits(np.stack(comps, axis=-1), roll_curl(vf, spacing, dim, twists))
 
+
+
+@st.composite
+def slab_walks(draw):
+    """A stencil case cut into x-slabs of at least 2 planes, and the slab its walk starts at."""
+    vf, spacing, dim, twists = draw(stencil_cases())
+    n = len(vf)
+    bounds = [0]
+    while n - bounds[-1] >= 4 and draw(st.booleans()):
+        bounds.append(bounds[-1] + draw(st.integers(2, n - bounds[-1] - 2)))
+    bounds.append(n)
+    return vf, spacing, dim, twists, bounds, draw(st.integers(0, len(bounds) - 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slab_walks())
+@example((np.arange(24.0).reshape(2, 2, 2, 3) * (1 - 2j), 0.5, 3,
+          (cmath.exp(0.4j), cmath.exp(-2.0j), cmath.exp(3.0j)), [0, 2], 0))
+def test_lagged_slab_stencils_match_the_whole_box(case):
+    # every plane once, from pieces whose x-neighbours the Lag carried between
+    # slabs visited in a cyclic walk from any slab: bitwise the whole box
+    vf, spacing, dim, twists, bounds, start = case
+    slabs = [(a, vf[a:b]) for a, b in zip(bounds, bounds[1:])]
+    lag, pieces = Lag(len(vf), twists[0]), {}
+    for p0, f in slabs[start:] + slabs[:start]:
+        for p, (g,), ends in lag.step(p0, [f]):
+            curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
+            pieces[p] = (divergence(g, spacing, dim, twists, ends[0]), np.stack(curls, axis=-1))
+    for p, (g,), ends in lag.close():
+        curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
+        pieces[p] = (divergence(g, spacing, dim, twists, ends[0]), np.stack(curls, axis=-1))
+    firsts = sorted(pieces)
+    assert firsts[0] == 0 and all(p + len(pieces[p][0]) == q for p, q in zip(firsts, firsts[1:]))
+    got = [np.concatenate([pieces[p][i] for p in firsts]) for i in (0, 1)]
+    assert same_bits(got[0], divergence(vf, spacing, dim, twists))
+    assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))

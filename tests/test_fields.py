@@ -180,7 +180,8 @@ def residuals(*snaps):
 
     def sample(t, groups):
         return dataclasses.replace(by_time[t], rows={g: by_time[t].rows[g].copy() for g in groups})
-    return list(maxwell_residual(sample, [s.time for s in snaps]))
+    # a whole box is one slab, so each residual comes whole, at plane 0
+    return [r for _, _, r in maxwell_residual([(0, sample)], [s.time for s in snaps])]
 
 
 def test_maxwell_residual_zero_fields():
@@ -405,22 +406,6 @@ def test_requested_groups_match_eager_synthesis(case):
             else:
                 with pytest.raises(ValueError, match="not synthesized"):
                     getattr(snap, name)
-
-
-def test_planes_across_the_seam_need_the_dual_grid():
-    grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.2))
-    m = gaussian_packet(grid, (0.0, 0.0, 2.2), 0.4, 1)
-    planes = np.arange(-1, 3)
-    with pytest.raises(ValueError, match="Fourier-dual"):
-        synthesize(m, SpatialGrid(8, 0.5, 1, 0.0), 0.0, planes=planes)
-    # on the dual grid plane -1 is plane n - 1 times the conjugate twist
-    sg = dual_grid(grid, 8)
-    whole = synthesize(m, sg, 0.0, groups=("e",))
-    slab = synthesize(m, sg, 0.0, groups=("e",), planes=planes)
-    twist = whole.twists()[0]
-    assert abs(twist - 1.0) > 0.1
-    assert np.allclose(slab.e_plus[0], np.conj(twist) * whole.e_plus[-1], rtol=0, atol=1e-12)
-    assert np.allclose(slab.e_plus[1:], whole.e_plus[:3], rtol=0, atol=1e-12)
 
 
 def test_unknown_group_refused():

@@ -6,14 +6,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import fields, scenarios, verify
 from photonlab.config import default_verify_config, parse_config
 from photonlab.csvio import write_current_csv, write_fields_csv, write_modes_csv
 from photonlab.current import continuity_residual, photon_current, position_norm
-from photonlab.fields import dual_grid, synthesize
+from photonlab.fields import dual_grid, slab_plan, synthesize
 from photonlab.medium import VACUUM, current_in_medium
 from photonlab.modes import norm
 from photonlab.scenarios import run_scenario
@@ -254,9 +254,9 @@ def outputs(outdir):
 
 @st.composite
 def packet_configs(draw):
-    # n_x = 18 is not a multiple of 4: the scan sums the box whole, while
-    # fields.csv is written in slabs that leave 2 planes over, as the box does
-    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [18]))
+    # n_x = 18 and 19 leave 2 and 3 planes over a multiple of 4, in a last
+    # slab as the box does; at 9, 17 and 33 the one plane over joins the last slab
+    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [9, 17, 33, 18, 19]))
     k0 = [round(draw(st.floats(-0.5, 0.5)), 4) for _ in range(2)] + \
         [round(draw(st.floats(3.0, 5.0)), 4)]
     return n_x, (f"[packet3d]\nn_k = {draw(st.integers(3, 6))}\nn_x = {n_x}\n"
@@ -268,6 +268,10 @@ def packet_configs(draw):
 
 @settings(max_examples=6, deadline=None)
 @given(packet_configs())
+@example((33, "[packet3d]\nn_k = 4\nn_x = 33\nk0 = (0.1, -0.2, 3.5)\nlambda = +1\n"
+              "t_steps = 1\nunits = natural\n"))
+@example((19, "[packet3d]\nn_k = 5\nn_x = 19\nk0 = (-0.3, 0.4, 4.2)\nlambda = -1\n"
+              "t_steps = 2\nunits = si\n"))
 def test_slab_streamed_packet_run_matches_whole_box(tmp_path_factory, case):
     n_x, text = case
     outdir = tmp_path_factory.mktemp("packet")
@@ -276,7 +280,7 @@ def test_slab_streamed_packet_run_matches_whole_box(tmp_path_factory, case):
         run_scenario(cfg)
     expected = outputs(outdir)
     for width in slab_widths(n_x):
-        with mock.patch.object(fields, "_SLAB_POINTS", (width + 2) * n_x * n_x):
+        with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
             assert fields._slab_width(n_x) == width
             run_scenario(cfg)
         got = outputs(outdir)
@@ -314,9 +318,13 @@ def test_density_only_neighbours_give_the_full_residual(eps, mu):
 def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
     # at n_x = 64 one 16-component complex snapshot of the whole box is 67 MB,
     # and a whole-box scan holds three with their currents; streamed, the run
-    # holds one slab of at most _SLAB_POINTS points, its currents and CSV rows
-    slab_value = fields._SLAB_POINTS * np.dtype(np.complex128).itemsize
-    cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = 64\nt_steps = 1\n")
+    # holds a few slabs of the plan (4 planes, 16384 points) with their
+    # currents and CSV rows, and the whole density of a time for its norm
+    n_x = 64
+    cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = {n_x}\nt_steps = 1\n")
+    plan = slab_plan(dual_grid(packet_state(cfg.packet).grid, n_x))
+    slab_value = max(len(planes) for _, planes in plan) * n_x * n_x * \
+        np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
         out = run_scenario(cfg)
@@ -324,25 +332,30 @@ def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.all_passed
-    assert peak <= 18 * slab_value, peak / slab_value
+    assert peak <= 40 * slab_value + 8 * n_x ** 3, peak / slab_value
 
 
 def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
-    # as the scan starts a slab, the earlier slabs of its time leave only their
-    # densities (a cut keeps its haloed slab alive), which the box norm sums at
-    # once; their currents, residuals and CSV columns are freed. 1 MB covers
-    # the last CSV block written (_BLOCK_CELLS values) and small objects.
+    # the scan visits each time's last slab first and holds its record (rho,
+    # j, s and |residual|: 64 B a point) to the end, and a slab's record until
+    # the next slab completes its last plane. So as the scan starts a slab, the
+    # slabs yielded before it leave only their densities, which the box norm
+    # sums at once, beside at most two records; their snapshots and CSV columns
+    # are freed. 1 MB covers the x-neighbour planes carried between slabs, the
+    # last CSV block written (_BLOCK_CELLS values) and small objects.
     n_x = 64
-    width = fields._slab_width(n_x)
-    rho_bytes = (width + 2) * n_x * n_x * np.dtype(np.float64).itemsize
     cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = {n_x}\nt_steps = 1\n")
+    plan = slab_plan(dual_grid(packet_state(cfg.packet).grid, n_x))
+    points = len(plan[0][1]) * n_x * n_x
+    assert all(len(planes) * n_x * n_x == points for _, planes in plan)
+    rho_bytes, record_bytes = 8 * points, 64 * points
     starts = []  # (first plane, traced bytes) as each slab's first snapshot is summed
     synth = verify.synthesize
 
     def traced(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
                coeffs=None):
-        if not starts or starts[-1][0] != planes[1]:
-            starts.append((int(planes[1]), tracemalloc.get_traced_memory()[0]))
+        if not starts or starts[-1][0] != planes[0]:
+            starts.append((int(planes[0]), tracemalloc.get_traced_memory()[0]))
         return synth(m, grid, t, omega_scale, groups, planes, coeffs)
 
     tracemalloc.start()
@@ -352,7 +365,10 @@ def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.all_passed
-    assert [p0 for p0, _ in starts] == [0, 18, 36, 54] * 2
-    for p0, traced_bytes in starts:
+    walk = [plan[-1][0]] + [p0 for p0, _ in plan[:-1]]
+    assert [p0 for p0, _ in starts] == walk * 2
+    for i, (p0, traced_bytes) in enumerate(starts):
+        i %= len(plan)
         grown = traced_bytes - starts[0][1]
-        assert grown <= p0 // width * rho_bytes + (1 << 20), (p0, grown)
+        assert grown <= max(0, i - 2) * rho_bytes + min(i, 2) * record_bytes + (1 << 20), \
+            (p0, grown)

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import photonlab
@@ -21,7 +21,7 @@ from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
 from photonlab.current import number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
 from photonlab.fields import (FieldSnapshot, SpatialGrid, _slab_width, centered_span, dual_grid,
-                              maxwell_residual, synthesize)
+                              maxwell_residual, slab_plan, synthesize)
 from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
 from photonlab.modes import KGrid, gauge_shift, gaussian_packet, lambda_row, norm
 from photonlab.scenarios import run_scenario
@@ -247,12 +247,13 @@ def owned_copies(snaps):
 @settings(max_examples=200, deadline=None)
 @given(residual_cases())
 def test_streamed_maxwell_residuals_match_whole_vector_oracle(snaps):
-    streamed = list(maxwell_residual(owned_copies(snaps), [s.time for s in snaps]))
+    # a whole box is one slab, so each residual comes whole, at plane 0
+    streamed = list(maxwell_residual([(0, owned_copies(snaps))], [s.time for s in snaps]))
     gauss, ampere = whole_vector_maxwell_residual(*snaps)
     now = snaps[1]
     divb = divergence(now.b_plus, now.grid.spacing, now.grid.dimension, now.twists())
-    assert len(streamed) == 3
-    for got, want in zip(streamed, (gauss, ampere, divb)):
+    assert [(p, k) for p, k, _ in streamed] == [(0, 0), (0, 1), (0, 2)]
+    for (_, _, got), want in zip(streamed, (gauss, ampere, divb)):
         assert same_bits(got, want)
 
 
@@ -271,8 +272,9 @@ def test_maxwell_residual_sums_e_and_b_at_t0_apart():
         snaps.append(weakref.ref(snap))
         return snap
 
-    assert len(list(maxwell_residual(sample, times))) == 3
-    assert calls == [(times[0], ("e",)), (times[2], ("e",)), (times[1], ("e",)),
+    # div E from E at t0 alone, then dE/dt from E at t0 -+ dt, and B at t0
+    assert len(list(maxwell_residual([(0, sample)], times))) == 3
+    assert calls == [(times[1], ("e",)), (times[0], ("e",)), (times[2], ("e",)),
                      (times[1], ("b",))]
     # every earlier snapshot, E at t0 included, is gone before B at t0 is summed
     assert alive_at_b == [False, False, False]
@@ -303,55 +305,87 @@ def allowed_slab_widths(n_x):
     return sorted(widths)
 
 
+def maxwell_case(n_x, n_k, dk, center, sigma, pol, scale):
+    """(packet, n_x, scale) of a Gaussian packet on an off-lattice k-grid, or None at k = 0."""
+    try:
+        kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=3, center=center)
+    except ValueError:
+        return None  # the lattice hit k = 0
+    return gaussian_packet(kgrid, center, sigma, pol), n_x, scale
+
+
 @st.composite
 def maxwell_cases(draw):
-    n_x = draw(st.sampled_from(range(8, 65, 4)))
+    # n_x = 9, 17 and 33 leave one plane over a multiple of 4, 18 two, 19 three
+    n_x = draw(st.sampled_from(list(range(8, 65, 4)) + [9, 17, 33, 18, 19]))
     n_k = draw(st.integers(3, 6))
     dk = draw(st.floats(0.2, 0.6))
     # an off-lattice centre: k_0 L / 2 pi is not an integer on any axis
     center = tuple(draw(st.floats(-0.6, 0.6)) for _ in range(2)) + \
         (draw(st.floats(0.8, 1.6)),)
-    try:
-        kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=3, center=center)
-    except ValueError:
-        assume(False)  # the lattice hit k = 0
-    m = gaussian_packet(kgrid, center, draw(st.floats(0.2, 0.8)), draw(st.sampled_from((1, -1))))
-    twists = synthesize(m, dual_grid(kgrid, n_x), 0.0, groups=()).twists()
+    case = maxwell_case(n_x, n_k, dk, center, draw(st.floats(0.2, 0.8)),
+                        draw(st.sampled_from((1, -1))), draw(st.sampled_from((1.0, 1.05))))
+    assume(case is not None)
+    twists = synthesize(case[0], dual_grid(case[0].grid, n_x), 0.0, groups=()).twists()
     assume(all(abs(t - 1.0) > 1e-3 for t in twists))
-    return m, n_x, draw(st.sampled_from((1.0, 1.05)))
+    return case
 
 
 @settings(max_examples=8, deadline=None)
 @given(maxwell_cases())
+@example(maxwell_case(17, 3, 0.4, (0.3, -0.2, 1.1), 0.5, 1, 1.05))
+@example(maxwell_case(19, 4, 0.35, (-0.25, 0.4, 1.3), 0.6, -1, 1.0))
 def test_slab_streamed_maxwell_level_matches_whole_box(case):
     m, n_x, scale = case
     res, maxima, where = whole_box_maxwell_level(m, n_x, scale)
     for width in allowed_slab_widths(n_x):
-        yields = []  # (first plane, residual index, a copy of the residual)
+        pieces = [[], [], []]  # (first plane, a copy of the residual) per residual
 
         def recorded(*args):
-            for p0, k, r in _maxwell_slabs(*args):
-                yields.append((p0, k, r.copy()))  # Ampere is a view of the t0 - dt sum
-                yield p0, k, r
+            for p, k, r in _maxwell_slabs(*args):
+                pieces[k].append((p, r.copy()))  # Ampere is a view of the t0 - dt sum
+                yield p, k, r
 
-        with mock.patch.object(fields, "_SLAB_POINTS", (width + 2) * n_x * n_x), \
+        with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x), \
                 mock.patch.object(verify, "_maxwell_slabs", recorded):
             assert _slab_width(n_x) == width
             assert _maxwell_level(m, n_x, scale) == (maxima, where), width
-        first_planes = list(range(0, n_x, width))
-        assert [(p0, k) for p0, k, _ in yields] == [(p0, k) for p0 in first_planes
-                                                    for k in range(3)]
         for k in range(3):
-            got = np.concatenate([r for _, i, r in yields if i == k])
+            # every plane once, out of plane order, bitwise the whole box
+            pieces[k].sort(key=lambda piece: piece[0])
+            firsts = [p for p, _ in pieces[k]]
+            assert firsts == [0] + list(np.cumsum([len(r) for _, r in pieces[k]])[:-1]), width
+            got = np.concatenate([r for _, r in pieces[k]])
             assert np.array_equal(got, res[k]), (width, k)
 
 
+def test_maxwell_level_picks_the_first_worst_point_across_pieces():
+    # a tie between planes of different pieces goes to the lower point, a NaN
+    # anywhere wins, as np.argmax picks them on the whole box
+    m, n_x, scale = maxwell_case(16, 3, 0.4, (0.3, -0.2, 1.1), 0.5, 1, 1.0)
+    pieces = [(12, np.full((2, 16, 16), 2.0)), (0, np.ones((12, 16, 16))),
+              (14, np.full((2, 16, 16), 2.0))]
+
+    def planted(*args):
+        for p, r in pieces:
+            yield p, 0, r
+            yield p, 1, r
+            yield p, 2, np.where(p == 14, np.nan, r)
+
+    with mock.patch.object(verify, "_maxwell_slabs", planted):
+        values, where = _maxwell_level(m, n_x, scale)
+    sg = dual_grid(m.grid, n_x)
+    assert values[:2] == [2.0, 2.0] and np.isnan(values[2])
+    assert where == [verify._grid_point(12 * 256, sg)] * 2 + [verify._grid_point(14 * 256, sg)]
+
+
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
-    # a haloed x-slab of the 96^3 box holds dE/dt in its sum of E at t0 - dt,
-    # then E at t0 or B at t0 (never both), one residual at a time and its
-    # stencil temporaries: about one whole-box component, where summing E and
-    # B at t0 together beside a reused dE/dt buffer took about 1.4
-    component = 96 ** 3 * np.dtype(np.complex128).itemsize
+    # a 4-plane slab of the 96^3 box holds dE/dt in its sum of E at t0 - dt
+    # and B at t0 (E at t0 has a walk of its own), one residual at a time and
+    # its stencil temporaries, and the x-neighbour planes carried between
+    # slabs: about 5 slabs of 3 components, where the haloed plan's 12-plane
+    # slabs held about one whole-box component
+    slab = 3 * _slab_width(96) * 96 * 96 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
         maxima, _ = _maxwell_level(_maxwell_packet(), 96, 1.0)
@@ -359,7 +393,7 @@ def test_fine_maxwell_level_memory_stays_near_its_snapshots():
     finally:
         tracemalloc.stop()
     assert all(0.0 < r < 1e-3 for r in maxima)
-    assert peak <= 1.2 * component, peak / component
+    assert peak <= 5 * slab, peak / slab
 
 
 def whole_box_gauge_checks(packet, strength, t, tol, omega_scale=1.0):
@@ -405,13 +439,14 @@ def whole_box_norm_block(tol, scale):
 
 def slab_budgets(n_x):
     """(width, _SLAB_POINTS) for every width the slab plan picks, at any n_x."""
-    return [(w, (w + 2) * n_x * n_x) for w in allowed_slab_widths(n_x)]
+    return [(w, w * n_x * n_x) for w in allowed_slab_widths(n_x)]
 
 
 @st.composite
 def packet_texts(draw, kind):
-    # n_x = 18 is not a multiple of 4: its slabs leave 2 planes over, as the box does
-    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [18]))
+    # n_x = 18 and 19 leave 2 and 3 planes over a multiple of 4, as the box
+    # does; at 9, 17 and 33 the one plane over joins the last slab
+    n_x = draw(st.sampled_from(list(range(8, 33, 4)) + [9, 17, 33, 18, 19]))
     k0 = [round(draw(st.floats(-0.5, 0.5)), 4) for _ in range(2)] + \
         [round(draw(st.floats(0.8, 4.0)), 4)]
     text = (f"[{kind}]\nn_k = {draw(st.integers(3, 6))}\nn_x = {n_x}\n"
@@ -427,6 +462,8 @@ def packet_texts(draw, kind):
 @settings(max_examples=10, deadline=None)
 @given(packet_texts("gauge"), st.floats(-3.0, 3.0), st.floats(0.0, 6.0),
        st.sampled_from((1.0, 1.05)))
+@example((33, "[gauge]\nn_k = 5\nn_x = 33\nk0 = (0.1, -0.3, 1.7)\nlambda = +1\n"),
+         0.7, 0.7, 1.0)
 def test_slab_streamed_gauge_checks_match_whole_box(case, strength, t, scale):
     n_x, text = case
     packet, tol = parse_config(text).packet, dict(TOLERANCE_DEFAULTS)
@@ -441,6 +478,7 @@ def test_slab_streamed_gauge_checks_match_whole_box(case, strength, t, scale):
 
 @settings(max_examples=6, deadline=None)
 @given(packet_texts("packet3d"), st.integers(1, 3), st.sampled_from((1.0, 1.05)))
+@example((17, "[packet3d]\nn_k = 4\nn_x = 17\nk0 = (0.2, 0.1, 2.5)\nlambda = -1\n"), 2, 1.05)
 def test_slab_streamed_norm_block_matches_whole_box(case, steps, scale):
     # the block studies the default [packet3d]; here it studies the drawn packet
     n_x, text = case
@@ -459,8 +497,9 @@ def test_slab_streamed_norm_block_matches_whole_box(case, steps, scale):
 
 @pytest.mark.parametrize("width", [None, 6, 10])  # None: the whole box
 def test_a_nan_in_one_slab_of_e_fails_gauge_field(width):
-    # box plane 20 lies inside the 4th slab of 6 planes and the 2nd of 10, so
-    # the NaN is not in the first slab, where a Python max would still keep it
+    # budgets of 6 and 10 planes cut slabs of 4 and 8; box plane 20 lies in
+    # the 6th and the 3rd, so the NaN is not in the first slab, where a Python
+    # max would still keep it
     n_x, plane = 32, 20
     cfg = parse_config(f"[gauge]\nn_x = {n_x}\n")
     synth = fields.synthesize
@@ -480,11 +519,69 @@ def test_a_nan_in_one_slab_of_e_fails_gauge_field(width):
     assert field.name == "gauge_field" and np.isnan(field.measured) and not field.passed
 
 
+@pytest.mark.parametrize("group, failing", [
+    ("e", {"maxwell_gauss_order"}),
+    ("b", {"maxwell_ampere_order", "maxwell_divb_order"}),
+])
+def test_a_nan_in_one_slab_at_t0_fails_its_maxwell_orders(group, failing):
+    # box plane 20 lies in neither the first slab nor a seam piece, at n_x = 48
+    # and 96; a NaN in E at t0 reaches div E alone, one in B at t0 the other two
+    plane = 20
+    synth = verify.synthesize
+
+    def planted(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                coeffs=None):
+        snap = synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        if t == _MAXWELL_T0 and group in groups and plane in planes:
+            snap.rows[group][0][planes == plane] = np.nan
+        return snap
+
+    with mock.patch.object(verify, "synthesize", planted):
+        checks, info = verify._maxwell_block(dict(TOLERANCE_DEFAULTS), 1.0)
+    assert {c.name for c in checks if not c.passed} == failing
+    assert all(np.isnan(c.measured) for c in checks if c.name in failing)
+    fine = dict(zip(("maxwell_gauss_order", "maxwell_ampere_order", "maxwell_divb_order"),
+                    info[0].split(": ")[1].split(", ")))
+    assert {name for name, text in fine.items() if text.endswith(" nan")} == failing
+    assert " index -1 " not in info[1]
+
+
+def test_nan_residuals_fail_the_order_checks(monkeypatch):
+    assert verify._order(4.0, 1.0) == 2.0 and verify._order(1.0, 0.0) == float("inf")
+    for coarse, fine in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
+        assert np.isnan(verify._order(coarse, fine))
+    tol = dict(TOLERANCE_DEFAULTS)
+
+    # a NaN in the fine line's fields reaches its continuity residual
+    synth = verify.synthesize
+
+    def planted(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                coeffs=None):
+        snap = synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        if grid.n_per_axis == 4096:
+            snap.rows["a"][0][100] = np.nan
+        return snap
+
+    monkeypatch.setattr(verify, "synthesize", planted)
+    checks, _ = verify._continuity_block(tol, 1.0)
+    order = {c.name: c for c in checks}["continuity_order"]
+    assert np.isnan(order.measured) and not order.passed
+
+    # and a NaN row in the fine lifecycle solve's residual_max
+    def nan_row(emit, detect, med, grid, times):
+        residual = medium.residual_max(emit, detect, med, grid, times)
+        residual[300] = np.nan
+        return residual
+
+    monkeypatch.setattr(verify, "residual_max", nan_row)
+    checks, _ = verify._lifecycle_block(tol)
+    order = {c.name: c for c in checks}["lifecycle_residual_order"]
+    assert np.isnan(order.measured) and not order.passed
+
+
 def test_no_halo_free_3d_sum_is_whole(tmp_path):
-    # every 3D box is visited in slabs (fields.slabs or x_slabs), at any n_x;
-    # only x_slabs' haloed scan of a box whose n_x is not a multiple of 4 sums
-    # it whole, and no run here holds one (the gauge law and verify's norm
-    # block are halo-free, and verify's haloed Maxwell boxes are 48 and 96)
+    # every 3D box is visited in the slabs of fields.slab_plan, at any n_x,
+    # the stencil scans (packet runs, verify's Maxwell study) too
     whole = []
 
     def guarded(synth):
@@ -498,8 +595,8 @@ def test_no_halo_free_3d_sum_is_whole(tmp_path):
     with mock.patch.object(fields, "synthesize", guarded(fields.synthesize)), \
             mock.patch.object(verify, "synthesize", guarded(verify.synthesize)):
         assert run_verify(parse_config("[verify]\n")).all_passed
-        for text in ("[packet3d]\n", "[gauge]\n", "[gauge]\nn_x = 18\n",
-                     "[gauge]\nn_x = 66\n"):
+        for text in ("[packet3d]\n", "[packet3d]\nn_k = 6\nn_x = 18\n", "[gauge]\n",
+                     "[gauge]\nn_x = 18\n", "[gauge]\nn_x = 66\n"):
             cfg = parse_config(f"{text}output = {tmp_path}\n")
             assert run_scenario(cfg).all_passed
     assert whole == []
@@ -508,11 +605,14 @@ def test_no_halo_free_3d_sum_is_whole(tmp_path):
 @pytest.mark.parametrize("n_x", [64, 66])
 def test_gauge_memory_is_set_by_the_slab_not_the_box(n_x):
     # at n_x = 64 one 16-component snapshot of the whole box is 67 MB, and the
-    # whole-box law held two; streamed, it holds one slab of each packet, at
-    # most _SLAB_POINTS points each, and the two whole densities (16 B a point).
-    # n_x = 66 leaves 2 planes over, in a last slab of 10 planes.
+    # whole-box law held two; streamed, it holds one slab of each packet (16
+    # components of 16 B a point, beside their densities and |differences|),
+    # and the two whole densities (16 B a point of the box). n_x = 66 leaves
+    # 2 planes over, in a last slab of 6 planes.
     item = np.dtype(np.complex128).itemsize
     cfg = parse_config(f"[gauge]\nn_x = {n_x}\n")
+    sg = dual_grid(packet_state(cfg.packet).grid, n_x)
+    slab_points = max(len(planes) for _, planes in slab_plan(sg)) * n_x * n_x
     tracemalloc.start()
     try:
         checks, _, _ = gauge_checks(cfg.packet, cfg.gauge_strength, cfg.t_stop,
@@ -521,7 +621,7 @@ def test_gauge_memory_is_set_by_the_slab_not_the_box(n_x):
     finally:
         tracemalloc.stop()
     assert all(c.passed for c in checks)
-    assert peak <= 40 * item * fields._SLAB_POINTS + item * n_x ** 3, peak / 1e6
+    assert peak <= 40 * item * slab_points + item * n_x ** 3, peak / 1e6
 
 
 def test_each_check_name_is_built_in_one_place():

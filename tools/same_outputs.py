@@ -15,8 +15,10 @@ perfbench reads it), its minor page faults (ru_minflt) and its CPU seconds
 bytes also shows where memory moved, what the move cost in page faults, and
 how much CPU time every thread of the call spent. After the per-call lines
 one summary line names every call whose peak RSS or minor faults moved by
-more than 10% either way. Stdlib only; the 32 call pairs take about 45 s on
-two cores.
+more than 10% either way. One call a side also moves with host noise, so a
+call that moved is run twice more on each side, alternating sides, and is
+named only if the median of its three runs a side moved by more than 10%.
+Stdlib only; the 34 call pairs take a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import io
 import os
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -65,18 +68,18 @@ CALLS = {
     # overflows): refused with exit 2 since the pre-flight builds the packet
     "packet3d-sigma-underflow": "[packet3d]\nsigma = 1e-300\nn_k = 4\nn_x = 8\n",
     "packet3d-dk-overflow": "[packet3d]\ndk = 1e300\n",
-    # the scan in slabs of 18 planes plus halos, the last one 10 planes;
-    # fields.csv in halo-free slabs of 20 planes, the last one 4
+    # the scan and fields.csv in 16 slabs of 4 planes, the scan's x-neighbour
+    # planes carried from slab to slab
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
-    # n_x not a multiple of 4: the scan sums the whole box in one haloed slab,
-    # while fields.csv is written in halo-free slabs of 8, 8 and 2 planes
+    # n_x not a multiple of 4: slabs of 4 planes and a last one of 2
     "packet3d-nx18": "[packet3d]\nn_x = 18\n",
-    # both sides of that fork on a larger box: the scan whole, fields.csv in
-    # slabs of 24, 24 and 2 planes
     "packet3d-nx50": "[packet3d]\nn_k = 6\nn_x = 50\nt_steps = 1\n",
+    "packet3d-nx66": "[packet3d]\nn_k = 8\nn_x = 66\nt_steps = 1\n",
+    # one plane over a multiple of 4, joined to the last slab (7 x 4 + 5 planes)
+    "packet3d-nx33": "[packet3d]\nn_x = 33\n",
     "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
-    # the gauge law on 4 slabs (20, 20, 20 and 4 planes), and on boxes whose
-    # last slab leaves 2 planes over (8 + 8 + 2 and 28 + 28 + 10 planes)
+    # the gauge law on 16 slabs of 4 planes, and on boxes whose last slab
+    # leaves 2 planes over (4 x 4 + 2 and 16 x 4 + 2 planes)
     "gauge-nx64": "[gauge]\nn_x = 64\n",
     "gauge-nx18": "[gauge]\nn_x = 18\n",
     "gauge-nx66": "[gauge]\nn_x = 66\n",
@@ -146,11 +149,11 @@ def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]
     return diffs
 
 
-def _moved(name: str, ref_run, new_run) -> list[str]:
-    """The call's peak RSS and minor faults that moved by more than 10%, either way."""
+def _moved(name: str, ref_runs, new_runs) -> list[str]:
+    """The call's median peak RSS and minor faults that moved by more than 10%, either way."""
     moved = []
     for what, i, fmt in (("peak RSS", 2, "{:.1f} MB"), ("minor faults", 4, "{}")):
-        ref, new = ref_run[i], new_run[i]
+        ref, new = (statistics.median(run[i] for run in runs) for runs in (ref_runs, new_runs))
         if abs(new - ref) > 0.1 * ref:
             moved.append(f"{name} {what} {fmt.format(ref)} -> {fmt.format(new)}")
     return moved
@@ -184,9 +187,22 @@ def main(argv=None) -> int:
                   f"{ref_run[5]:.2f} s CPU at {argv[0]}; {new_run[2]:.1f} MB, "
                   f"{new_run[4]} minor faults, {new_run[5]:.2f} s CPU here")
             diffs += found
-            moved += _moved(name, ref_run, new_run)
             shutil.rmtree(ref)
             shutil.rmtree(out)
+            ref_runs, new_runs = [ref_run], [new_run]
+            if _moved(name, ref_runs, new_runs):
+                sides = [(ROOT / "src", new_runs), (tmp / "rev" / "src", ref_runs)]
+                for first in (0, 1):  # this side first, then the revision first
+                    for src, runs in sides[first:] + sides[:first]:
+                        out.mkdir()
+                        runs.append(_call(src, config, out))
+                        shutil.rmtree(out)
+                ref_med, new_med = (f"{statistics.median(r[2] for r in runs):.1f} MB, "
+                                    f"{statistics.median(r[4] for r in runs):.0f} minor faults"
+                                    for runs in (ref_runs, new_runs))
+                print(f"{name}: median of 3 calls a side: {ref_med} at {argv[0]}; "
+                      f"{new_med} here")
+            moved += _moved(name, ref_runs, new_runs)
     print("moved by more than 10%: " + ("; ".join(moved) if moved else "no call's peak RSS "
                                          "or minor faults"))
     for line in diffs:
