@@ -335,6 +335,25 @@ def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
     assert peak <= 40 * slab_value + 8 * n_x ** 3, peak / slab_value
 
 
+def test_packet_run_off_the_4_plane_grid_is_set_by_the_slab_not_the_box(tmp_path):
+    # n_x = 66 leaves 2 planes over a multiple of 4, where the haloed plan
+    # summed the scan's box whole (104 MB traced); the plan's slabs are 4
+    # planes and a last one of 2, as at n_x = 64 (11.6 MB traced)
+    n_x = 66
+    cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 8\nn_x = {n_x}\nt_steps = 1\n")
+    plan = slab_plan(dual_grid(packet_state(cfg.packet).grid, n_x))
+    slab_value = max(len(planes) for _, planes in plan) * n_x * n_x * \
+        np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        out = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.all_passed
+    assert peak <= 40 * slab_value + 8 * n_x ** 3, peak / slab_value
+
+
 def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
     # the scan visits each time's last slab first and holds its record (rho,
     # j, s and |residual|: 64 B a point) to the end, and a slab's record until
