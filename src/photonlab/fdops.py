@@ -96,17 +96,19 @@ class Lag:
     Slabs of 2 planes or more come in a cyclic walk from any slab, as arrays
     (planes on axis 0): the fields differentiated along x, then `local` ones.
     step(p0, fields) yields the pieces a slab completes: the previous slab's
-    last plane and its own but the last (the first slab: its interior);
-    close() yields the last slab's last plane and the first slab's first. A
-    piece is (first plane, fields, ends), ends the differentiated fields'
-    (before, after) planes, twisted across plane 0 as the wrap reads them; a
-    whole-box slab is one piece with ends None. Only the first slab's first
-    planes and the latest slab's last ones are copied.
+    last plane and its own but the last; close() yields the last slab's last
+    plane. before, if given, holds the differentiated fields' planes before
+    the first slab's (untwisted), so the first slab completes its first
+    plane; else that plane waits for close(). A piece is (first plane, fields,
+    ends), ends the differentiated fields' (before, after) planes, twisted
+    across plane 0 as the wrap reads them; a whole-box slab is one piece with
+    ends None. Only the first slab's first planes and each slab's last ones
+    are copied.
     """
 
-    def __init__(self, n_x: int, twist: complex = 1.0, local: int = 0):
-        self.n_x, self.twist, self.local = n_x, twist, local
-        self.head = self.tail = None  # (first plane, copies of the planes its seam piece reads)
+    def __init__(self, n_x: int, twist: complex = 1.0, local: int = 0, before=None):
+        self.n_x, self.twist, self.local, self.before = n_x, twist, local, before
+        self.head = self.tail = None  # (first plane, copies of the planes its piece reads)
 
     def _piece(self, p, fields, before, after):
         k = len(fields) - self.local
@@ -125,23 +127,26 @@ class Lag:
                           [f[n - 1:n] for f in fields])
 
     def step(self, p0: int, fields):
-        n = len(fields[0])
+        n, k = len(fields[0]), len(fields) - self.local
         if n == self.n_x:
-            yield p0, fields, [None] * (len(fields) - self.local)
+            yield p0, fields, [None] * k
             return
-        if self.head is None:
-            depth = [2] * (len(fields) - self.local) + [1] * self.local
-            self.head = p0, [f[:d].copy() for f, d in zip(fields, depth)]
-            self.tail = None, [np.empty_like(f[:d]) for f, d in zip(fields, depth)]
+        if self.head is not None:
+            yield from self._pieces(p0, fields)
+        elif self.before is not None:
+            self.head = p0, [f[:1].copy() for f in fields[:k]]
+            yield self._piece(p0, [f[:n - 1] for f in fields], self.before,
+                              [f[n - 1:] for f in fields])
+        else:
+            self.head = p0, [f[:2 if i < k else 1].copy() for i, f in enumerate(fields)]
             if n > 2:
                 yield self._piece(p0 + 1, [f[1:-1] for f in fields], [f[:1] for f in fields],
                                   [f[-1:] for f in fields])
-        else:
-            yield from self._pieces(p0, fields)
-        for t, f in zip(self.tail[1], fields):  # reused, so one copy of a tail at a time
-            t[...] = f[n - len(t):]
-        self.tail = p0 + n - 1, self.tail[1]
+        self.tail = p0 + n - 1, [f[n - (2 if i < k else 1):].copy() for i, f in enumerate(fields)]
 
     def close(self):
         if self.head is not None:
-            yield from self._pieces(*self.head)
+            pieces = self._pieces(*self.head)
+            yield next(pieces)
+            if self.before is None:
+                yield from pieces

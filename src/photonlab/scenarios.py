@@ -28,7 +28,7 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     norms = []
 
     def blocks():
-        # current.csv is written slab by slab; the box norm sums the whole
+        # current.csv is written record by record; the box norm sums the whole
         # density of a time at once, as the slabs' partial sums would round apart
         rho = []
         for p0, cf, res in field_scan(m, sg, times):

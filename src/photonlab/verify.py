@@ -107,42 +107,52 @@ def packet_state(packet: PacketParams, speed: float = 1.0):
 
 
 def field_scan(m, grid, times, med=VACUUM):
-    """Yield the current.csv record (first plane, current, |residual|) per x-slab and time.
+    """Yield current.csv records (first plane, current, |residual|), in plane order per time.
 
     The current is current_in_medium of the snapshot at t; at t -+ dt, dt half
     a grid cell, only the density is built, scaled by med.epsilon_rel, since
-    the continuity residual reads nothing else there. Each time walks the slabs
-    of slab_plan from the last one, whose record is held and yielded last, so
-    the records come in plane order; J's x-neighbours come from the adjacent
-    slabs (fdops.Lag, twist 1), so a slab's record is done once the next
-    slab's arrival completes its last plane.
+    the continuity residual reads nothing else there. Each time walks the
+    slabs of slab_plan in plane order, and J's x-neighbours come from the
+    adjacent slabs (fdops.Lag, twist 1): a slab completes the previous slab's
+    last plane and its own planes but the last, and each such piece is
+    yielded at once. J on plane n_x - 1, which plane 0 reads, is summed first,
+    on the last 4 planes or so of the last slab, so no record waits for the
+    end of the walk. A record's rho is its own copy, so a caller that keeps
+    the densities keeps only their planes.
     """
     dt, plan = grid.spacing / 2.0, slab_plan(grid)
 
-    def density(s, planes, coeffs):
-        snap = synthesize(m, grid, s, groups=("a", "e"), planes=planes, coeffs=coeffs)
-        return CurrentField(grid, s, number_density(snap, med.epsilon_rel), j=None)
-
-    def fill(pieces):  # each piece's |residual| into the record holding its planes
-        for p, (j, *rho), (ends,) in pieces:
-            p0, _, res = next(r for r in records if r[0] <= p < r[0] + len(r[2]))
-            at = [CurrentField(grid, s, r, jj) for s, r, jj in zip(steps, rho, (None, j, None))]
-            np.abs(continuity_residual(*at, ends=ends), out=res[p - p0:p - p0 + len(j)])
+    def records(t, steps, pieces):
+        for p, (j, prev, rho, nxt, s), (ends,) in pieces:
+            at = [CurrentField(grid, u, r, jj) for u, r, jj in zip(steps, (prev, rho, nxt),
+                                                                   (None, j, None))]
+            res = np.abs(continuity_residual(*at, ends=ends))
+            yield p, CurrentField(grid, t, rho.copy(), j, s), res
 
     for t in times:
         steps = [t + k * dt for k in (-1, 0, 1)]
         coeffs = [mode_coefficients(m, s) for s in steps]
-        lag, records = Lag(grid.n_per_axis, local=3), []  # records not yet yielded
-        for p0, planes in plan[-1:] + plan[:-1]:
-            prev, nxt = (density(steps[k], planes, coeffs[k]) for k in (0, 2))
-            cf = current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
-            records.append((p0, cf, np.empty_like(cf.rho)))
-            fill(lag.step(p0, [cf.j, prev.rho, cf.rho, nxt.rho]))
+
+        def density(k, planes):
+            snap = synthesize(m, grid, steps[k], groups=("a", "e"), planes=planes,
+                              coeffs=coeffs[k])
+            return number_density(snap, med.epsilon_rel)
+
+        def current(planes):
+            return current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
+
+        # J on plane n_x - 1 from the last slab's last group of 4 planes (with
+        # any planes over), which sums as the slab does
+        last = plan[-1][1]
+        before = None if len(plan) == 1 else \
+            [current(last[(len(last) - 2) // 4 * 4:]).j[-1:].copy()]
+        lag = Lag(grid.n_per_axis, local=4, before=before)
+        for p0, planes in plan:
+            prev, nxt = density(0, planes), density(2, planes)
+            cf = current(planes)
+            yield from records(t, steps, lag.step(p0, [cf.j, prev, cf.rho, nxt, cf.s_hel]))
             del prev, cf, nxt  # freed before the next slab is summed
-            if len(records) == 3:  # the previous slab is done; the first waits for the seam
-                yield records.pop(1)
-        fill(lag.close())
-        yield from records[1:] + records[:1]
+        yield from records(t, steps, lag.close())
 
 
 # ---------------------------------------------------------------------------

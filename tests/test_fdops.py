@@ -127,19 +127,24 @@ def slab_walks(draw):
           (cmath.exp(0.4j), cmath.exp(-2.0j), cmath.exp(3.0j)), [0, 2], 0))
 def test_lagged_slab_stencils_match_the_whole_box(case):
     # every plane once, from pieces whose x-neighbours the Lag carried between
-    # slabs visited in a cyclic walk from any slab: bitwise the whole box
+    # slabs visited in a cyclic walk from any slab, with the plane before the
+    # walk given or not: bitwise the whole box
     vf, spacing, dim, twists, bounds, start = case
     slabs = [(a, vf[a:b]) for a, b in zip(bounds, bounds[1:])]
-    lag, pieces = Lag(len(vf), twists[0]), {}
-    for p0, f in slabs[start:] + slabs[:start]:
-        for p, (g,), ends in lag.step(p0, [f]):
-            curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
-            pieces[p] = (divergence(g, spacing, dim, twists, ends[0]), np.stack(curls, axis=-1))
-    for p, (g,), ends in lag.close():
-        curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
-        pieces[p] = (divergence(g, spacing, dim, twists, ends[0]), np.stack(curls, axis=-1))
-    firsts = sorted(pieces)
-    assert firsts[0] == 0 and all(p + len(pieces[p][0]) == q for p, q in zip(firsts, firsts[1:]))
-    got = [np.concatenate([pieces[p][i] for p in firsts]) for i in (0, 1)]
-    assert same_bits(got[0], divergence(vf, spacing, dim, twists))
-    assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))
+    walk = slabs[start:] + slabs[:start]
+    for before in (None, [vf[walk[0][0] - 1:][:1]]):
+        lag, pieces, order = Lag(len(vf), twists[0], before=before), {}, []
+        for step in [lag.step(p0, [f]) for p0, f in walk] + [lag.close()]:
+            for p, (g,), ends in step:
+                curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
+                pieces[p] = (divergence(g, spacing, dim, twists, ends[0]),
+                             np.stack(curls, axis=-1))
+                order.append(p)
+        firsts = sorted(pieces)
+        assert firsts[0] == 0 and all(p + len(pieces[p][0]) == q
+                                      for p, q in zip(firsts, firsts[1:]))
+        if before is not None and start == 0:  # the pieces come in plane order
+            assert order == firsts
+        got = [np.concatenate([pieces[p][i] for p in firsts]) for i in (0, 1)]
+        assert same_bits(got[0], divergence(vf, spacing, dim, twists))
+        assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))

@@ -355,26 +355,23 @@ def test_packet_run_off_the_4_plane_grid_is_set_by_the_slab_not_the_box(tmp_path
 
 
 def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
-    # the scan visits each time's last slab first and holds its record (rho,
-    # j, s and |residual|: 64 B a point) to the end, and a slab's record until
-    # the next slab completes its last plane. So as the scan starts a slab, the
-    # slabs yielded before it leave only their densities, which the box norm
-    # sums at once, beside at most two records; their snapshots and CSV columns
-    # are freed. 1 MB covers the x-neighbour planes carried between slabs, the
-    # last CSV block written (_BLOCK_CELLS values) and small objects.
+    # each time sums the current on the last 4 planes first (J on plane
+    # n_x - 1), then walks the slabs in plane order, and every record is
+    # yielded as its planes are done. So as the scan starts a slab, the planes
+    # before it leave only their densities, which the box norm sums at once;
+    # their snapshots, currents and CSV columns are freed. 1 MB covers the
+    # x-neighbour planes carried between slabs, the last CSV block written
+    # (_BLOCK_CELLS values) and small objects.
     n_x = 64
     cfg = parse_config(f"[packet3d]\noutput = {tmp_path}\nn_k = 4\nn_x = {n_x}\nt_steps = 1\n")
     plan = slab_plan(dual_grid(packet_state(cfg.packet).grid, n_x))
-    points = len(plan[0][1]) * n_x * n_x
-    assert all(len(planes) * n_x * n_x == points for _, planes in plan)
-    rho_bytes, record_bytes = 8 * points, 64 * points
-    starts = []  # (first plane, traced bytes) as each slab's first snapshot is summed
+    plane_rho_bytes = n_x * n_x * np.dtype(np.float64).itemsize
+    calls = []  # (first plane, traced bytes) as each snapshot is summed
     synth = verify.synthesize
 
     def traced(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
                coeffs=None):
-        if not starts or starts[-1][0] != planes[0]:
-            starts.append((int(planes[0]), tracemalloc.get_traced_memory()[0]))
+        calls.append((int(planes[0]), tracemalloc.get_traced_memory()[0]))
         return synth(m, grid, t, omega_scale, groups, planes, coeffs)
 
     tracemalloc.start()
@@ -384,10 +381,11 @@ def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert out.all_passed
-    walk = [plan[-1][0]] + [p0 for p0, _ in plan[:-1]]
-    assert [p0 for p0, _ in starts] == walk * 2
-    for i, (p0, traced_bytes) in enumerate(starts):
-        i %= len(plan)
-        grown = traced_bytes - starts[0][1]
-        assert grown <= max(0, i - 2) * rho_bytes + min(i, 2) * record_bytes + (1 << 20), \
-            (p0, grown)
+    # per time: the current on the last slab (4 planes), then each slab's
+    # densities at t -+ dt and its current
+    walk = [plan[-1][0]] + [p0 for p0, _ in plan for _ in range(3)]
+    assert [p0 for p0, _ in calls] == walk * 2
+    for visit in (calls[:len(walk)], calls[len(walk):]):
+        for i, (p0, traced_bytes) in enumerate(visit[:1] + visit[1::3]):
+            grown = traced_bytes - calls[0][1]
+            assert grown <= (p0 if i else 0) * plane_rho_bytes + (1 << 20), (p0, grown)
