@@ -115,10 +115,10 @@ def field_scan(m, grid, times, med=VACUUM):
     slabs of slab_plan in plane order, and J's x-neighbours come from the
     adjacent slabs (fdops.Lag, twist 1): a slab completes the previous slab's
     last plane and its own planes but the last, and each such piece is
-    yielded at once. J on plane n_x - 1, which plane 0 reads, is summed first,
-    on the last 4 planes or so of the last slab, so no record waits for the
-    end of the walk. A record's rho is its own copy, so a caller that keeps
-    the densities keeps only their planes.
+    yielded at once. J on plane n_x - 1, which plane 0 reads, is summed
+    first, on the last slab's last group of 4 planes, so no record waits for
+    the end of the walk. A record's rho is its own copy, so a caller that
+    keeps the densities keeps only their planes.
     """
     dt, plan = grid.spacing / 2.0, slab_plan(grid)
 
