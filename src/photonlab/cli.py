@@ -8,6 +8,7 @@ output write).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -24,6 +25,12 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_IO_ERROR = 3
+
+# glibc's malloc thresholds (mallopt(3)), at the values its own adaptive rule ends
+# at on 64-bit: DEFAULT_MMAP_THRESHOLD_MAX, and a trim threshold of twice that
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt's parameter numbers (malloc.h)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,7 +66,25 @@ def _prepare_output(outdir: str) -> None:
     os.remove(probe)
 
 
+def _keep_freed_pages() -> None:
+    """Keep freed slab- and block-sized temporaries in glibc's heap for the next slab.
+
+    By default glibc maps such a block afresh, returns its pages to the kernel
+    when it is freed and faults them in again for the next slab, until some
+    free happens to raise its thresholds. A no-op unless the C library is glibc.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):
+        return
+    libc = ctypes.CDLL(None)
+    libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    libc.mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_pages()
     args = build_parser().parse_args(argv)
 
     try:

@@ -1,3 +1,4 @@
+import ctypes
 import errno
 import os
 import shutil
@@ -229,27 +230,79 @@ def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
                                     "[gauge]\nn_x = 66\n"],
                          ids=["verify", "packet3d", "gauge-nx18", "gauge-nx66"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
-    """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads.
+    """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads,
+    and with the CLI's malloc thresholds left at glibc's defaults.
 
     The default packet3d box is cut into 4 slabs of 8 planes, and the gauge
     boxes, whose n_x is not a multiple of 4, into slabs of 4 planes and a
     last one of 2 (4 x 4 + 2 at n_x = 18, 16 x 4 + 2 at n_x = 66), so
     fields.slab_plan's multiple-of-4 rule is checked at 1 and 2 threads too,
-    on boxes with leftover planes.
+    on boxes with leftover planes. With the thresholds set, np.empty and the
+    scratch buffers come from recycled heap memory rather than freshly zeroed
+    pages, so a read before a write would show as a difference.
     """
     args = ["verify"]
     if config is not None:
         args = ["run", "--config", write_config(tmp_path, config)]
+    default_malloc = ("import sys\nfrom photonlab import cli\n"
+                      "cli._keep_freed_pages = lambda: None\n"
+                      "sys.exit(cli.main(sys.argv[1:]))")
     runs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
+    for name, threads, entry in (("threads1", 1, ["-m", "photonlab"]),
+                                 ("threads2", 2, ["-m", "photonlab"]),
+                                 ("default-malloc", 1, ["-c", default_malloc])):
+        out = tmp_path / name
         out.mkdir()
-        res = subprocess.run([sys.executable, "-m", "photonlab", *args], cwd=out,
+        res = subprocess.run([sys.executable, *entry, *args], cwd=out,
                              capture_output=True, env=_blas_env(threads))
         assert res.returncode == 0, res.stderr
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append((res.stdout, files))
-    assert runs[0][1] and runs[0] == runs[1]
+    assert runs[0][1] and runs[0] == runs[1] == runs[2]
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="the C library is not glibc")
+def test_cli_keeps_freed_pages_for_the_next_block():
+    # a CSV block's churn: 40 arrays of 128 KiB written and freed, 20 times
+    # over; the first round maps the heap and the other 19 are counted
+    churn = (
+        "import resource, numpy as np\n"
+        "from photonlab import cli\n"
+        "def faults():\n"
+        "    for i in range(20):\n"
+        "        if i == 1:\n"
+        "            start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "        held = [np.ones(16384) for _ in range(40)]\n"
+        "        del held\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start\n"
+        "default = faults()\n"
+        "cli._keep_freed_pages()\n"
+        "print(default, faults())")
+    res = subprocess.run([sys.executable, "-c", churn], capture_output=True, text=True,
+                         env=_blas_env(None))
+    assert res.returncode == 0, res.stderr
+    default, kept = map(int, res.stdout.split())
+    assert default > 2000 and kept < 300, (default, kept)
+
+
+def test_cli_runs_where_the_c_library_is_not_glibc(tmp_path, monkeypatch):
+    def no_glibc(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    def no_mallopt(*args, **kwargs):
+        raise AssertionError("mallopt reached without glibc")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+    cfg = write_config(tmp_path, f"[fock]\nn_states = 12\noutput = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("command, section", [("run", "fock"), ("verify", "verify")])

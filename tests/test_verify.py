@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import fields, medium, verify
+from photonlab import fields, medium, scenarios, verify
 from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
 from photonlab.current import number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
@@ -517,6 +517,131 @@ def test_a_nan_in_one_slab_of_e_fails_gauge_field(width):
         checks, _, _ = run(cfg.packet, cfg.gauge_strength, cfg.t_stop, cfg.tolerances)
     field = checks[0]
     assert field.name == "gauge_field" and np.isnan(field.measured) and not field.passed
+
+
+# every check that reads a field sum, for verify and the run scenarios that sum fields
+_FIELD_CHECKS = {
+    "[verify]\n": {"norm_unity", "continuity_order", "continuity_residual",
+                   "helicity_pointwise", "helicity_longitudinal", "gauge_field", "gauge_norm",
+                   "maxwell_gauss_order", "maxwell_ampere_order", "maxwell_divb_order",
+                   "medium_pointwise", "medium_norm", "medium_current", "vacuum_reduction"},
+    "[packet3d]\nn_k = 8\nn_x = 16\n": {"norm_unity"},
+    "[helicity]\n": {"helicity_pointwise"},
+    "[helicity]\nlambda = par\n": {"helicity_longitudinal"},
+    "[gauge]\nn_x = 18\n": {"gauge_field", "gauge_norm"},
+    "[medium1d]\n": {"medium_pointwise", "medium_norm", "medium_current", "vacuum_reduction"},
+}
+
+
+@pytest.mark.parametrize("text", list(_FIELD_CHECKS), ids=["verify", "packet3d", "helicity",
+                                                           "helicity-par", "gauge-nx18",
+                                                           "medium1d"])
+def test_a_nan_in_every_field_sum_fails_every_check_that_reads_one(tmp_path, text):
+    # and only those: a check on the modes, the line solve or the ladder still passes
+    synth = fields.synthesize
+
+    def planted(*args, **kwargs):
+        snap = synth(*args, **kwargs)
+        for rows in snap.rows.values():
+            rows[...] = np.nan
+        return snap
+
+    cfg = parse_config(text + f"output = {tmp_path}\n")
+    with mock.patch.object(fields, "synthesize", planted), \
+            mock.patch.object(verify, "synthesize", planted), \
+            mock.patch.object(scenarios, "synthesize", planted):
+        outcome = run_verify(cfg) if cfg.kind == "verify" else run_scenario(cfg)
+    assert {c.name for c in outcome.checks if not c.passed} == _FIELD_CHECKS[text]
+    assert all(np.isnan(c.measured) or c.measured == np.inf
+               for c in outcome.checks if not c.passed)
+
+
+def test_a_nan_in_one_slab_of_b_alone_fails_gauge_field():
+    # |dE| stays finite and a NaN |dB| follows it, which a Python max(dE, dB)
+    # would drop; B feeds no density, so the norm check still passes
+    plane = 20
+    cfg = parse_config("[gauge]")
+    synth = fields.synthesize
+
+    def planted(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                coeffs=None):
+        snap = synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        if not m.amps[lambda_row("par")].any() and plane in planes:
+            snap.rows["b"][0][planes == plane] = np.nan
+        return snap
+
+    with mock.patch.object(fields, "synthesize", planted):
+        checks, _, _ = gauge_checks(cfg.packet, cfg.gauge_strength, cfg.t_stop, cfg.tolerances)
+    assert [c.name for c in checks if not c.passed] == ["gauge_field"]
+    assert np.isnan(checks[0].measured)
+
+
+def test_a_nan_in_the_last_norm_fails_norm_unity():
+    tol, times = dict(TOLERANCE_DEFAULTS), [0.0, 1.0, 2.0]
+    assert norm_check([1.0, 1.0, 1.0], times, 1.0, tol)[0][0].passed
+    (check,), _ = norm_check([1.0, 1.0, np.nan], times, 1.0, tol)
+    assert np.isnan(check.measured) and not check.passed
+
+
+def _currents(kind):
+    """A 1D scenario's config, its grid, and the currents of its checkpoints."""
+    cfg = parse_config(f"[{kind}]")
+    med = cfg.medium or medium.VACUUM
+    m = packet_state(cfg.packet, speed=med.v)
+    sg = dual_grid(m.grid, cfg.packet.n_x)
+    currents = [cf for _, cf, _ in verify.field_scan(m, sg, cfg.times.checkpoints(), med)]
+    return cfg, m, sg, currents
+
+
+def test_a_nan_at_the_last_checkpoint_fails_the_pointwise_checks():
+    # the first checkpoints stay finite, so a Python max over them would pass
+    cfg, _, _, currents = _currents("helicity")
+    tol, last = cfg.tolerances, currents[-1]
+    assert all(c.passed for c in verify.helicity_check(currents, 1, tol)[0])
+    last.rho[100] = np.nan
+    (check,), info = verify.helicity_check(currents, 1, tol)
+    assert np.isnan(check.measured) and not check.passed
+    assert info == [f"helicity_pointwise worst point at t = {last.time:g}: "
+                    f"{_worst_point(last.rho, last.grid)}"]
+    assert " index 100 " in info[0]
+
+    for cf in currents:
+        cf.s_hel[:] = 0.0  # a longitudinal packet's helicity
+    assert verify.helicity_check(currents, "par", tol)[0][0].passed
+    last.s_hel[100, 2] = np.nan
+    (check,), _ = verify.helicity_check(currents, "par", tol)
+    assert np.isnan(check.measured) and not check.passed
+
+    cfg, m, sg, currents = _currents("medium1d")
+    free_rho = [number_density(synthesize(m, sg, cf.time)) for cf in currents]
+    assert all(c.passed for c in verify.medium_checks(cfg.packet, cfg.medium, currents,
+                                                      free_rho, cfg.tolerances)[0])
+    currents[-1].rho[100] = np.nan
+    checks, _ = verify.medium_checks(cfg.packet, cfg.medium, currents, free_rho,
+                                     cfg.tolerances)
+    failed = {c.name: c.measured for c in checks if not c.passed}
+    assert set(failed) == {"medium_pointwise", "medium_norm", "medium_current"}
+    assert all(np.isnan(v) for v in failed.values())
+
+
+def test_a_nan_boost_error_fails_both_boost_checks(monkeypatch):
+    # a NaN base error made the ratio 0.0, which passed boost_monotone
+    cfg = parse_config("[boost]")
+    errors = iter([np.nan, 1.0])
+    monkeypatch.setattr(verify, "norm", lambda m: next(errors))
+    checks, _, _ = verify.boost_checks(cfg.packet, cfg.beta, cfg.tolerances)
+    assert [c.name for c in checks if not c.passed] == ["boost_norm", "boost_monotone"]
+    assert all(np.isnan(c.measured) for c in checks)
+
+
+def test_a_nan_in_the_last_commutator_fails_fock_commutator(monkeypatch):
+    lp = verify.ladder_pair(parse_config("[fock]").n_states)
+    exact = verify.commutator_expectation
+    monkeypatch.setattr(verify, "commutator_expectation",
+                        lambda lp, n: np.nan if n == lp.dim - 2 else exact(lp, n))
+    checks, _ = verify.fock_checks(lp, dict(TOLERANCE_DEFAULTS))
+    assert [c.name for c in checks if not c.passed] == ["fock_commutator"]
+    assert np.isnan(checks[0].measured)
 
 
 @pytest.mark.parametrize("group, failing", [

@@ -18,6 +18,8 @@ one summary line names every call whose peak RSS or minor faults moved by
 more than 10% either way. One call a side also moves with host noise, so a
 call that moved is run twice more on each side, alternating sides, and is
 named only if the median of its three runs a side moved by more than 10%.
+Before that summary, one totals line a side sums the minor faults and CPU
+seconds of every call's first run and names the largest peak RSS among them.
 Stdlib only; the 34 call pairs take a few minutes on two cores.
 """
 
@@ -166,6 +168,7 @@ def main(argv=None) -> int:
         return 2
     calls = {**CALLS, **_perfbench_configs()}
     diffs, moved = [], []
+    firsts = ([], [])  # each call's first run at the revision and here
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         tmp = Path(tmp)
         _export(argv[0], tmp / "rev")
@@ -187,6 +190,8 @@ def main(argv=None) -> int:
                   f"{ref_run[5]:.2f} s CPU at {argv[0]}; {new_run[2]:.1f} MB, "
                   f"{new_run[4]} minor faults, {new_run[5]:.2f} s CPU here")
             diffs += found
+            firsts[0].append(ref_run)
+            firsts[1].append(new_run)
             shutil.rmtree(ref)
             shutil.rmtree(out)
             ref_runs, new_runs = [ref_run], [new_run]
@@ -203,6 +208,10 @@ def main(argv=None) -> int:
                 print(f"{name}: median of 3 calls a side: {ref_med} at {argv[0]}; "
                       f"{new_med} here")
             moved += _moved(name, ref_runs, new_runs)
+    for side, runs in zip((f"at {argv[0]}", "here"), firsts):
+        print(f"totals {side}: "
+              f"{sum(r[4] for r in runs)} minor faults, {sum(r[5] for r in runs):.2f} s CPU, "
+              f"largest peak RSS {max(r[2] for r in runs):.1f} MB")
     print("moved by more than 10%: " + ("; ".join(moved) if moved else "no call's peak RSS "
                                          "or minor faults"))
     for line in diffs:
