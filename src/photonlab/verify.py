@@ -13,6 +13,8 @@ and tolerances come from the config.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import time as _time
 from dataclasses import dataclass, replace
 
@@ -97,6 +99,84 @@ def _located_failure(check, maxima, deviation, currents) -> list:
     cf = currents[i]
     return [f"{check.name} worst point at t = {cf.time:g}: "
             f"{_worst_point(deviation(i), cf.grid)}"]
+
+
+def _in_process(fn):
+    """in_child's lane run at once, in this process, with the same join()."""
+    try:
+        ok, value = True, fn()
+    except Exception as exc:
+        ok, value = False, exc
+
+    def join(check=True):
+        if not check:
+            return None
+        if not ok:
+            raise value
+        return value
+    return join
+
+
+def in_child(fn):
+    """Start fn() in a forked child lane; return a join() that gives back its result
+    or raises its exception.
+
+    The child pickles (ok, value) into a pipe and always leaves through
+    os._exit, so it runs no atexit handler and none of its caller's clean-up;
+    an exception that will not pickle comes back as a RuntimeError of its
+    repr. join() reads the pipe to its end before it reaps the child, so a
+    large result cannot stall either side, and a child that ends without a
+    result raises a RuntimeError naming its wait status. join(check=False)
+    only reaps the child, for a caller whose own lane has failed: its error
+    goes first. Without os.fork, or when the fork fails, fn runs at once, in
+    process (_in_process).
+    """
+    if not hasattr(os, "fork"):
+        return _in_process(fn)
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return _in_process(fn)
+    if pid == 0:  # the child lane; it never returns
+        code = 1
+        try:
+            os.close(r)
+            try:
+                sent = (True, fn())
+            except BaseException as exc:  # raised again by the parent's join()
+                sent = (False, exc)
+            try:
+                data = pickle.dumps(sent)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(sent[1]))))
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+
+    def join(check=True):
+        try:
+            with open(r, "rb") as pipe:
+                data = pipe.read()
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if not check:
+            return None
+        if status != 0 or not data:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit code {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(f"child lane {pid} ended without a result "
+                               f"(wait status {status:#x}: {how})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+    return join
 
 
 def packet_state(packet: PacketParams, speed: float = 1.0):
@@ -543,22 +623,38 @@ def run_verify(cfg: ScenarioConfig) -> Outcome:
     tol = cfg.tolerances
     scale = 1.0 + cfg.inject_dispersion_error
 
-    blocks = (
-        ("norm", lambda: _norm_block(tol, scale)),
-        ("continuity", lambda: _continuity_block(tol, scale)),
-        ("helicity", lambda: _helicity_block(tol, scale)),
-        ("gauge", lambda: gauge_checks(parse_config("[gauge]").packet, 0.7, 0.7, tol, scale)[:2]),
-        ("boost", lambda: _boost_block(tol)),
-        ("maxwell", lambda: _maxwell_block(tol, scale)),
-        ("medium", lambda: _medium_block(tol, scale)),
-        ("lifecycle", lambda: _lifecycle_block(tol)),
-        ("fock", lambda: _fock_block(tol)),
-    )
-    checks, info, timings = [], [], {}
-    for name, block in blocks:
+    blocks = {
+        "norm": lambda: _norm_block(tol, scale),
+        "continuity": lambda: _continuity_block(tol, scale),
+        "helicity": lambda: _helicity_block(tol, scale),
+        "gauge": lambda: gauge_checks(parse_config("[gauge]").packet, 0.7, 0.7, tol, scale)[:2],
+        "boost": lambda: _boost_block(tol),
+        "maxwell": lambda: _maxwell_block(tol, scale),
+        "medium": lambda: _medium_block(tol, scale),
+        "lifecycle": lambda: _lifecycle_block(tol),
+        "fock": lambda: _fock_block(tol),
+    }
+
+    def timed(block):
         started = _time.perf_counter()
-        block_checks, block_info = block()
-        timings[name] = _time.perf_counter() - started
+        return block(), _time.perf_counter() - started
+
+    # the Maxwell study, the longest block, runs in a child lane beside the
+    # other eight, none of which reads its result
+    join = in_child(lambda: timed(blocks["maxwell"]))
+    done = {}
+    try:
+        for name, block in blocks.items():
+            if name != "maxwell":
+                done[name] = timed(block)
+    except BaseException:
+        join(check=False)
+        raise
+    done["maxwell"] = join()
+
+    checks, info, timings = [], [], {}
+    for name in blocks:
+        (block_checks, block_info), timings[name] = done[name]
         checks.extend(block_checks)
         info.extend(block_info)
     return Outcome(checks=tuple(checks), info=tuple(info), timings=timings)

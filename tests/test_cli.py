@@ -4,11 +4,15 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import photonlab
+from photonlab import csvio, scenarios, verify
 from photonlab.cli import main
+from photonlab.config import default_verify_config
+from photonlab.verify import in_child
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -231,7 +235,9 @@ def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
                          ids=["verify", "packet3d", "gauge-nx18", "gauge-nx66"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads,
-    and with the CLI's malloc thresholds left at glibc's defaults.
+    with the CLI's malloc thresholds left at glibc's defaults, and with the
+    child lanes (packet3d's fields.csv, verify's Maxwell study) run at once in
+    process, as where os.fork does not exist.
 
     The default packet3d box is cut into 4 slabs of 8 planes, and the gauge
     boxes, whose n_x is not a multiple of 4, into slabs of 4 planes and a
@@ -247,10 +253,14 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     default_malloc = ("import sys\nfrom photonlab import cli\n"
                       "cli._keep_freed_pages = lambda: None\n"
                       "sys.exit(cli.main(sys.argv[1:]))")
+    inline_lanes = ("import sys\nfrom photonlab import cli, scenarios, verify\n"
+                    "verify.in_child = scenarios.in_child = verify._in_process\n"
+                    "sys.exit(cli.main(sys.argv[1:]))")
     runs = []
     for name, threads, entry in (("threads1", 1, ["-m", "photonlab"]),
                                  ("threads2", 2, ["-m", "photonlab"]),
-                                 ("default-malloc", 1, ["-c", default_malloc])):
+                                 ("default-malloc", 1, ["-c", default_malloc]),
+                                 ("inline-lanes", 1, ["-c", inline_lanes])):
         out = tmp_path / name
         out.mkdir()
         res = subprocess.run([sys.executable, *entry, *args], cwd=out,
@@ -258,7 +268,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
         assert res.returncode == 0, res.stderr
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         runs.append((res.stdout, files))
-    assert runs[0][1] and runs[0] == runs[1] == runs[2]
+    assert runs[0][1] and runs[0] == runs[1] == runs[2] == runs[3]
 
 
 def _glibc():
@@ -328,3 +338,169 @@ def test_medium1d_longitudinal_packet_exits_two(tmp_path, capsys):
     assert "photonlab: config error: line 3 field 'lambda':" in err
     assert "lambda = +1 or -1" in err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the child lanes: packet3d's fields.csv and verify's Maxwell study
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+SMALL_PACKET = "[packet3d]\nn_k = 4\nn_x = 8\nt_steps = 1\n"
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def no_space(path, *args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+
+@pytest.mark.parametrize("lanes", ["forked", "inline"])
+def test_failed_fields_lane_exits_three_as_the_serial_run(tmp_path, capsys, monkeypatch, lanes):
+    if lanes == "inline":
+        monkeypatch.setattr(scenarios, "in_child", verify._in_process)
+    monkeypatch.setattr(scenarios, "write_fields_csv", no_space)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, SMALL_PACKET + f"output = {out}\n")
+    assert main(["run", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("photonlab: cannot write outputs: [Errno 28] No space left on "
+                            f"device: '{out / 'fields.csv'}'\n")
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["current.csv", "modes.csv"]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_lane_that_exits_without_a_result_raises_naming_its_status(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenarios, "write_fields_csv", lambda *args: os._exit(9))
+    cfg = write_config(tmp_path, SMALL_PACKET + f"output = {tmp_path / 'out'}\n")
+    with pytest.raises(RuntimeError, match=r"ended without a result \(wait status 0x900: "
+                                           r"exit code 9\)"):
+        main(["run", "--config", cfg])
+    assert_no_child_left()
+
+
+@needs_fork
+def test_the_parent_lanes_error_goes_first_and_the_child_is_reaped(tmp_path, capsys,
+                                                                    monkeypatch):
+    # the fields lane is still running when current.csv fails, and then fails too
+    def slow_no_space(path, *args):
+        time.sleep(0.5)
+        no_space(path)
+
+    def io_error(path, *args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO), path)
+
+    monkeypatch.setattr(scenarios, "write_fields_csv", slow_no_space)
+    monkeypatch.setattr(scenarios, "write_current_csv", io_error)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, SMALL_PACKET + f"output = {out}\n")
+    assert main(["run", "--config", cfg]) == 3
+    assert capsys.readouterr().err == ("photonlab: cannot write outputs: [Errno 5] "
+                                       f"Input/output error: '{out / 'current.csv'}'\n")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_verify_raises_the_parent_lanes_error_and_reaps_the_maxwell_lane(monkeypatch):
+    def maxwell_fails(tol, scale):
+        raise ValueError("the Maxwell lane failed")
+
+    def fock_fails(tol):
+        raise KeyError("the last parent block failed")
+
+    monkeypatch.setattr(verify, "_maxwell_block", maxwell_fails)
+    with pytest.raises(ValueError, match="the Maxwell lane failed"):
+        verify.run_verify(default_verify_config())
+    monkeypatch.setattr(verify, "_fock_block", fock_fails)
+    with pytest.raises(KeyError, match="the last parent block failed"):
+        verify.run_verify(default_verify_config())
+    assert_no_child_left()
+
+
+@needs_fork
+def test_verify_keeps_the_block_order_and_the_lanes_own_time():
+    rep = verify.run_verify(default_verify_config())
+    assert list(rep.timings) == ["norm", "continuity", "helicity", "gauge", "boost", "maxwell",
+                                 "medium", "lifecycle", "fock"]
+    assert rep.timings["maxwell"] > 0
+    names = [c.name for c in rep.checks]
+    at = names.index("boost_monotone") + 1
+    assert names[at:at + 4] == ["maxwell_gauss_order", "maxwell_ampere_order",
+                                "maxwell_divb_order", "medium_pointwise"]
+    assert_no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("command, config, lane, files", [
+    ("run", SMALL_PACKET, "photonlab.scenarios.write_fields_csv",
+     ["current.csv", "fields.csv", "modes.csv", "report.csv", "report.txt"]),
+    ("verify", "[verify]\n", "photonlab.verify._maxwell_block", ["report.csv", "report.txt"]),
+])
+def test_only_the_lane_runs_in_the_child(tmp_path, capsys, monkeypatch, command, config, lane,
+                                         files):
+    # the lane runs in one child, and every write but fields.csv is the parent's
+    pids = tmp_path / "pids"
+
+    def recorded(fn, what=None):  # what: the lane, else the file written
+        def call(*args, **kwargs):
+            with open(pids, "a", encoding="utf-8") as fh:
+                fh.write(f"{what or os.path.basename(args[0])} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    module, _, name = lane.rpartition(".")
+    monkeypatch.setattr(lane, recorded(getattr(sys.modules[module], name), "lane"))
+    monkeypatch.setattr(csvio, "atomic_write_chunks", recorded(csvio.atomic_write_chunks))
+    cfg = write_config(tmp_path, config + f"output = {tmp_path / 'out'}\n")
+    assert main([command, "--config", cfg]) == 0
+    assert capsys.readouterr().out.count("result: PASS") == 1
+    records = [line.split() for line in pids.read_text(encoding="utf-8").splitlines()]
+    writers = {name: int(pid) for name, pid in records}
+    assert sorted(name for name, _ in records) == sorted(files + ["lane"])
+    child = writers.pop("lane")
+    assert child != os.getpid()
+    assert writers == {name: child if name == "fields.csv" else os.getpid() for name in files}
+    assert_no_child_left()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not sent")
+
+
+@needs_fork
+def test_in_child_sends_back_a_large_result_and_any_exception():
+    big = in_child(lambda: bytes(range(256)) * 4096)  # 1 MiB, 16 pipe buffers
+    assert big() == bytes(range(256)) * 4096
+
+    def fails():
+        raise Unpicklable("kept as its repr")
+
+    with pytest.raises(RuntimeError, match=r"^Unpicklable\('kept as its repr'\)$"):
+        in_child(fails)()
+    with pytest.raises(KeyError, match="sent back"):
+        in_child(lambda: {}["sent back"])()
+    assert_no_child_left()
+
+
+def cannot_fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("fork", [None, cannot_fork], ids=["no-fork", "fork-fails"])
+def test_without_fork_the_lane_runs_at_once_in_process(monkeypatch, fork):
+    if fork is None:
+        monkeypatch.delattr(os, "fork", raising=False)
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    ran = []
+    join = in_child(lambda: ran.append(os.getpid()) or len(ran))
+    assert ran == [os.getpid()]
+    assert join() == 1
+    join = in_child(lambda: {}["kept for join"])
+    assert join(check=False) is None
+    with pytest.raises(KeyError, match="kept for join"):
+        join()

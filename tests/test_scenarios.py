@@ -25,6 +25,11 @@ def run(tmp_path, kind, body="", extra=""):
     return run_scenario(parse_config(text))
 
 
+def inline_lanes():
+    """Run the child lanes at once, in process, where tracemalloc and mocks see them."""
+    return mock.patch.object(scenarios, "in_child", verify._in_process)
+
+
 def check_map(outcome):
     return {c.name: c for c in outcome.checks}
 
@@ -327,7 +332,8 @@ def test_packet_run_memory_is_set_by_the_slab_not_the_box(tmp_path):
         np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
-        out = run_scenario(cfg)
+        with inline_lanes():
+            out = run_scenario(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -346,7 +352,8 @@ def test_packet_run_off_the_4_plane_grid_is_set_by_the_slab_not_the_box(tmp_path
         np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
-        out = run_scenario(cfg)
+        with inline_lanes():
+            out = run_scenario(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,7 +383,7 @@ def test_packet_scan_holds_one_slab_at_a_time(tmp_path):
 
     tracemalloc.start()
     try:
-        with mock.patch.object(verify, "synthesize", traced):
+        with mock.patch.object(verify, "synthesize", traced), inline_lanes():
             out = run_scenario(cfg)
     finally:
         tracemalloc.stop()

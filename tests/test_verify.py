@@ -717,8 +717,11 @@ def test_no_halo_free_3d_sum_is_whole(tmp_path):
             return synth(m, grid, t, omega_scale, groups, planes, coeffs)
         return call
 
+    # the child lanes run in process, where the guard sees their sums
     with mock.patch.object(fields, "synthesize", guarded(fields.synthesize)), \
-            mock.patch.object(verify, "synthesize", guarded(verify.synthesize)):
+            mock.patch.object(verify, "synthesize", guarded(verify.synthesize)), \
+            mock.patch.object(verify, "in_child", verify._in_process), \
+            mock.patch.object(scenarios, "in_child", verify._in_process):
         assert run_verify(parse_config("[verify]\n")).all_passed
         for text in ("[packet3d]\n", "[packet3d]\nn_k = 6\nn_x = 18\n", "[gauge]\n",
                      "[gauge]\nn_x = 18\n", "[gauge]\nn_x = 66\n"):

@@ -6,20 +6,23 @@ Exports REV with `git archive` into a temporary directory, then runs the same
 photonlab calls with REV's `src` and with the working tree's, each in the same
 output directory, and compares every file written there (reports and CSVs),
 stdout and the exit code. A call whose stderr holds a Python traceback on
-either side differs too: a crash exits 1 as a failed check does. Prints one
-line per call; exits 1 and names the files that differ, 0 when every output
-is byte-identical. After each call's
-line it prints the call's peak RSS on both sides (ru_maxrss from os.wait4, as
-perfbench reads it), its minor page faults (ru_minflt) and its CPU seconds
-(ru_utime + ru_stime, both from the same os.wait4), so a check of identical
-bytes also shows where memory moved, what the move cost in page faults, and
-how much CPU time every thread of the call spent. After the per-call lines
-one summary line names every call whose peak RSS or minor faults moved by
-more than 10% either way. One call a side also moves with host noise, so a
-call that moved is run twice more on each side, alternating sides, and is
-named only if the median of its three runs a side moved by more than 10%.
-Before that summary, one totals line a side sums the minor faults and CPU
-seconds of every call's first run and names the largest peak RSS among them.
+either side differs too: a crash exits 1 as a failed check does. So does a
+call that leaves a process running: each call starts its own session, and
+once it has exited, a member left in its process group (a child lane never
+reaped, say) is named and killed. Prints one line per call; exits 1 and
+names the files that differ, 0 when every output is byte-identical. After
+each call's line it prints the call's peak RSS on both sides (ru_maxrss from
+os.wait4, as perfbench reads it), its minor page faults (ru_minflt) and its
+CPU seconds (ru_utime + ru_stime, both from the same os.wait4), so a check of
+identical bytes also shows where memory moved, what the move cost in page
+faults, and how much CPU time every thread of the call and of its reaped
+child lanes spent. After the per-call lines one summary line names every
+call whose peak RSS or minor faults moved by more than 10% either way. One
+call a side also moves with host noise, so a call that moved is run twice
+more on each side, alternating sides, and is named only if the median of its
+three runs a side moved by more than 10%. Before that summary, one totals
+line a side sums the minor faults and CPU seconds of every call's first run
+and names the largest peak RSS among them.
 Stdlib only; the 34 call pairs take a few minutes on two cores.
 """
 
@@ -31,6 +34,7 @@ import io
 import os
 import random
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -109,27 +113,40 @@ def _export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _call(src: Path, config: Path | None, outdir: Path) -> tuple[int, bytes, float, bytes, int, float]:
+def _left_running(pgid: int) -> bool:
+    """Whether the process group pgid still has a member; if so, the group is killed."""
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        return False
+    os.killpg(pgid, signal.SIGKILL)
+    return True
+
+
+def _call(src: Path, config: Path | None,
+          outdir: Path) -> tuple[int, bytes, float, bytes, int, float, bool]:
     """Run one CLI call from outdir, the config's output directory ('.').
 
     Returns the exit code, stdout, the call's peak RSS in MB, stderr, the
-    call's minor page faults and its CPU seconds (user plus system).
+    call's minor page faults, its CPU seconds (user plus system), and whether
+    a process of its own process group outlived it.
     """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
     env = dict(os.environ, PYTHONPATH=str(src))
-    # stderr goes to a file, so a full pipe cannot stall the call while stdout is read
-    with tempfile.TemporaryFile() as err:
+    # stdout and stderr go to files, so neither a full pipe nor a process left
+    # holding one can stall the call; its own session makes it a process group
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen([sys.executable, "-m", "photonlab", *args], cwd=outdir,
-                                env=env, stdout=subprocess.PIPE, stderr=err)
-        with proc.stdout:
-            stdout = proc.stdout.read()
+                                env=env, stdout=out, stderr=err, start_new_session=True)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
+        stray = _left_running(proc.pid)
+        out.seek(0)
         err.seek(0)
-        stderr = err.read()
+        stdout, stderr = out.read(), err.read()
     return (proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr, usage.ru_minflt,
-            usage.ru_utime + usage.ru_stime)
+            usage.ru_utime + usage.ru_stime, stray)
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -141,6 +158,8 @@ def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]
     for side, run in (("at the revision", ref_run), ("here", new_run)):
         if b"Traceback" in run[3]:
             diffs.append(f"{name}: traceback on stderr {side}")
+        if run[6]:
+            diffs.append(f"{name}: a process left running in its group {side}")
     ref_files = sorted(p.name for p in ref.iterdir())
     new_files = sorted(p.name for p in new.iterdir())
     for f in sorted(set(ref_files) ^ set(new_files)):
