@@ -16,8 +16,8 @@ from .fock import ladder_pair
 from .medium import arrival_time, lifecycle_1d
 from .modes import norm
 from .units import UnitSystem, unit_system
-from .verify import (Outcome, boost_checks, field_scan, fock_checks, gauge_checks,
-                     helicity_check, in_child, lifecycle_checks, line_events, line_setup,
+from .verify import (Outcome, beside, boost_checks, field_scan, fock_checks, gauge_checks,
+                     helicity_check, lifecycle_checks, line_events, line_setup,
                      medium_checks, norm_check, packet_state)
 
 
@@ -40,16 +40,14 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
                 rho = []
 
     files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
-    # fields.csv sums the last time's box again, apart from the scan: a child
-    # lane writes it beside modes.csv and current.csv
-    join = in_child(lambda: write_fields_csv(files[2], slabs(m, sg, times[-1]), us))
-    try:
+
+    def modes_and_current():
         write_modes_csv(files[0], m)
         write_current_csv(files[1], blocks(), us)
-    except BaseException:
-        join(check=False)  # this lane's error goes first, as in the serial order
-        raise
-    join()
+
+    # fields.csv sums the last time's box again, apart from the scan: a child
+    # lane writes it beside modes.csv and current.csv
+    beside(modes_and_current, lambda: write_fields_csv(files[2], slabs(m, sg, times[-1]), us))
 
     # longitudinal packets carry no on-shell position-space density, so the
     # box integral is compared against the transverse part of the mode norm

@@ -101,52 +101,32 @@ def _located_failure(check, maxima, deviation, currents) -> list:
             f"{_worst_point(deviation(i), cf.grid)}"]
 
 
-def _in_process(fn):
-    """in_child's lane run at once, in this process, with the same join()."""
-    try:
-        ok, value = True, fn()
-    except Exception as exc:
-        ok, value = False, exc
-
-    def join(check=True):
-        if not check:
-            return None
-        if not ok:
-            raise value
-        return value
-    return join
-
-
-def in_child(fn):
-    """Start fn() in a forked child lane; return a join() that gives back its result
-    or raises its exception.
+def beside(main, side):
+    """Run main() here and side() in a forked child lane at once; return
+    (main(), side()).
 
     The child pickles (ok, value) into a pipe and always leaves through
     os._exit, so it runs no atexit handler and none of its caller's clean-up;
-    an exception that will not pickle comes back as a RuntimeError of its
-    repr. join() reads the pipe to its end before it reaps the child, so a
-    large result cannot stall either side, and a child that ends without a
-    result raises a RuntimeError naming its wait status. join(check=False)
-    only reaps the child, for a caller whose own lane has failed: its error
-    goes first. Without os.fork, or when the fork fails, fn runs at once, in
-    process (_in_process).
+    an exception that will not pickle comes back as RuntimeError(repr(exc)).
+    The parent reads the pipe to its end, so a large result cannot stall
+    either side, and then reaps the child, on every path. main's error goes
+    first, then side's, then a RuntimeError naming the wait status of a child
+    that ended without a result. Without os.fork, or if the fork fails, this
+    is the serial main(), side().
     """
-    if not hasattr(os, "fork"):
-        return _in_process(fn)
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except (AttributeError, OSError):  # no os.fork here, or the fork failed
         os.close(r)
         os.close(w)
-        return _in_process(fn)
+        return main(), side()
     if pid == 0:  # the child lane; it never returns
-        code = 1
         try:
             os.close(r)
             try:
-                sent = (True, fn())
-            except BaseException as exc:  # raised again by the parent's join()
+                sent = (True, side())
+            except BaseException as exc:  # raised again by the parent
                 sent = (False, exc)
             try:
                 data = pickle.dumps(sent)
@@ -154,29 +134,27 @@ def in_child(fn):
                 data = pickle.dumps((False, RuntimeError(repr(sent[1]))))
             with open(w, "wb") as pipe:
                 pipe.write(data)
-            code = 0
+            os._exit(0)
         finally:
-            os._exit(code)
+            os._exit(1)
     os.close(w)
-
-    def join(check=True):
+    try:
+        here = main()
+    finally:
         try:
             with open(r, "rb") as pipe:
                 data = pipe.read()
         finally:
             status = os.waitpid(pid, 0)[1]
-        if not check:
-            return None
-        if status != 0 or not data:
-            code = os.waitstatus_to_exitcode(status)
-            how = f"exit code {code}" if code >= 0 else f"signal {-code}"
-            raise RuntimeError(f"child lane {pid} ended without a result "
-                               f"(wait status {status:#x}: {how})")
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        return value
-    return join
+    if status != 0 or not data:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit code {code}" if code >= 0 else f"signal {-code}"
+        raise RuntimeError(f"child lane {pid} ended without a result "
+                           f"(wait status {status:#x}: {how})")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return here, value
 
 
 def packet_state(packet: PacketParams, speed: float = 1.0):
@@ -641,16 +619,10 @@ def run_verify(cfg: ScenarioConfig) -> Outcome:
 
     # the Maxwell study, the longest block, runs in a child lane beside the
     # other eight, none of which reads its result
-    join = in_child(lambda: timed(blocks["maxwell"]))
-    done = {}
-    try:
-        for name, block in blocks.items():
-            if name != "maxwell":
-                done[name] = timed(block)
-    except BaseException:
-        join(check=False)
-        raise
-    done["maxwell"] = join()
+    done, maxwell = beside(
+        lambda: {name: timed(block) for name, block in blocks.items() if name != "maxwell"},
+        lambda: timed(blocks["maxwell"]))
+    done["maxwell"] = maxwell
 
     checks, info, timings = [], [], {}
     for name in blocks:

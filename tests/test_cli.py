@@ -12,7 +12,7 @@ import photonlab
 from photonlab import csvio, scenarios, verify
 from photonlab.cli import main
 from photonlab.config import default_verify_config
-from photonlab.verify import in_child
+from photonlab.verify import beside
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -235,9 +235,9 @@ def test_cli_loads_blas_on_one_thread_unless_told_otherwise(threads, expected):
                          ids=["verify", "packet3d", "gauge-nx18", "gauge-nx66"])
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     """Every output file and stdout are byte-identical at 1 and 2 OpenBLAS threads,
-    with the CLI's malloc thresholds left at glibc's defaults, and with the
-    child lanes (packet3d's fields.csv, verify's Maxwell study) run at once in
-    process, as where os.fork does not exist.
+    with the CLI's malloc thresholds left at glibc's defaults, and with os.fork
+    removed, so the child lanes (packet3d's fields.csv, verify's Maxwell study)
+    run in process, in the serial order.
 
     The default packet3d box is cut into 4 slabs of 8 planes, and the gauge
     boxes, whose n_x is not a multiple of 4, into slabs of 4 planes and a
@@ -253,8 +253,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     default_malloc = ("import sys\nfrom photonlab import cli\n"
                       "cli._keep_freed_pages = lambda: None\n"
                       "sys.exit(cli.main(sys.argv[1:]))")
-    inline_lanes = ("import sys\nfrom photonlab import cli, scenarios, verify\n"
-                    "verify.in_child = scenarios.in_child = verify._in_process\n"
+    inline_lanes = ("import os, sys\nfrom photonlab import cli\ndel os.fork\n"
                     "sys.exit(cli.main(sys.argv[1:]))")
     runs = []
     for name, threads, entry in (("threads1", 1, ["-m", "photonlab"]),
@@ -359,7 +358,7 @@ def no_space(path, *args):
 @pytest.mark.parametrize("lanes", ["forked", "inline"])
 def test_failed_fields_lane_exits_three_as_the_serial_run(tmp_path, capsys, monkeypatch, lanes):
     if lanes == "inline":
-        monkeypatch.setattr(scenarios, "in_child", verify._in_process)
+        monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(scenarios, "write_fields_csv", no_space)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, SMALL_PACKET + f"output = {out}\n")
@@ -472,17 +471,17 @@ class Unpicklable(Exception):
 
 
 @needs_fork
-def test_in_child_sends_back_a_large_result_and_any_exception():
-    big = in_child(lambda: bytes(range(256)) * 4096)  # 1 MiB, 16 pipe buffers
-    assert big() == bytes(range(256)) * 4096
+def test_beside_sends_back_a_large_result_and_any_exception():
+    big = bytes(range(256)) * 4096  # 1 MiB, 16 pipe buffers
+    assert beside(lambda: "main", lambda: big) == ("main", big)
 
     def fails():
         raise Unpicklable("kept as its repr")
 
     with pytest.raises(RuntimeError, match=r"^Unpicklable\('kept as its repr'\)$"):
-        in_child(fails)()
+        beside(lambda: None, fails)
     with pytest.raises(KeyError, match="sent back"):
-        in_child(lambda: {}["sent back"])()
+        beside(lambda: None, lambda: {}["sent back"])
     assert_no_child_left()
 
 
@@ -491,16 +490,41 @@ def cannot_fork():
 
 
 @pytest.mark.parametrize("fork", [None, cannot_fork], ids=["no-fork", "fork-fails"])
-def test_without_fork_the_lane_runs_at_once_in_process(monkeypatch, fork):
+def test_without_fork_main_then_side_run_here(monkeypatch, fork):
     if fork is None:
         monkeypatch.delattr(os, "fork", raising=False)
     else:
         monkeypatch.setattr(os, "fork", fork)
     ran = []
-    join = in_child(lambda: ran.append(os.getpid()) or len(ran))
-    assert ran == [os.getpid()]
-    assert join() == 1
-    join = in_child(lambda: {}["kept for join"])
-    assert join(check=False) is None
-    with pytest.raises(KeyError, match="kept for join"):
-        join()
+    assert beside(lambda: ran.append(("main", os.getpid())) or 1,
+                  lambda: ran.append(("side", os.getpid())) or 2) == (1, 2)
+    assert ran == [("main", os.getpid()), ("side", os.getpid())]
+    ran.clear()
+    with pytest.raises(KeyError, match="main failed"):
+        beside(lambda: {}["main failed"], lambda: ran.append("side"))
+    assert ran == []  # as in the serial order, side does not run after main raised
+    with pytest.raises(KeyError, match="side failed"):
+        beside(lambda: ran.append("main"), lambda: {}["side failed"])
+    assert ran == ["main"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+@needs_fork
+@pytest.mark.parametrize("main_, side, fork, raised", [
+    (lambda: 1, lambda: 2, None, None),
+    (lambda: {}["main failed"], lambda: 2, None, KeyError),
+    (lambda: 1, lambda: {}["side failed"], None, KeyError),
+    (lambda: 1, lambda: os._exit(9), None, RuntimeError),
+    (lambda: 1, lambda: 2, cannot_fork, None),
+], ids=["success", "main-raises", "side-raises", "side-exits", "fork-fails"])
+def test_beside_leaves_no_descriptor_and_no_child(monkeypatch, main_, side, fork, raised):
+    if fork is not None:
+        monkeypatch.setattr(os, "fork", fork)
+    before = os.listdir("/proc/self/fd")
+    if raised is None:
+        assert beside(main_, side) == (1, 2)
+    else:
+        with pytest.raises(raised):
+            beside(main_, side)
+    assert os.listdir("/proc/self/fd") == before
+    assert_no_child_left()

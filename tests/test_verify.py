@@ -2,6 +2,7 @@ import ast
 import cmath
 import csv
 import importlib.util
+import os
 import sys
 import tracemalloc
 import weakref
@@ -717,11 +718,11 @@ def test_no_halo_free_3d_sum_is_whole(tmp_path):
             return synth(m, grid, t, omega_scale, groups, planes, coeffs)
         return call
 
-    # the child lanes run in process, where the guard sees their sums
+    # the fork fails, so the child lanes run in process, where the guard sees
+    # their sums
     with mock.patch.object(fields, "synthesize", guarded(fields.synthesize)), \
             mock.patch.object(verify, "synthesize", guarded(verify.synthesize)), \
-            mock.patch.object(verify, "in_child", verify._in_process), \
-            mock.patch.object(scenarios, "in_child", verify._in_process):
+            mock.patch.object(os, "fork", mock.Mock(side_effect=OSError("no fork here"))):
         assert run_verify(parse_config("[verify]\n")).all_passed
         for text in ("[packet3d]\n", "[packet3d]\nn_k = 6\nn_x = 18\n", "[gauge]\n",
                      "[gauge]\nn_x = 18\n", "[gauge]\nn_x = 66\n"):
