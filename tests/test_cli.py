@@ -404,13 +404,17 @@ def test_the_parent_lanes_error_goes_first_and_the_child_is_reaped(tmp_path, cap
 
 @needs_fork
 def test_verify_raises_the_parent_lanes_error_and_reaps_the_maxwell_lane(monkeypatch):
-    def maxwell_fails(tol, scale):
-        raise ValueError("the Maxwell lane failed")
+    level = verify._maxwell_level
+
+    def maxwell_fails(m, n_x, scale):  # the child lane's 96^3 level
+        if n_x == 96:
+            raise ValueError("the Maxwell lane failed")
+        return level(m, n_x, scale)
 
     def fock_fails(tol):
         raise KeyError("the last parent block failed")
 
-    monkeypatch.setattr(verify, "_maxwell_block", maxwell_fails)
+    monkeypatch.setattr(verify, "_maxwell_level", maxwell_fails)
     with pytest.raises(ValueError, match="the Maxwell lane failed"):
         verify.run_verify(default_verify_config())
     monkeypatch.setattr(verify, "_fock_block", fock_fails)
@@ -436,23 +440,29 @@ def test_verify_keeps_the_block_order_and_the_lanes_own_time():
 @pytest.mark.parametrize("command, config, lane, files", [
     ("run", SMALL_PACKET, "photonlab.scenarios.write_fields_csv",
      ["current.csv", "fields.csv", "modes.csv", "report.csv", "report.txt"]),
-    ("verify", "[verify]\n", "photonlab.verify._maxwell_block", ["report.csv", "report.txt"]),
+    ("verify", "[verify]\n", "photonlab.verify._maxwell_level",
+     ["n_x=48", "report.csv", "report.txt"]),
 ])
 def test_only_the_lane_runs_in_the_child(tmp_path, capsys, monkeypatch, command, config, lane,
                                          files):
-    # the lane runs in one child, and every write but fields.csv is the parent's
+    # the lane runs in one child, and every write but fields.csv is the parent's; of
+    # verify's two Maxwell levels the lane is the 96^3 one, and the 48^3 one is the parent's
     pids = tmp_path / "pids"
 
-    def recorded(fn, what=None):  # what: the lane, else the file written
+    def recorded(fn, what):  # what(args): the call's name
         def call(*args, **kwargs):
             with open(pids, "a", encoding="utf-8") as fh:
-                fh.write(f"{what or os.path.basename(args[0])} {os.getpid()}\n")
+                fh.write(f"{what(args)} {os.getpid()}\n")
             return fn(*args, **kwargs)
         return call
 
+    def lane_call(args):
+        return "lane" if command == "run" or args[1] == 96 else f"n_x={args[1]}"
+
     module, _, name = lane.rpartition(".")
-    monkeypatch.setattr(lane, recorded(getattr(sys.modules[module], name), "lane"))
-    monkeypatch.setattr(csvio, "atomic_write_chunks", recorded(csvio.atomic_write_chunks))
+    monkeypatch.setattr(lane, recorded(getattr(sys.modules[module], name), lane_call))
+    monkeypatch.setattr(csvio, "atomic_write_chunks",
+                        recorded(csvio.atomic_write_chunks, lambda args: os.path.basename(args[0])))
     cfg = write_config(tmp_path, config + f"output = {tmp_path / 'out'}\n")
     assert main([command, "--config", cfg]) == 0
     assert capsys.readouterr().out.count("result: PASS") == 1

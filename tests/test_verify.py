@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import fields, medium, scenarios, verify
+from photonlab import fdops, fields, medium, scenarios, verify
 from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
 from photonlab.current import number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
@@ -380,6 +380,96 @@ def test_maxwell_level_picks_the_first_worst_point_across_pieces():
     assert where == [verify._grid_point(12 * 256, sg)] * 2 + [verify._grid_point(14 * 256, sg)]
 
 
+def plain_divide(out, c):
+    out /= c
+    return out
+
+
+class Counted(float):
+    """A divisor that counts the reciprocals taken of it: fdops.divide's view path takes one."""
+    taken = 0
+
+    def __rtruediv__(self, other):
+        self.taken += 1
+        return other / float(self)
+
+
+@st.composite
+def planted_maxwell_cases(draw):
+    """A small Maxwell level, a slab width of its plan, and a hard value planted or not in all
+    of E's or B's components at some of the level's three times: the value on box plane q
+    and its negation on plane q + 2, negated again at t0 + dt, so the x-differences across
+    q + 1 and dE/dt on q hold signed zeros when the value is one."""
+    n_x = draw(st.integers(4, 12))
+    center = (draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6)), draw(st.floats(0.8, 1.6)))
+    case = maxwell_case(n_x, draw(st.integers(3, 5)), draw(st.floats(0.2, 0.6)), center,
+                        draw(st.floats(0.2, 0.8)), draw(st.sampled_from((1, -1))),
+                        draw(st.sampled_from((1.0, 1.05))))
+    assume(case is not None)
+    plant = (draw(st.sampled_from((None, 0.0, -0.0, complex(-0.0, -0.0), np.nan, np.inf))),
+             draw(st.sampled_from(("e", "b"))), draw(st.integers(0, n_x - 1)),
+             draw(st.sets(st.integers(0, 2), min_size=1)))
+    return case, draw(st.sampled_from(allowed_slab_widths(n_x))), plant
+
+
+@settings(max_examples=40, deadline=None)
+@given(planted_maxwell_cases())
+@example((maxwell_case(12, 3, 0.4, (0.3, -0.2, 1.1), 0.5, 1, 1.0), 4, (0.0, "e", 5, {0, 2})))
+@example((maxwell_case(9, 4, 0.35, (-0.25, 0.4, 1.3), 0.6, -1, 1.05), 4, (np.nan, "b", 8, {1})))
+def test_maxwell_level_scales_as_the_plain_division(case):
+    # every scaled stencil and dE/dt, the maxima and the worst points: bitwise out /= c
+    (m, n_x, scale), width, (value, group, q, at) = case
+    dt = dual_grid(m.grid, n_x).spacing / 2.0
+    times = (_MAXWELL_T0 - dt, _MAXWELL_T0, _MAXWELL_T0 + dt)
+    signs = {times[i]: -1.0 if i == 2 else 1.0 for i in at}
+    synth = verify.synthesize
+
+    def planted(m, grid, t, omega_scale=1.0, groups=tuple(fields.GROUPS), planes=None,
+                coeffs=None):
+        snap = synth(m, grid, t, omega_scale, groups, planes, coeffs)
+        if value is not None and t in signs and group in groups:
+            rows = snap.rows[group]
+            rows[:, planes == q] = signs[t] * value
+            rows[:, planes == (q + 2) % n_x] = -signs[t] * value
+        return snap
+
+    def level(divide):
+        scaled = []
+
+        def recorded(out, c):
+            scaled.append(divide(out, c).copy())
+            return out
+
+        with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x), \
+                mock.patch.object(verify, "synthesize", planted), \
+                mock.patch.object(fdops, "divide", recorded), np.errstate(all="ignore"):
+            maxima, where = _maxwell_level(m, n_x, scale)
+        return np.array(maxima), where, scaled
+
+    maxima, where, scaled = level(fdops.divide)
+    want_maxima, want_where, want_scaled = level(plain_divide)
+    assert same_bits(maxima, want_maxima) and where == want_where
+    assert len(scaled) == len(want_scaled)
+    assert all(same_bits(got, want) for got, want in zip(scaled, want_scaled))
+
+
+def test_the_fine_maxwell_level_scales_most_complex_stencils_through_the_view():
+    # the saving of fdops.divide: most complex scalings on the default 96^3 level (598 of
+    # 660) have every part finite and nonzero and take one reciprocal; the rest hold zeros
+    divide, viewed = fdops.divide, []  # per complex scaling, 1 if it took the view path
+
+    def counted(out, c):
+        c = Counted(c)
+        divide(out, c)
+        if out.dtype == np.complex128:
+            viewed.append(c.taken)
+        return out
+
+    with mock.patch.object(fdops, "divide", counted):
+        _maxwell_level(_maxwell_packet(), 96, 1.0)
+    assert sum(viewed) > 0.85 * len(viewed), (sum(viewed), len(viewed))
+
+
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
     # a 4-plane slab of the 96^3 box holds dE/dt in its sum of E at t0 - dt
     # and B at t0 (E at t0 has a walk of its own), one residual at a time and
@@ -662,8 +752,10 @@ def test_a_nan_in_one_slab_at_t0_fails_its_maxwell_orders(group, failing):
             snap.rows[group][0][planes == plane] = np.nan
         return snap
 
+    m = _maxwell_packet()
     with mock.patch.object(verify, "synthesize", planted):
-        checks, info = verify._maxwell_block(dict(TOLERANCE_DEFAULTS), 1.0)
+        levels = [_maxwell_level(m, n_x, 1.0) for n_x in (48, 96)]
+    checks, info = verify._maxwell_checks(*levels, dict(TOLERANCE_DEFAULTS))
     assert {c.name for c in checks if not c.passed} == failing
     assert all(np.isnan(c.measured) for c in checks if c.name in failing)
     fine = dict(zip(("maxwell_gauss_order", "maxwell_ampere_order", "maxwell_divb_order"),
