@@ -10,40 +10,11 @@ interior planes difference their neighbours directly, and only the two end
 planes read past the ends: across the wrap with the twist (or its
 conjugate), or, in an x-slab of a box, the adjacent slabs' planes that Lag
 carries between slabs.
-
-Every stencil scales by a real through divide, bit for bit numpy's division.
-numpy divides a complex by a real as Smith's complex division with a zero
-imaginary divisor (R. L. Smith, CACM 5(8), 1962): ((re + im*0) * (1/c),
-(im - re*0) * (1/c)). Where every part is finite and nonzero, re + im*0 is re,
-so one multiply by 1/c over the float64 view gives the same bits; any other
-array keeps the division.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-def divide(out: np.ndarray, c: float) -> np.ndarray:
-    """out /= c in place, as numpy's division bit for bit; returns out.
-
-    A complex128 array whose last axis is contiguous, with every real and
-    imaginary part finite and nonzero, is scaled through its float64 view by
-    1/c (the module docstring says why that is exact). A zero part (whose sign
-    Smith's rule may flip), an inf or NaN, a real array (where / c and * (1/c)
-    round apart), a strided last axis or a zero, infinite or NaN c takes the
-    plain division.
-    """
-    if (out.dtype == np.complex128 and out.ndim and out.strides[-1] == out.itemsize
-            and 0.0 < abs(c) < math.inf):
-        v = out.view(np.float64)
-        if np.isfinite(v).all() and v.all():
-            v *= 1.0 / c
-            return out
-    out /= c
-    return out
 
 
 def centered_diff(f: np.ndarray, axis: int, spacing: float, twist: complex = 1.0,
@@ -68,7 +39,8 @@ def centered_diff(f: np.ndarray, axis: int, spacing: float, twist: complex = 1.0
     # the two end planes, kept as length-1 slices so 1D planes stay arrays
     np.subtract(after, f[-2:-1] if len(f) > 1 else before, out=o[-1:])
     np.subtract(f[1:2] if len(f) > 1 else after, before, out=o[:1])
-    return divide(out, 2.0 * spacing)
+    out /= 2.0 * spacing
+    return out
 
 
 def axis_directions(dimension: int):

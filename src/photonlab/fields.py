@@ -363,7 +363,7 @@ def maxwell_residual(samples, times):
                 dt_e = prev.rows["e"]
                 for comp in range(3):
                     np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
-                    fdops.divide(dt_e[comp], span)
+                    dt_e[comp] /= span
                 fields.append(np.moveaxis(dt_e, 0, -1))
                 del prev, nxt, dt_e  # E at t0 + dt freed before B is summed
             now = sample(times[1], (group,))

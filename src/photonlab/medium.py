@@ -354,11 +354,25 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     rho is never held whole: it is built in blocks of rows (_density_blocks),
     each pulse only on a window of about 12 (sigma_z + v sigma_t) cells per row
     that follows its characteristic, and each block is reduced to the per-row
-    outputs and dropped.
+    outputs and dropped. This is the one entry into the solve: a caller that
+    needs only residual_max (verify's refined line) reads it from the report.
     """
-    acausal, times, blocks = _solve_blocks(emit, detect, med, grid1d, times)
-    z = grid1d.axis_positions()
+    if grid1d.dimension != 1:
+        raise ValueError("the lifecycle scenario is one-dimensional")
+    if emit.kind != "emitter":
+        raise ValueError("first event must be an emitter")
+    if detect is not None and detect.kind != "detector":
+        raise ValueError("second event must be a detector")
+    validate_events([emit] + ([detect] if detect is not None else []))
+
+    times = np.asarray(times, dtype=float)
     v = med.v
+    acausal = False
+    if detect is not None:
+        acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
+    events = [emit] + ([detect] if detect is not None and not acausal else [])
+    z = grid1d.axis_positions()
+    terms = _source_terms(events, z, times)
     n_t = times.size
     norm_t, residual_max, outside_peak = np.zeros(n_t), np.zeros(n_t), np.zeros(n_t)
     peak_cell, outside_cell = np.zeros(n_t, np.intp), np.zeros(n_t, np.intp)
@@ -366,11 +380,14 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
     dist = np.abs(z - emit.center)
     reach = v * np.maximum(times - emit.time, 0.0) + \
         TRUNC_SIGMAS * (emit.width + v * emit.duration)
-    for r0, rows, row_residual in blocks:
+    for r0, block, c0, c1 in _density_blocks(events, v, grid1d, times):
+        rows = block[1:-1]
         r1 = r0 + len(rows)
         norm_t[r0:r1] = rows.sum(axis=1)
         peak_cell[r0:r1] = np.argmax(rows, axis=1)
-        residual_max[r0:r1] = row_residual
+        if n_t > 2:
+            residual_max[r0:r1] = _residual_rows(block, r0, c0, c1, terms, times, v,
+                                                 grid1d.spacing)
         # whole rows, not the block's columns: the check must not trust the windows
         outside = dist > reach[r0:r1, None]
         # max |rho| = max(top, -bottom); 0 - bottom keeps a zero positive
@@ -390,49 +407,6 @@ def lifecycle_1d(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
         outside_cell=outside_cell,
         acausal=acausal,
     )
-
-
-def residual_max(emit: SourceEvent, detect: SourceEvent | None, med: MediumSpec,
-                 grid1d: SpatialGrid, times) -> np.ndarray:
-    """lifecycle_1d's residual_max alone, for a solve whose other outputs nothing reads."""
-    _, times, blocks = _solve_blocks(emit, detect, med, grid1d, times)
-    out = np.zeros(times.size)
-    for r0, rows, row_residual in blocks:
-        out[r0:r0 + len(rows)] = row_residual
-    return out
-
-
-def _solve_blocks(emit, detect, med: MediumSpec, grid1d: SpatialGrid, times):
-    """The shared solve of lifecycle_1d: (acausal, times as float, row blocks).
-
-    The events are checked at once; the blocks are then yielded lazily as
-    (first row, rows of rho, residual max of those rows), 0 on a run of at
-    most two times.
-    """
-    if grid1d.dimension != 1:
-        raise ValueError("the lifecycle scenario is one-dimensional")
-    if emit.kind != "emitter":
-        raise ValueError("first event must be an emitter")
-    if detect is not None and detect.kind != "detector":
-        raise ValueError("second event must be a detector")
-    validate_events([emit] + ([detect] if detect is not None else []))
-
-    times = np.asarray(times, dtype=float)
-    v = med.v
-    acausal = False
-    if detect is not None:
-        acausal = bool(detect.time < arrival_time(emit, detect.center, v) - 3.0 * detect.duration)
-    events = [emit] + ([detect] if detect is not None and not acausal else [])
-    terms = _source_terms(events, grid1d.axis_positions(), times)
-
-    def blocks():
-        for r0, block, c0, c1 in _density_blocks(events, v, grid1d, times):
-            residual = 0.0
-            if times.size > 2:
-                residual = _residual_rows(block, r0, c0, c1, terms, times, v, grid1d.spacing)
-            yield r0, block[1:-1], residual
-
-    return acausal, times, blocks()
 
 
 def _source_terms(events, z, times):

@@ -29,7 +29,7 @@ from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients
                      slabs, synthesize)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
-                     lifecycle_1d, residual_max)
+                     lifecycle_1d)
 from .modes import KGrid, boost_amplitudes, gauge_shift, gaussian_packet, lambda_row, norm
 from .units import unit_system
 
@@ -567,7 +567,7 @@ def _lifecycle_block(tol):
     fine_cfg = replace(cfg, line=replace(cfg.line, n_z=2 * cfg.line.n_z),
                        times=replace(cfg.times, steps=2 * cfg.times.steps))
     _, grid2, times2 = line_setup(fine_cfg, us)
-    fine = residual_max(emit, det, med, grid2, times2)[1:-1]
+    fine = lifecycle_1d(emit, det, med, grid2, times2).residual_max[1:-1]
     r_coarse, r_fine = coarse.max(), fine.max()
     order = _order(r_coarse, r_fine)
     checks.append(check_ge("lifecycle_residual_order", order, tol["continuity_order"]))

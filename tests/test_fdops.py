@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab.fdops import Lag, axis_directions, curl, divergence, divide
+from photonlab.fdops import Lag, axis_directions, curl, divergence
 
 
 # ---------------------------------------------------------------------------
@@ -148,70 +148,3 @@ def test_lagged_slab_stencils_match_the_whole_box(case):
         got = [np.concatenate([pieces[p][i] for p in firsts]) for i in (0, 1)]
         assert same_bits(got[0], divergence(vf, spacing, dim, twists))
         assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))
-
-
-# ---------------------------------------------------------------------------
-# divide: numpy's division bit for bit, through the float64 view where that is exact
-
-class Counted(float):
-    """A divisor that counts the reciprocals taken of it: divide's view path takes one."""
-    taken = 0
-
-    def __rtruediv__(self, other):
-        self.taken += 1
-        return other / float(self)
-
-
-# the five hard parts, then subnormal and near-overflow ones, which are finite and nonzero
-HARD_PARTS = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.7e308, -1.79e308)
-
-
-@st.composite
-def division_cases(draw):
-    """(array, c): parts finite and nonzero, near overflow and subnormal ones among them,
-    with a hard part planted or not; C-contiguous, one component of a component-major
-    block, or a view whose last axis is strided."""
-    dtype = draw(st.sampled_from((np.complex128, np.float64)))
-    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
-    size = 3 * int(np.prod(shape)) * (2 if dtype == np.complex128 else 1)
-    parts = st.one_of(st.floats(-1e3, 1e3), st.floats(allow_nan=False, allow_infinity=False),
-                      st.sampled_from(HARD_PARTS[5:])).filter(bool)
-    flat = np.array(draw(st.lists(parts, min_size=size, max_size=size)))
-    for _ in range(draw(st.integers(0, 2))):
-        flat[draw(st.integers(0, size - 1))] = draw(st.sampled_from(HARD_PARTS))
-    block = flat.view(dtype).reshape((3,) + shape)
-    layout = draw(st.sampled_from(("contiguous", "component", "strided")))
-    if layout == "contiguous":
-        a = block
-    elif layout == "component":
-        a = block[draw(st.integers(0, 2))]
-    else:  # the trailing component axis of the block, or every other entry of its last axis
-        a = np.moveaxis(block, 0, -1) if draw(st.booleans()) else block[..., ::2]
-    c = draw(st.floats(1e-300, 1e300)) * draw(st.sampled_from((1.0, -1.0)))
-    return a, c
-
-
-@settings(max_examples=400, deadline=None)
-@given(division_cases())
-@example((np.array([1.0 + 2.0j, -0.0 + 3.0j]), 0.3))
-@example((np.array([1.0 + 2.0j, 3.0 - 0.0j]), 0.3))
-@example((np.array([1.5 - 2.0j, 1e-310 + 1.7e308j]), 1e-300))
-@example((np.array([1.5 - 2.0j, 3.0 + 1.0j]), 0.0))
-@example((np.array([1.5 - 2.0j, 3.0 + 1.0j]), -0.0))
-@example((np.array([1.5 - 2.0j, 3.0 + 1.0j]), np.inf))
-@example((np.array([1.5 - 2.0j, 3.0 + 1.0j]), np.nan))
-@example((np.arange(1.0, 7.0).reshape(2, 3) * (1 + 0.5j), 0.3))
-@example((np.array(1.5 - 2.0j), 0.3))  # 0-d: no last axis to view
-def test_divide_is_numpys_division_bit_for_bit(case):
-    a, c = case
-    # the view path: complex, a contiguous last axis, every part finite and nonzero, c finite
-    # and nonzero; a strided last axis, a real array or a hard part divides plainly
-    parts = np.stack([a.real, a.imag])
-    viewed = (a.dtype == np.complex128 and a.ndim and a.strides[-1] == a.itemsize
-              and np.isfinite(parts).all() and parts.all() and 0.0 < abs(c) < np.inf)
-    with np.errstate(all="ignore"):
-        want = a / c
-        c = Counted(c)
-        got = divide(a, c)
-    assert got is a and same_bits(got, want)
-    assert c.taken == bool(viewed)
