@@ -18,8 +18,9 @@ from . import __version__
 # loads it, and every gemm in photonlab is a contraction only n_k deep.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .config import ConfigError, default_verify_config, parse_config
+from .csvio import report_text, write_report_files
 from .scenarios import run_scenario
-from .verify import run_verify, write_verify_report
+from .verify import run_verify
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILURE = 1
@@ -115,15 +116,14 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_IO_ERROR
 
+    if cfg.kind == "verify":
+        run, title = run_verify, "photonlab verification report"
+    else:
+        run, title = run_scenario, f"photonlab scenario report: {cfg.kind}"
     try:
-        if args.command == "verify":
-            outcome = run_verify(cfg)
-            txt_path, _ = write_verify_report(outcome, cfg)
-        else:
-            outcome = run_scenario(cfg)
-            txt_path = next(p for p in outcome.files if p.endswith("report.txt"))
-        with open(txt_path, "r", encoding="utf-8") as fh:
-            report = fh.read()
+        outcome = run(cfg)
+        report = report_text(title, cfg.echo_lines(), outcome.checks, outcome.info)
+        write_report_files(cfg.output, report, outcome.checks)
     except OSError as exc:
         print(f"photonlab: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR

@@ -32,13 +32,9 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def atomic_write_text(path: str, text: str):
-    """Write via a temp file in the same directory, then rename into place."""
-    atomic_write_chunks(path, (text.encode("utf-8"),))
-
-
 def atomic_write_chunks(path: str, chunks):
-    """Write an iterable of bytes, in order, through the same temp file and rename.
+    """Write an iterable of bytes, in order, via a temp file in the same directory,
+    then rename it into place.
 
     If the iterable raises, path is left as it was and the temp file is removed.
     """
@@ -358,11 +354,11 @@ def report_text(title: str, header_lines, checks, info_lines) -> str:
     return "\n".join(out)
 
 
-def write_report_files(outdir: str, title: str, header_lines, checks, info_lines):
-    """Emit report.txt and report.csv; returns the two paths."""
+def write_report_files(outdir: str, text: str, checks):
+    """Emit report.txt (the text of report_text) and report.csv; returns the two paths."""
     txt_path = os.path.join(outdir, "report.txt")
     csv_path = os.path.join(outdir, "report.csv")
-    atomic_write_text(txt_path, report_text(title, header_lines, checks, info_lines))
+    atomic_write_chunks(txt_path, (text.encode("utf-8"),))
     # check names are fixed identifiers, so no field needs CSV quoting
     _write_table(csv_path, REPORT_COLUMNS, (
         f"{c.name},{fmt(c.measured)},{fmt(c.tolerance)},"

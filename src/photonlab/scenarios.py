@@ -1,4 +1,4 @@
-"""Scenario execution behind `photonlab run`: CSV products plus a summary report."""
+"""Scenario execution behind `photonlab run`: each scenario's CSV products and checks."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import time as _time
 import numpy as np
 
 from .config import ScenarioConfig
-from .csvio import (write_current_csv, write_fields_csv, write_lifecycle_csv,
-                    write_modes_csv, write_report_files)
+from .csvio import write_current_csv, write_fields_csv, write_lifecycle_csv, write_modes_csv
 from .current import number_density, position_norm
 from .fields import dual_grid, slabs, synthesize
 from .fock import ladder_pair
@@ -21,7 +20,7 @@ from .verify import (Outcome, beside, boost_checks, field_scan, fock_checks, gau
                      medium_checks, norm_check, packet_state)
 
 
-def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem):
     m = packet_state(cfg.packet)
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
@@ -39,25 +38,23 @@ def _run_packet3d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
                 norms.append(position_norm(np.concatenate(rho), sg))
                 rho = []
 
-    files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
-
     def modes_and_current():
-        write_modes_csv(files[0], m)
-        write_current_csv(files[1], blocks(), us)
+        write_modes_csv(os.path.join(cfg.output, "modes.csv"), m)
+        write_current_csv(os.path.join(cfg.output, "current.csv"), blocks(), us)
 
     # fields.csv sums the last time's box again, apart from the scan: a child
     # lane writes it beside modes.csv and current.csv
-    beside(modes_and_current, lambda: write_fields_csv(files[2], slabs(m, sg, times[-1]), us))
+    beside(modes_and_current, lambda: write_fields_csv(os.path.join(cfg.output, "fields.csv"),
+                                                       slabs(m, sg, times[-1]), us))
 
     # longitudinal packets carry no on-shell position-space density, so the
     # box integral is compared against the transverse part of the mode norm
     target = norm(m, polarizations=(1, -1))
     checks, norm_info = norm_check(norms, times, target, cfg.tolerances)
-    info = [f"transverse mode norm = {target:.17g}"] + norm_info
-    return checks, info, files
+    return checks, [f"transverse mode norm = {target:.17g}"] + norm_info
 
 
-def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_helicity(cfg: ScenarioConfig, us: UnitSystem):
     m = packet_state(cfg.packet)
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
@@ -68,28 +65,25 @@ def _run_helicity(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     info = [f"position norm at t = {cf.time:.6g}: {position_norm(cf.rho, sg):.17g}"
             for _, cf, _ in blocks] + located
 
-    files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
-    write_modes_csv(files[0], m)
-    write_current_csv(files[1], blocks, us)
-    return checks, info, files
+    write_modes_csv(os.path.join(cfg.output, "modes.csv"), m)
+    write_current_csv(os.path.join(cfg.output, "current.csv"), blocks, us)
+    return checks, info
 
 
-def _run_gauge(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_gauge(cfg: ScenarioConfig, us: UnitSystem):
     checks, info, shifted = gauge_checks(cfg.packet, cfg.gauge_strength,
                                          us.time_in * cfg.t_stop, cfg.tolerances)
-    files = [os.path.join(outdir, "modes.csv")]
-    write_modes_csv(files[0], shifted)
-    return checks, info, files
+    write_modes_csv(os.path.join(cfg.output, "modes.csv"), shifted)
+    return checks, info
 
 
-def _run_boost(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_boost(cfg: ScenarioConfig, us: UnitSystem):
     checks, info, boosted = boost_checks(cfg.packet, cfg.beta, cfg.tolerances)
-    files = [os.path.join(outdir, "modes.csv")]
-    write_modes_csv(files[0], boosted)
-    return checks, [f"beta = {cfg.beta:g}"] + info, files
+    write_modes_csv(os.path.join(cfg.output, "modes.csv"), boosted)
+    return checks, [f"beta = {cfg.beta:g}"] + info
 
 
-def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem):
     med = cfg.medium
     m = packet_state(cfg.packet, speed=med.v)
     sg = dual_grid(m.grid, cfg.packet.n_x)
@@ -101,15 +95,13 @@ def _run_medium1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
     free_rho = [number_density(synthesize(m, sg, cf.time)) for _, cf, _ in blocks]
     checks, info = medium_checks(cfg.packet, med, [cf for _, cf, _ in blocks], free_rho,
                                  cfg.tolerances)
-    info = [f"medium speed v = {med.v:.17g}"] + info
 
-    files = [os.path.join(outdir, "modes.csv"), os.path.join(outdir, "current.csv")]
-    write_modes_csv(files[0], m)
-    write_current_csv(files[1], blocks, us)
-    return checks, info, files
+    write_modes_csv(os.path.join(cfg.output, "modes.csv"), m)
+    write_current_csv(os.path.join(cfg.output, "current.csv"), blocks, us)
+    return checks, [f"medium speed v = {med.v:.17g}"] + info
 
 
-def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem):
     med, grid, times = line_setup(cfg, us)
     emit, detect = line_events(cfg, us, med, grid, times)
     rep = lifecycle_1d(emit, detect, med, grid, times)
@@ -120,15 +112,14 @@ def _run_lifecycle1d(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
         info.append(f"ballistic arrival time = {us.time_out * arrival:.17g}")
     info.append(f"final norm = {rep.final_norm:.17g}")
 
-    files = [os.path.join(outdir, "lifecycle.csv")]
-    write_lifecycle_csv(files[0], rep, us)
-    return checks, info, files
+    write_lifecycle_csv(os.path.join(cfg.output, "lifecycle.csv"), rep, us)
+    return checks, info
 
 
-def _run_fock(cfg: ScenarioConfig, us: UnitSystem, outdir: str):
+def _run_fock(cfg: ScenarioConfig, us: UnitSystem):
     lp = ladder_pair(cfg.n_states)
     checks, info = fock_checks(lp, cfg.tolerances)
-    return checks, [f"truncation dimension = {lp.dim}"] + info, []
+    return checks, [f"truncation dimension = {lp.dim}"] + info
 
 
 _RUNNERS = {
@@ -143,15 +134,12 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> Outcome:
-    """Execute one non-verify scenario; writes CSVs and the summary report."""
+    """Execute one non-verify scenario; writes its CSVs into the output directory."""
     if cfg.kind == "verify":
         raise ValueError("use run_verify for [verify] configurations")
     us = None if cfg.units is None else unit_system(cfg.units)  # boost and fock scale nothing
     runner = _RUNNERS[cfg.kind]
     started = _time.perf_counter()
-    checks, info, files = runner(cfg, us, cfg.output)
+    checks, info = runner(cfg, us)
     timings = {cfg.kind: _time.perf_counter() - started}
-    paths = write_report_files(cfg.output, f"photonlab scenario report: {cfg.kind}",
-                               cfg.echo_lines(), checks, info)
-    return Outcome(checks=tuple(checks), info=tuple(info), timings=timings,
-                   files=tuple(list(files) + list(paths)))
+    return Outcome(checks=tuple(checks), info=tuple(info), timings=timings)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import PacketParams, ScenarioConfig, parse_config
-from .csvio import write_report_files
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
 from .fdops import Lag
@@ -57,11 +56,10 @@ def check_ge(name, measured, tolerance) -> CheckResult:
 
 @dataclass(frozen=True)
 class Outcome:
-    """Checks, info lines and timings of a verify or run call; files a run wrote."""
+    """Checks, info lines and timings of a verify or run call."""
     checks: tuple
     info: tuple
     timings: dict
-    files: tuple = ()
 
     @property
     def all_passed(self) -> bool:
@@ -632,8 +630,3 @@ def run_verify(cfg: ScenarioConfig) -> Outcome:
         info.extend(block_info)
     return Outcome(checks=tuple(checks), info=tuple(info), timings=timings)
 
-
-def write_verify_report(report: Outcome, cfg: ScenarioConfig):
-    """Emit report.txt and report.csv into the configured output directory."""
-    return write_report_files(cfg.output, "photonlab verification report",
-                              cfg.echo_lines(), report.checks, report.info)

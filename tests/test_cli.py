@@ -49,6 +49,17 @@ fock_commutator = 1e-30
     assert "FAIL" in (out / "report.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command, config, code", [
+    ("verify", "[verify]\ninject_dispersion_error = 0.05\n", 1),
+    ("run", "[lifecycle1d]\nn_z = 512\nt_steps = 100\n", 0),
+], ids=("verify", "run"))
+def test_stdout_is_the_report_it_wrote(tmp_path, capsysbinary, command, config, code):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, config + f"output = {out}\n")
+    assert main([command, "--config", cfg]) == code
+    assert capsysbinary.readouterr().out == (out / "report.txt").read_bytes()
+
+
 def test_wide_detector_fails_causality_at_its_worst_cell(tmp_path, capsys):
     # the detector is a prescribed sink: wider and longer than the pulse it
     # meets, it drains density outside the emitter's cone before the arrival

@@ -1,9 +1,8 @@
 import pytest
 
 from photonlab import config
+from photonlab.cli import EXIT_CONFIG_ERROR, main
 from photonlab.config import ConfigError, TOLERANCE_DEFAULTS, default_verify_config, parse_config
-from photonlab.scenarios import run_scenario
-from photonlab.verify import run_verify, write_verify_report
 
 
 def err(text):
@@ -275,7 +274,8 @@ KEY_SWEEP_VALUES = {
 
 def test_every_key_changes_the_run_or_is_refused(tmp_path):
     # a key that only echoes itself in the report header tells a reader that
-    # it shaped the run; each one must change some other output or be refused
+    # it shaped the run; each one must change some other output or be refused.
+    # Both kinds run through the CLI, the one path from a config to its outputs
     def outputs(kind, section=None, key=None):
         name = kind if key is None else f"{section}-{key}"
         sections = {kind: {"output": str(tmp_path / name), **KEY_SWEEP_BASES.get(kind, {})}}
@@ -283,15 +283,11 @@ def test_every_key_changes_the_run_or_is_refused(tmp_path):
             sections.setdefault(section, {})[key] = KEY_SWEEP_VALUES[key]
         text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
                        for s, keys in sections.items())
-        try:
-            cfg = parse_config(text)
-        except ConfigError:
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(text, encoding="utf-8")
+        command = "verify" if kind == "verify" else "run"
+        if main([command, "--config", str(path)]) == EXIT_CONFIG_ERROR:
             return None
-        (tmp_path / name).mkdir()
-        if kind == "verify":
-            write_verify_report(run_verify(cfg), cfg)
-        else:
-            run_scenario(cfg)
         files = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
         # the header is the block from "# configuration" to the first blank line
         title, _, rest = files.pop("report.txt").partition(b"# configuration\n")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from photonlab import csvio, fields
 from photonlab.csvio import (CURRENT_COLUMNS, FIELDS_COLUMNS, LIFECYCLE_COLUMNS, MODES_COLUMNS,
-                             atomic_write_text, fmt, write_current_csv, write_fields_csv,
+                             atomic_write_chunks, fmt, write_current_csv, write_fields_csv,
                              write_lifecycle_csv, write_modes_csv)
 from photonlab.current import CurrentField, photon_current
 from photonlab.fields import FieldSnapshot, SpatialGrid, dual_grid, slabs, synthesize
@@ -159,8 +159,8 @@ def test_lifecycle_csv_schema(tmp_path):
 
 def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
     path = str(tmp_path / "out.txt")
-    atomic_write_text(path, "first\n")
-    atomic_write_text(path, "second\n")
+    atomic_write_chunks(path, [b"first\n"])
+    atomic_write_chunks(path, [b"second\n"])
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "second\n"
     assert os.listdir(tmp_path) == ["out.txt"]
@@ -171,10 +171,10 @@ def test_atomic_write_mode_follows_umask(tmp_path):
     previous = os.umask(0o022)
     try:
         path = str(tmp_path / "out.txt")
-        atomic_write_text(path, "x\n")
+        atomic_write_chunks(path, [b"x\n"])
         assert os.stat(path).st_mode & 0o777 == 0o644
         os.umask(0o027)
-        atomic_write_text(path, "y\n")
+        atomic_write_chunks(path, [b"y\n"])
         assert os.stat(path).st_mode & 0o777 == 0o640
     finally:
         os.umask(previous)
@@ -237,7 +237,7 @@ def test_failing_block_stream_leaves_existing_file(tmp_path):
     snap = field_snapshot()
     cf = photon_current(snap)
     path = str(tmp_path / "current.csv")
-    atomic_write_text(path, "previous\n")
+    atomic_write_chunks(path, [b"previous\n"])
 
     def blocks():
         yield (0, cf, np.zeros(cf.rho.shape))

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from photonlab.fdops import Lag, axis_directions, curl, divergence
 
+from helpers import same_bits
+
 
 # ---------------------------------------------------------------------------
 # oracle: the np.roll stencils the slice stencils replaced
@@ -53,12 +55,6 @@ def roll_curl(vf, spacing, dimension, twists):
     cz = dd(0, 1) - dd(1, 0)
     zeros = np.zeros(vf.shape[:-1], dtype=vf.dtype)
     return np.stack([cx + zeros, cy + zeros, cz + zeros], axis=-1)
-
-
-def same_bits(a, b):
-    """Equal dtype, shape and bytes: signed zeros count."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
 # ---------------------------------------------------------------------------

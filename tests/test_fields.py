@@ -12,16 +12,14 @@ from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, 
                              kmagnitudes, kvectors, lambda_row, measure_weights)
 from photonlab.relativity import polarization_bases
 
+from helpers import same_bits, zero_state
+
 
 def single_mode(kz, pol, c):
     grid = KGrid(n_per_axis=1, spacing=0.5, dimension=1, center=(0.0, 0.0, kz))
     amps = np.zeros((3, 1), dtype=np.complex128)
     amps[lambda_row(pol), 0] = c
     return ModeAmplitudes(grid, amps)
-
-
-def zero_state(grid):
-    return ModeAmplitudes(grid, np.zeros((3, grid.n_points), dtype=np.complex128))
 
 
 def synth_triplet(m, grid, t0, dt, omega_scale=1.0):
@@ -353,12 +351,6 @@ def eager_synthesize(m, grid, t, omega_scale=1.0):
 
 GROUP_FIELDS = {"a": ("a_plus",), "e": ("e_plus",), "b": ("b_plus",),
                 "par": ("phi_plus", "a_par_plus", "e_par_plus")}
-
-
-def same_bits(a, b):
-    """Equal dtype, shape and bytes: signed zeros count."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
 
 
 @st.composite

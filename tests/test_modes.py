@@ -7,6 +7,8 @@ import pytest
 from photonlab.modes import (KGrid, ModeAmplitudes, boost_amplitudes, gauge_shift, gaussian_packet,
                              kvectors, lambda_row, measure_weights, norm, normalize)
 
+from helpers import zero_state
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -17,10 +19,6 @@ def single_cell_state(kz=2.0, pol=1, dk=1.0, dimension=1):
     omega = abs(kz)
     amps[lambda_row(pol), 0] = math.sqrt(TWO_PI ** dimension * 2.0 * omega / dk ** dimension)
     return ModeAmplitudes(grid, amps)
-
-
-def zero_state(grid):
-    return ModeAmplitudes(grid, np.zeros((3, grid.n_points), dtype=np.complex128))
 
 
 def test_grid_excludes_zero_mode():

@@ -19,6 +19,8 @@ from photonlab.modes import norm
 from photonlab.scenarios import run_scenario
 from photonlab.verify import field_scan, norm_check, packet_state, run_verify
 
+from helpers import slab_widths
+
 
 def run(tmp_path, kind, body="", extra=""):
     text = f"[{kind}]\noutput = {tmp_path}\n{body}\n{extra}"
@@ -49,13 +51,8 @@ def test_packet3d_products_and_norm(tmp_path):
     out = run(tmp_path, "packet3d", "n_k = 8\nn_x = 16\nt_stop = 2\n")
     assert out.all_passed
     assert check_map(out)["norm_unity"].measured <= 1e-6
-    names = [os.path.basename(p) for p in out.files]
-    assert names == ["modes.csv", "current.csv", "fields.csv", "report.txt", "report.csv"]
-    for p in out.files:
-        assert os.path.exists(p)
-    report = open(os.path.join(tmp_path, "report.txt"), encoding="utf-8").read()
-    assert "result: PASS" in report
-    assert "scenario = packet3d" in report
+    # run_scenario writes the CSVs; the CLI writes the report from the outcome
+    assert sorted(os.listdir(tmp_path)) == ["current.csv", "fields.csv", "modes.csv"]
 
 
 def test_helicity_scenario_transverse(tmp_path):
@@ -202,7 +199,7 @@ def test_fock_scenario_outputs(tmp_path):
     assert out.all_passed
     checks = check_map(out)
     assert checks["fock_number_exact"].measured == 0.0
-    assert [os.path.basename(p) for p in out.files] == ["report.txt", "report.csv"]
+    assert os.listdir(tmp_path) == []
     assert "fock" in out.timings
 
 
@@ -226,7 +223,7 @@ def whole_box_field_scan(m, grid, times):
         yield snaps[1], cfs, continuity_residual(*cfs)
 
 
-def whole_box_packet3d(cfg, us, outdir):
+def whole_box_packet3d(cfg, us):
     m = packet_state(cfg.packet)
     sg = dual_grid(m.grid, cfg.packet.n_x)
     times = us.time_in * cfg.times.checkpoints()
@@ -236,26 +233,17 @@ def whole_box_packet3d(cfg, us, outdir):
     target = norm(m, polarizations=(1, -1))
     checks, norm_info = norm_check([position_norm(cf.rho, sg) for _, cf, _ in blocks], times,
                                    target, cfg.tolerances)
-    info = [f"transverse mode norm = {target:.17g}"] + norm_info
-    files = [os.path.join(outdir, name) for name in ("modes.csv", "current.csv", "fields.csv")]
-    write_modes_csv(files[0], m)
-    write_current_csv(files[1], blocks, us)
-    write_fields_csv(files[2], [(0, centre)], us)
-    return checks, info, files
+    write_modes_csv(os.path.join(cfg.output, "modes.csv"), m)
+    write_current_csv(os.path.join(cfg.output, "current.csv"), blocks, us)
+    write_fields_csv(os.path.join(cfg.output, "fields.csv"), [(0, centre)], us)
+    return checks, [f"transverse mode norm = {target:.17g}"] + norm_info
 
 
-def slab_widths(n_x):
-    """Every width the slab plan picks for some point budget."""
-    widths = set()
-    for planes in range(4, n_x + 1):
-        with mock.patch.object(fields, "_SLAB_POINTS", planes * n_x * n_x):
-            widths.add(fields._slab_width(n_x))
-    return sorted(widths)
-
-
-def outputs(outdir):
-    return {name: (outdir / name).read_bytes()
-            for name in ("modes.csv", "current.csv", "fields.csv", "report.txt", "report.csv")}
+def outputs(outdir, outcome):
+    """The CSVs, and the checks and info the report is written from."""
+    files = {name: (outdir / name).read_bytes()
+             for name in ("modes.csv", "current.csv", "fields.csv")}
+    return {**files, "checks": outcome.checks, "info": outcome.info}
 
 
 @st.composite
@@ -283,13 +271,11 @@ def test_slab_streamed_packet_run_matches_whole_box(tmp_path_factory, case):
     outdir = tmp_path_factory.mktemp("packet")
     cfg = parse_config(text + f"output = {outdir}\n")
     with mock.patch.dict(scenarios._RUNNERS, packet3d=whole_box_packet3d):
-        run_scenario(cfg)
-    expected = outputs(outdir)
+        expected = outputs(outdir, run_scenario(cfg))
     for width in slab_widths(n_x):
         with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
             assert fields._slab_width(n_x) == width
-            run_scenario(cfg)
-        got = outputs(outdir)
+            got = outputs(outdir, run_scenario(cfg))
         assert [f for f in expected if got[f] != expected[f]] == [], (width, text)
 
 

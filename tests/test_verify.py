@@ -19,8 +19,10 @@ from hypothesis import strategies as st
 import photonlab
 from photonlab import fields, medium, scenarios, verify
 from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
+from photonlab.csvio import report_text, write_report_files
 from photonlab.current import number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
+from photonlab.fock import LadderPair
 from photonlab.fields import (FieldSnapshot, SpatialGrid, _slab_width, centered_span, dual_grid,
                               maxwell_residual, slab_plan, synthesize)
 from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
@@ -30,7 +32,9 @@ from photonlab.units import unit_system
 from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
                               _norm_block, _worst_point, check_le, gauge_checks,
                               lifecycle_checks, line_events, line_setup, norm_check,
-                              packet_state, run_verify, write_verify_report)
+                              packet_state, run_verify)
+
+from helpers import same_bits, slab_widths
 
 
 def test_run_verify_requires_verify_kind():
@@ -55,7 +59,9 @@ def test_dispersion_fault_is_caught_and_still_reported(tmp_path):
     assert any(line.startswith("medium_current worst point at t = 0.8: index ")
                for line in rep.info)
 
-    txt_path, csv_path = write_verify_report(rep, cfg)
+    txt_path, csv_path = write_report_files(
+        cfg.output, report_text("photonlab verification report", cfg.echo_lines(), rep.checks,
+                                rep.info), rep.checks)
     text = open(txt_path, encoding="utf-8").read()
     assert "result: FAIL" in text
     assert f"({len(names) - len(failed)}/{len(names)} checks)" in text
@@ -196,12 +202,6 @@ def whole_vector_maxwell_residual(prev, now, nxt):
     return gauss, ampere
 
 
-def same_bits(a, b):
-    """Equal dtype, shape and bytes: signed zeros count."""
-    return (a.dtype == b.dtype and a.shape == b.shape
-            and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes())
-
-
 @st.composite
 def residual_cases(draw):
     dim = draw(st.sampled_from((1, 3)))
@@ -294,15 +294,6 @@ def whole_box_maxwell_level(m, n_x, scale):
     return res, [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
 
 
-def allowed_slab_widths(n_x):
-    """Every width the slab plan picks for some point budget."""
-    widths = set()
-    for planes in range(4, n_x + 1):
-        with mock.patch.object(fields, "_SLAB_POINTS", planes * n_x * n_x):
-            widths.add(_slab_width(n_x))
-    return sorted(widths)
-
-
 def maxwell_case(n_x, n_k, dk, center, sigma, pol, scale):
     """(packet, n_x, scale) of a Gaussian packet on an off-lattice k-grid, or None at k = 0."""
     try:
@@ -336,7 +327,7 @@ def maxwell_cases(draw):
 def test_slab_streamed_maxwell_level_matches_whole_box(case):
     m, n_x, scale = case
     res, maxima, where = whole_box_maxwell_level(m, n_x, scale)
-    for width in allowed_slab_widths(n_x):
+    for width in slab_widths(n_x):
         pieces = [[], [], []]  # (first plane, a copy of the residual) per residual
 
         def recorded(*args):
@@ -437,7 +428,7 @@ def whole_box_norm_block(tol, scale):
 
 def slab_budgets(n_x):
     """(width, _SLAB_POINTS) for every width the slab plan picks, at any n_x."""
-    return [(w, w * n_x * n_x) for w in allowed_slab_widths(n_x)]
+    return [(w, w * n_x * n_x) for w in slab_widths(n_x)]
 
 
 @st.composite
@@ -642,23 +633,55 @@ def test_a_nan_in_the_last_commutator_fails_fock_commutator(monkeypatch):
     assert np.isnan(checks[0].measured)
 
 
-def test_a_perturbed_ladder_entry_fails_fock_commutator(monkeypatch):
-    # a[4, 5] = sqrt(5) off by one part in 1e13, a_dag its adjoint: <4|[a, a_dag]|4> and
-    # <5|[a, a_dag]|5> move by about 1e-12, while number() is built directly and stays exact
+@pytest.mark.parametrize("error", (1e-13, 1e-6))
+def test_a_perturbed_ladder_entry_fails_fock_commutator(monkeypatch, error):
+    # a[4, 5] = sqrt(5) off by one part in 1/error, a_dag its adjoint: <4|[a, a_dag]|4> and
+    # <5|[a, a_dag]|5> move by about 10 error, while number() is built directly and stays
+    # exact; the states |n> from n = 5 on are off unit norm by error, which the info says
     exact = verify.ladder_pair
 
     def perturbed(n):
         lp = exact(n)
         a = lp.a.copy()
-        a[4, 5] *= 1.0 + 1e-13
+        a[4, 5] *= 1.0 + error
         return replace(lp, a=a, a_dag=a.conj().T)
 
     monkeypatch.setattr(verify, "ladder_pair", perturbed)
-    checks, _ = verify._fock_block(dict(TOLERANCE_DEFAULTS))
+    checks, info = verify._fock_block(dict(TOLERANCE_DEFAULTS))
     by_name = {c.name: c for c in checks}
     assert [c.name for c in checks if not c.passed] == ["fock_commutator"]
-    assert by_name["fock_commutator"].measured == pytest.approx(1e-12, rel=0.05)
+    assert by_name["fock_commutator"].measured == pytest.approx(10 * error, rel=0.05)
     assert by_name["fock_number_exact"].measured == 0.0
+    line = next(s for s in info if s.startswith("n-photon state norm deviation = "))
+    assert float(line.split(" = ")[1]) == pytest.approx(error, rel=0.05)
+
+
+def test_a_number_operator_built_from_the_ladder_fails_fock_number_exact(monkeypatch):
+    # a_dag @ a leaves sqrt(n)**2 rounded on the diagonal, so <n|N|n> misses n by an ulp
+    # or so; the commutator reads a and a_dag alone and still passes
+    monkeypatch.setattr(LadderPair, "number", lambda self: self.a_dag @ self.a)
+    checks, _ = verify._fock_block(dict(TOLERANCE_DEFAULTS))
+    assert [c.name for c in checks if not c.passed] == ["fock_number_exact"]
+    assert 0.0 < checks[1].measured <= 1e-14
+
+
+def test_a_gauge_shift_that_leaks_into_a_transverse_row_fails_the_gauge_checks(monkeypatch):
+    # a gauge function moves the longitudinal row alone; a shift that also adds 1e-3 g
+    # to the +1 row changes the physical field, its density and the transverse amplitudes
+    exact = verify.gauge_shift
+
+    def leaky(m, g):
+        shifted = exact(m, g)
+        amps = shifted.amps.copy()
+        amps[lambda_row(1)] += 1e-3 * g
+        return replace(shifted, amps=amps)
+
+    monkeypatch.setattr(verify, "gauge_shift", leaky)
+    checks, _, _ = gauge_checks(parse_config("[gauge]").packet, 0.7, 0.7,
+                                dict(TOLERANCE_DEFAULTS))
+    assert [c.name for c in checks if not c.passed] == [
+        "gauge_field", "gauge_norm", "gauge_transverse_amps"]
+    assert checks[2].measured > 1e-3
 
 
 @pytest.mark.parametrize("group, failing", [
