@@ -93,22 +93,21 @@ def curl(vf: np.ndarray, spacing: float, dimension: int, twists, comp: int,
 class Lag:
     """x-neighbour planes carried between the x-slabs of a periodic box, one plane behind.
 
-    Slabs of 2 planes or more come in a cyclic walk from any slab, as arrays
+    Slabs of 2 planes or more come in plane order from plane 0, as arrays
     (planes on axis 0): the fields differentiated along x, then `local` ones.
-    step(p0, fields) yields the pieces a slab completes: the previous slab's
-    last plane and its own but the last; close() yields the last slab's last
-    plane. before, if given, holds the differentiated fields' planes before
-    the first slab's (untwisted), so the first slab completes its first
-    plane; else that plane waits for close(). A piece is (first plane, fields,
-    ends), ends the differentiated fields' (before, after) planes, twisted
-    across plane 0 as the wrap reads them; a whole-box slab is one piece with
-    ends None. Only the first slab's first planes and each slab's last ones
-    are copied.
+    before holds the differentiated fields' planes before plane 0, plane
+    n_x - 1 untwisted; a box of one slab does not read it. step(p0, fields)
+    yields the pieces a slab completes: the previous slab's last plane, then
+    its own planes but the last, so the pieces come in plane order; close()
+    yields the last slab's last plane. A piece is (first plane, fields, ends),
+    ends the differentiated fields' (before, after) planes, twisted across
+    plane 0 as the wrap reads them; a whole-box slab is one piece with ends
+    None. Only plane 0 and each slab's last planes are copied.
     """
 
-    def __init__(self, n_x: int, twist: complex = 1.0, local: int = 0, before=None):
-        self.n_x, self.twist, self.local, self.before = n_x, twist, local, before
-        self.head = self.tail = None  # (first plane, copies of the planes its piece reads)
+    def __init__(self, n_x: int, before, twist: complex = 1.0, local: int = 0):
+        self.n_x, self.before, self.twist, self.local = n_x, before, twist, local
+        self.head = self.tail = None  # copies of plane 0; (first plane, copies of a slab's last)
 
     def _piece(self, p, fields, before, after):
         k = len(fields) - self.local
@@ -119,34 +118,23 @@ class Lag:
             after = [a * self.twist for a in after]
         return p, fields, list(zip(before, after))
 
-    def _pieces(self, p0, fields):
-        # the tail's last plane, then the slab's planes but its last (of the head: its first)
-        (q, tail), n = self.tail, len(fields[0])
-        yield self._piece(q, [t[-1:] for t in tail], [t[:1] for t in tail], [f[:1] for f in fields])
-        yield self._piece(p0, [f[:n - 1] for f in fields], [t[-1:] for t in tail],
-                          [f[n - 1:n] for f in fields])
+    def _tail_piece(self, after):
+        q, tail = self.tail
+        return self._piece(q, [t[-1:] for t in tail], [t[:1] for t in tail], after)
 
     def step(self, p0: int, fields):
         n, k = len(fields[0]), len(fields) - self.local
         if n == self.n_x:
             yield p0, fields, [None] * k
             return
-        if self.head is not None:
-            yield from self._pieces(p0, fields)
-        elif self.before is not None:
-            self.head = p0, [f[:1].copy() for f in fields[:k]]
-            yield self._piece(p0, [f[:n - 1] for f in fields], self.before,
-                              [f[n - 1:] for f in fields])
+        if self.tail is None:
+            self.head, before = [f[:1].copy() for f in fields[:k]], self.before
         else:
-            self.head = p0, [f[:2 if i < k else 1].copy() for i, f in enumerate(fields)]
-            if n > 2:
-                yield self._piece(p0 + 1, [f[1:-1] for f in fields], [f[:1] for f in fields],
-                                  [f[-1:] for f in fields])
+            yield self._tail_piece([f[:1] for f in fields])
+            before = [t[-1:] for t in self.tail[1]]
+        yield self._piece(p0, [f[:n - 1] for f in fields], before, [f[n - 1:] for f in fields])
         self.tail = p0 + n - 1, [f[n - (2 if i < k else 1):].copy() for i, f in enumerate(fields)]
 
     def close(self):
-        if self.head is not None:
-            pieces = self._pieces(*self.head)
-            yield next(pieces)
-            if self.before is None:
-                yield from pieces
+        if self.tail is not None:
+            yield self._tail_piece(self.head)

@@ -266,6 +266,20 @@ def slab_plan(grid: SpatialGrid) -> list:
     return [(a, np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
+def last_group(plan):
+    """The planes of slab_plan's plan that sum plane n_x - 1 alone bitwise as its slab does.
+
+    They are the last slab's last group of 4 planes with any planes over, so
+    they leave over the planes the slab does. A stencil scan sums plane
+    n_x - 1 from them ahead of its walk, for plane 0 to read; None for a plan
+    of one slab, which wraps itself.
+    """
+    if len(plan) == 1:
+        return None
+    last = plan[-1][1]
+    return last[(len(last) - 2) // 4 * 4:]
+
+
 def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0,
           groups=tuple(GROUPS)):
     """Yield (first plane, snapshot of its planes) per x-slab of slab_plan at t.
@@ -324,22 +338,23 @@ def centered_span(prev, now, nxt) -> float:
     return _span(prev.time, now.time, nxt.time)
 
 
-def maxwell_residual(samples, times):
+def maxwell_residual(sample, plan, times):
     """Yield (first plane, k, residual) pieces of the source-free Maxwell equations on E+ and B+.
 
     In natural units (c = eps0 = 1), with a centered difference in time and
     second-order centered differences in space: k = 0 is div E, 1 dE/dt -
-    curl B, 2 div B, each built only when the caller asks for it. samples
-    holds (first plane, sample) per x-slab of one box, in a cyclic walk;
-    sample(t, groups) is the snapshot of the named field groups on the slab's
-    planes at t, and times are t0 - dt, t0, t0 + dt. The residuals come in the
-    pieces of fdops.Lag, whole for a box of one slab. The box is walked once
-    for E at t0 and once for B at t0: each snapshot belongs to the law, and
-    dE/dt is written over a slab's E sum at t0 - dt, dE/dt - curl B over that
-    (a view with a trailing component axis). So a slab holds one field group
-    at t0 beside dE/dt at most.
+    curl B, 2 div B, each built only when the caller asks for it. plan is
+    slab_plan of one box; sample(t, groups, planes) is the snapshot of the
+    named field groups on those planes (a slab's, or last_group's) at t, and
+    times are t0 - dt, t0, t0 + dt. The residuals come in the pieces of
+    fdops.Lag, in plane order, whole for a box of one slab. The box is walked
+    once for E at t0 and once for B at t0; each walk first sums its group at
+    t0 on last_group(plan) and keeps plane n_x - 1, which plane 0 reads. Each
+    snapshot belongs to the law, and dE/dt is written over a slab's E sum at
+    t0 - dt, dE/dt - curl B over that (a view with a trailing component
+    axis). So a slab holds one field group at t0 beside dE/dt at most.
     """
-    span, grid = _span(*times), None
+    span, grid, last = _span(*times), None, last_group(plan)
 
     def residuals(pieces):  # div f, after dE/dt - curl f where dE/dt comes along (f is B)
         for p, (f, *dt_e), (ends,) in pieces:
@@ -354,21 +369,26 @@ def maxwell_residual(samples, times):
                                                         ends)
 
     for group in ("e", "b"):
-        lag = None
-        for p0, sample in samples:
+        lag = before = None
+        if last is not None:
+            now = sample(times[1], (group,), last)
+            grid = _on_grid(now, grid or now.grid).grid
+            before = [np.moveaxis(now.rows[group][:, -1:], 0, -1).copy()]
+            del now  # freed before the first slab is summed
+        for p0, planes in plan:
             fields = []
             if group == "b":
-                prev = _on_grid(sample(times[0], ("e",)), grid)
-                nxt = _on_grid(sample(times[2], ("e",)), grid)
+                prev = _on_grid(sample(times[0], ("e",), planes), grid)
+                nxt = _on_grid(sample(times[2], ("e",), planes), grid)
                 dt_e = prev.rows["e"]
                 for comp in range(3):
                     np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
                     dt_e[comp] /= span
                 fields.append(np.moveaxis(dt_e, 0, -1))
                 del prev, nxt, dt_e  # E at t0 + dt freed before B is summed
-            now = sample(times[1], (group,))
+            now = sample(times[1], (group,), planes)
             grid, twists = _on_grid(now, grid or now.grid).grid, now.twists()
-            lag = lag or fdops.Lag(grid.n_per_axis, twists[0], local=len(fields))
+            lag = lag or fdops.Lag(grid.n_per_axis, before, twists[0], local=len(fields))
             yield from residuals(lag.step(p0, [np.moveaxis(now.rows[group], 0, -1)] + fields))
             del now, fields  # freed before the next slab is summed
         yield from residuals(lag.close())

@@ -24,8 +24,8 @@ from .config import PacketParams, ScenarioConfig, parse_config
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
 from .fdops import Lag
-from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slab_plan,
-                     slabs, synthesize)
+from .fields import (SpatialGrid, dual_grid, last_group, maxwell_residual, mode_coefficients,
+                     slab_plan, slabs, synthesize)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
                      lifecycle_1d)
@@ -172,9 +172,9 @@ def field_scan(m, grid, times, med=VACUUM):
     adjacent slabs (fdops.Lag, twist 1): a slab completes the previous slab's
     last plane and its own planes but the last, and each such piece is
     yielded at once. J on plane n_x - 1, which plane 0 reads, is summed
-    first, on the last slab's last group of 4 planes, so no record waits for
-    the end of the walk. A record's rho is its own copy, so a caller that
-    keeps the densities keeps only their planes.
+    first, on fields.last_group's planes, so no record waits for the end of
+    the walk. A record's rho is its own copy, so a caller that keeps the
+    densities keeps only their planes.
     """
     dt, plan = grid.spacing / 2.0, slab_plan(grid)
 
@@ -197,12 +197,9 @@ def field_scan(m, grid, times, med=VACUUM):
         def current(planes):
             return current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
 
-        # J on plane n_x - 1 from the last slab's last group of 4 planes (with
-        # any planes over), which sums as the slab does
-        last = plan[-1][1]
-        before = None if len(plan) == 1 else \
-            [current(last[(len(last) - 2) // 4 * 4:]).j[-1:].copy()]
-        lag = Lag(grid.n_per_axis, local=4, before=before)
+        last = last_group(plan)
+        lag = Lag(grid.n_per_axis, None if last is None else [current(last).j[-1:].copy()],
+                  local=4)
         for p0, planes in plan:
             prev, nxt = density(0, planes), density(2, planes)
             cf = current(planes)
@@ -471,42 +468,29 @@ def _maxwell_packet():
     return packet_state(parse_config("[gauge]").packet)
 
 
-def _maxwell_slabs(m, n_x, scale):
-    """Yield maxwell_residual's (first plane, k, residual k) on the slabs of an n_x^3 dual box.
+def _maxwell_level(m, n_x, scale):
+    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box.
 
-    k = 0, 1, 2 are Gauss, Ampere and div B; the caller drops each residual
-    before it asks for the next.
+    maxwell_residual yields each residual k (0, 1, 2: Gauss, Ampere, div B)
+    in pieces in plane order; each piece is reduced as it comes and dropped
+    before the next is built. The worst point is the first NaN, else the
+    first largest value, as np.argmax picks it on the whole box.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
     times = (t0 - dt, t0, t0 + dt)
     coeffs = {t: mode_coefficients(m, t, scale) for t in times}
 
-    def sampler(planes):
-        return lambda t, groups: synthesize(m, sg, t, scale, groups, planes, coeffs[t])
+    def sample(t, groups, planes):
+        return synthesize(m, sg, t, scale, groups, planes, coeffs[t])
 
-    return maxwell_residual([(p0, sampler(planes)) for p0, planes in slab_plan(sg)], times)
-
-
-def _maxwell_level(m, n_x, scale):
-    """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box.
-
-    The pieces come out of plane order, so the worst point is picked once all
-    are in, as np.argmax picks it on the whole box: the first NaN, else the
-    first largest value.
-    """
-    plane = n_x * n_x
-    found = [[], [], []]  # (first plane, max |residual|, its point) per piece
-    for p, k, res in _maxwell_slabs(m, n_x, scale):
+    plane, worst = n_x * n_x, [None] * 3  # (max |residual|, its point) per residual
+    for p, k, res in maxwell_residual(sample, slab_plan(sg), times):
         point_max = np.abs(res).reshape(len(res) * plane, -1).max(axis=1)
         i = int(np.argmax(point_max))
-        found[k].append((p, point_max[i], p * plane + i))
+        if worst[k] is None or not (np.isnan(worst[k][0]) or point_max[i] <= worst[k][0]):
+            worst[k] = point_max[i], p * plane + i
         del res, point_max  # dropped before the next residual is built
-    worst = []
-    for pieces in found:
-        pieces.sort(key=lambda piece: piece[0])
-        worst.append(pieces[int(np.argmax([v for _, v, _ in pieces]))][1:])
-    sg = dual_grid(m.grid, n_x)
     return [v for v, _ in worst], [_grid_point(i, sg) for _, i in worst]
 
 

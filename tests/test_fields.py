@@ -1,18 +1,21 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from photonlab import fields
 from photonlab.fields import (AMPLITUDE_SCALE, GROUPS, SpatialGrid, _mode_sum, dual_grid, is_dual,
-                              maxwell_residual, synthesize)
+                              last_group, maxwell_residual, mode_coefficients, slab_plan,
+                              synthesize)
 from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, gaussian_packet,
                              kmagnitudes, kvectors, lambda_row, measure_weights)
 from photonlab.relativity import polarization_bases
 
-from helpers import same_bits, zero_state
+from helpers import same_bits, slab_widths, zero_state
 
 
 def single_mode(kz, pol, c):
@@ -176,10 +179,10 @@ def residuals(*snaps):
     """
     by_time = {s.time: s for s in snaps}
 
-    def sample(t, groups):
+    def sample(t, groups, planes):
         return dataclasses.replace(by_time[t], rows={g: by_time[t].rows[g].copy() for g in groups})
     # a whole box is one slab, so each residual comes whole, at plane 0
-    return [r for _, _, r in maxwell_residual([(0, sample)], [s.time for s in snaps])]
+    return [r for _, _, r in maxwell_residual(sample, [(0, None)], [s.time for s in snaps])]
 
 
 def test_maxwell_residual_zero_fields():
@@ -236,6 +239,122 @@ def test_maxwell_residual_validates_inputs():
     d = synthesize(m, sg, 0.35)
     with pytest.raises(ValueError, match="spaced"):
         residuals(a, b, d)
+
+
+def spectral_maxwell_residuals(m, sg, times, omega_scale):
+    """Oracle: div E, dE/dt - curl B and div B on the dual box, as one _mode_sum of five columns.
+
+    On the Fourier-dual box a centered difference is exact for each mode:
+    along axis a it multiplies the mode by i sin(k_a h) / h, the Bloch twist
+    at the seam being the mode's own phase, and the centered time difference
+    multiplies it by -i sin(omega dt) / dt. This is the modified-wavenumber
+    view of a stencil (Lele, J. Comput. Phys. 103 (1992) 16). Returns the
+    three residuals and the scale at which rounding enters them: the larger
+    sum over modes of |E| or |B|, times 1 + |k| L / 2 + omega |t0| for the
+    rounding of the phases k.x - omega t, over h.
+    """
+    k = kvectors(m.grid)
+    kmag = np.sqrt(np.sum(k * k, axis=-1))
+    h, dt, t0 = sg.spacing, sg.spacing / 2.0, times[1]
+    d = 1j * np.sin(k * h) / h  # the centered difference along each axis, per mode
+    c = mode_coefficients(m, t0, omega_scale)
+    e, b = c[:, GROUPS["e"]], c[:, GROUPS["b"]]
+    curl_b = np.stack([d[:, (i + 1) % 3] * b[:, (i + 2) % 3] - d[:, (i + 2) % 3] * b[:, (i + 1) % 3]
+                       for i in range(3)], axis=1)
+    dt_e = (-1j * np.sin(m.speed * kmag * dt) / dt)[:, None] * e
+    cols = np.column_stack([np.sum(d * e, axis=1), dt_e - curl_b, np.sum(d * b, axis=1)])
+    rows = _mode_sum(cols, m.grid, sg).reshape((5,) + sg.field_shape())
+    phases = 1.0 + kmag * sg.box_length / 2.0 + m.speed * kmag * abs(t0)
+    floor = max((np.abs(f) * phases[:, None]).sum(axis=0).max() for f in (e, b)) / h
+    return (rows[0], np.moveaxis(rows[1:4], 0, -1), rows[4]), floor
+
+
+def spectral_case(n_x, width, amps, n_k, dk, center, speed, t0, omega_scale):
+    """(packet, n_x, slab width, t0, omega_scale); amps None is a Gaussian packet at center."""
+    kgrid = KGrid(n_per_axis=n_k, spacing=dk, dimension=3, center=center)
+    m = ModeAmplitudes(kgrid, amps, speed) if amps is not None else \
+        gaussian_packet(kgrid, center, 0.5, 1, speed=speed)
+    return m, n_x, width, t0, omega_scale
+
+
+@st.composite
+def spectral_cases(draw):
+    # random amplitudes in all three rows, dead modes among them, on an offset
+    # lattice whose Bloch twists are all well off the real axis
+    n_k = draw(st.integers(2, 5))
+    center = tuple(draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    try:
+        kgrid = KGrid(n_per_axis=n_k, spacing=draw(st.floats(0.2, 0.8)), dimension=3,
+                      center=center)
+    except ValueError:
+        assume(False)  # the lattice hit k = 0
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amps = rng.normal(size=(3, kgrid.n_points)) + 1j * rng.normal(size=(3, kgrid.n_points))
+    amps[rng.random(amps.shape) < 0.2] = 0.0
+    n_x = draw(st.integers(4, 40))
+    case = spectral_case(n_x, draw(st.sampled_from((4, 8, 12, 40))), amps, n_k, kgrid.spacing,
+                         center, draw(st.floats(0.5, 1.0)), draw(st.floats(0.0, 3.0)),
+                         draw(st.floats(0.9, 1.1)))
+    twists = synthesize(case[0], dual_grid(kgrid, n_x), 0.0, groups=()).twists()
+    assume(all(abs(t.imag) > 0.05 for t in twists))
+    return case
+
+
+@settings(max_examples=40, deadline=None)
+@given(spectral_cases())
+# the twist of k0 = (0.37, -0.21, 5.13) on the x axis is 0.992 - 0.125i; n_x = 33
+# joins a one-plane last slab to the one before, 30 and 35 leave 2 and 3 planes over
+@example(spectral_case(33, 4, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 1.0))
+@example(spectral_case(30, 8, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 1.05))
+@example(spectral_case(35, 12, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 0.95))
+@example(spectral_case(17, 40, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 1.0))
+def test_streamed_maxwell_residuals_match_the_spectral_oracle(case):
+    # an independent second side for the stencils and for fdops.Lag's seam
+    # twist: every piece, in plane order, within rounding of the oracle
+    m, n_x, width, t0, omega_scale = case
+    sg = dual_grid(m.grid, n_x)
+    times = (t0 - sg.spacing / 2.0, t0, t0 + sg.spacing / 2.0)
+    coeffs = {t: mode_coefficients(m, t, omega_scale) for t in times}
+    want, floor = spectral_maxwell_residuals(m, sg, times, omega_scale)
+
+    def sample(t, groups, planes):
+        return synthesize(m, sg, t, omega_scale, groups, planes, coeffs[t])
+
+    with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
+        plan = slab_plan(sg)
+    done = [0, 0, 0]  # planes done per residual
+    for p, k, r in maxwell_residual(sample, plan, times):
+        assert p == done[k], (p, k)
+        done[k] += len(r)
+        err = np.abs(r - want[k][p:p + len(r)]).max()
+        assert err <= 1e-15 * floor, (p, k, err / floor)
+    assert done == [n_x] * 3
+
+
+def test_last_group_sums_plane_n_x_minus_1_as_its_slab_does():
+    # every plan of more than one slab, at every slab width, of a packet with
+    # twists well off the real axis
+    center = (0.37, -0.21, 5.13)
+    m = gaussian_packet(KGrid(n_per_axis=8, spacing=0.25, dimension=3, center=center),
+                        center, 0.5, 1)
+    checked = set()
+    for n_x in range(4, 41):
+        sg = dual_grid(m.grid, n_x)
+        coeffs = mode_coefficients(m, 0.5)
+        for width in slab_widths(n_x):
+            with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
+                plan = slab_plan(sg)
+            if len(plan) == 1:
+                assert last_group(plan) is None
+                continue
+            last = last_group(plan)
+            slab = synthesize(m, sg, 0.5, planes=plan[-1][1], coeffs=coeffs)
+            alone = synthesize(m, sg, 0.5, planes=last, coeffs=coeffs)
+            assert last[-1] == n_x - 1 and set(last) <= set(plan[-1][1])
+            for g in GROUPS:
+                assert same_bits(alone.rows[g][:, -1], slab.rows[g][:, -1]), (n_x, width, g)
+            checked.add(n_x)
+    assert checked == set(range(6, 41))  # n_x = 4 and 5 are one slab at every width
 
 
 def test_dual_grid_geometry():

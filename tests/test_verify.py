@@ -29,10 +29,9 @@ from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
 from photonlab.modes import KGrid, gauge_shift, gaussian_packet, lambda_row, norm
 from photonlab.scenarios import run_scenario
 from photonlab.units import unit_system
-from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _maxwell_slabs,
-                              _norm_block, _worst_point, check_le, gauge_checks,
-                              lifecycle_checks, line_events, line_setup, norm_check,
-                              packet_state, run_verify)
+from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _norm_block,
+                              _worst_point, check_le, gauge_checks, lifecycle_checks, line_events,
+                              line_setup, norm_check, packet_state, run_verify)
 
 from helpers import same_bits, slab_widths
 
@@ -168,6 +167,23 @@ def test_residual_order_failure_names_the_worst_rows(monkeypatch):
                         f"t = {fine.times[spike]:.6g}")
 
 
+@pytest.mark.parametrize("speedup, failing", [
+    (1.002, {"peak_speed_cells", "lifecycle_residual_order"}),
+    (1.01, {"peak_speed_cells", "lifecycle_residual_order", "causality"}),
+])
+def test_a_pulse_advected_too_fast_fails_peak_speed_cells(monkeypatch, speedup, failing):
+    # the pulse runs at speedup * v while the checks expect v: its peak leaves
+    # the ballistic position by more than a cell over the transit, the pulse no
+    # longer solves the transport the residual differences, and at 1% it
+    # leaves the padded light cone too
+    pulse = medium._pulse_chunks
+    monkeypatch.setattr(medium, "_pulse_chunks",
+                        lambda ev, v, grid1d, times: pulse(ev, speedup * v, grid1d, times))
+    checks = {c.name: c for c in verify._lifecycle_block(TOLERANCE_DEFAULTS)[0]}
+    assert {name for name, c in checks.items() if not c.passed} == failing
+    assert checks["peak_speed_cells"].measured > 1.5
+
+
 def whole_vector_curl(vf, spacing, dimension, twists):
     """Oracle: curl V as one whole vector, each off-diagonal derivative added as it exists."""
     out = None
@@ -236,7 +252,7 @@ def owned_copies(snaps):
     """maxwell_residual's sample: fresh copies of the groups asked for, the law's to overwrite."""
     by_time = {s.time: s for s in snaps}
 
-    def sample(t, groups):
+    def sample(t, groups, planes):
         s = by_time[t]
         return replace(s, rows={g: s.rows[g].copy() for g in groups})
     return sample
@@ -246,7 +262,7 @@ def owned_copies(snaps):
 @given(residual_cases())
 def test_streamed_maxwell_residuals_match_whole_vector_oracle(snaps):
     # a whole box is one slab, so each residual comes whole, at plane 0
-    streamed = list(maxwell_residual([(0, owned_copies(snaps))], [s.time for s in snaps]))
+    streamed = list(maxwell_residual(owned_copies(snaps), [(0, None)], [s.time for s in snaps]))
     gauss, ampere = whole_vector_maxwell_residual(*snaps)
     now = snaps[1]
     divb = divergence(now.b_plus, now.grid.spacing, now.grid.dimension, now.twists())
@@ -262,20 +278,32 @@ def test_maxwell_residual_sums_e_and_b_at_t0_apart():
     times = (_MAXWELL_T0 - dt, _MAXWELL_T0, _MAXWELL_T0 + dt)
     calls, snaps, alive_at_b = [], [], []
 
-    def sample(t, groups):
-        calls.append((t, groups))
+    def sample(t, groups, planes):
+        calls.append((t, groups, list(planes)))
         if groups == ("b",):
             alive_at_b.extend(ref() is not None for ref in snaps)
-        snap = synthesize(m, sg, t, groups=groups)
+        snap = synthesize(m, sg, t, groups=groups, planes=planes)
         snaps.append(weakref.ref(snap))
         return snap
 
-    # div E from E at t0 alone, then dE/dt from E at t0 -+ dt, and B at t0
-    assert len(list(maxwell_residual([(0, sample)], times))) == 3
-    assert calls == [(times[1], ("e",)), (times[0], ("e",)), (times[2], ("e",)),
-                     (times[1], ("b",))]
-    # every earlier snapshot, E at t0 included, is gone before B at t0 is summed
-    assert alive_at_b == [False, False, False]
+    with mock.patch.object(fields, "_SLAB_POINTS", 4 * 8 * 8):
+        plan = slab_plan(sg)
+    first, last = [list(planes) for _, planes in plan]
+    assert first == [0, 1, 2, 3] and last == [4, 5, 6, 7]
+    pieces = [(p, k) for p, k, _ in maxwell_residual(sample, plan, times)]
+    # each walk sums its group at t0 on the last 4 planes for plane 7 first,
+    # then walks the slabs: E at t0 alone for div E, then per slab E at
+    # t0 -+ dt for dE/dt and B at t0
+    assert calls == [(times[1], ("e",), last), (times[1], ("e",), first),
+                     (times[1], ("e",), last), (times[1], ("b",), last)] + [
+        (t, g, planes) for planes in (first, last)
+        for t, g in ((times[0], ("e",)), (times[2], ("e",)), (times[1], ("b",)))]
+    # every earlier snapshot, E at t0 and each walk's 4-plane sum for plane 7
+    # included, is gone before B at t0 is summed
+    assert len(alive_at_b) == 3 + 6 + 9 and not any(alive_at_b)
+    # each residual in plane order: planes 0-2, 3, 4-6 and 7
+    assert pieces == [(p, 0) for p in (0, 3, 4, 7)] + [
+        (p, k) for p in (0, 3, 4, 7) for k in (1, 2)]
 
 
 def whole_box_maxwell_level(m, n_x, scale):
@@ -331,17 +359,16 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
         pieces = [[], [], []]  # (first plane, a copy of the residual) per residual
 
         def recorded(*args):
-            for p, k, r in _maxwell_slabs(*args):
+            for p, k, r in maxwell_residual(*args):
                 pieces[k].append((p, r.copy()))  # Ampere is a view of the t0 - dt sum
                 yield p, k, r
 
         with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x), \
-                mock.patch.object(verify, "_maxwell_slabs", recorded):
+                mock.patch.object(verify, "maxwell_residual", recorded):
             assert _slab_width(n_x) == width
             assert _maxwell_level(m, n_x, scale) == (maxima, where), width
         for k in range(3):
-            # every plane once, out of plane order, bitwise the whole box
-            pieces[k].sort(key=lambda piece: piece[0])
+            # every plane once, in plane order, bitwise the whole box
             firsts = [p for p, _ in pieces[k]]
             assert firsts == [0] + list(np.cumsum([len(r) for _, r in pieces[k]])[:-1]), width
             got = np.concatenate([r for _, r in pieces[k]])
@@ -349,23 +376,24 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
 
 
 def test_maxwell_level_picks_the_first_worst_point_across_pieces():
-    # a tie between planes of different pieces goes to the lower point, a NaN
-    # anywhere wins, as np.argmax picks them on the whole box
+    # pieces in plane order: a tie goes to the lower point, and the first NaN
+    # wins over larger values and NaNs on either side, as np.argmax picks
+    # them on the whole box
     m, n_x, scale = maxwell_case(16, 3, 0.4, (0.3, -0.2, 1.1), 0.5, 1, 1.0)
-    pieces = [(12, np.full((2, 16, 16), 2.0)), (0, np.ones((12, 16, 16))),
-              (14, np.full((2, 16, 16), 2.0))]
+    firsts, widths = (0, 10, 12, 14), (10, 2, 2, 2)
+    planted_values = ((1.0, 2.0, 1.0, 2.0), (1.0, np.nan, 3.0, np.nan),
+                      (1.0, 2.0, 3.0, np.nan))
 
-    def planted(*args):
-        for p, r in pieces:
-            yield p, 0, r
-            yield p, 1, r
-            yield p, 2, np.where(p == 14, np.nan, r)
+    def planted(sample, plan, times):
+        for k, values in enumerate(planted_values):
+            for p, n, v in zip(firsts, widths, values):
+                yield p, k, np.full((n, 16, 16), v)
 
-    with mock.patch.object(verify, "_maxwell_slabs", planted):
+    with mock.patch.object(verify, "maxwell_residual", planted):
         values, where = _maxwell_level(m, n_x, scale)
     sg = dual_grid(m.grid, n_x)
-    assert values[:2] == [2.0, 2.0] and np.isnan(values[2])
-    assert where == [verify._grid_point(12 * 256, sg)] * 2 + [verify._grid_point(14 * 256, sg)]
+    assert values[0] == 2.0 and np.isnan(values[1]) and np.isnan(values[2])
+    assert where == [verify._grid_point(p * 256, sg) for p in (10, 10, 14)]
 
 
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():

@@ -1,6 +1,7 @@
 """Check that the working tree's outputs are byte-identical to those of a revision.
 
     python3 tools/same_outputs.py REV
+    python3 tools/same_outputs.py --record
 
 Exports REV with `git archive` into a temporary directory, then runs the same
 photonlab calls with REV's `src` and with the working tree's, each in the same
@@ -23,18 +24,19 @@ more on each side, alternating sides, and is named only if the median of its
 three runs a side moved by more than 10%. Before that summary, one totals
 line a side sums the minor faults and CPU seconds of every call's first run
 and names the largest peak RSS among them.
-Stdlib only; the 34 call pairs take a few minutes on two cores.
+Stdlib only; the 34 call pairs take about 25 s on two cores.
+
+The calls are output_calls.all_calls(). With --record, the working tree's
+outputs are not compared with a revision's: their digests are written to
+tests/outputs.sha256.json, which tests/test_outputs.py holds the tree to.
 """
 
 from __future__ import annotations
 
 import filecmp
-import importlib.util
 import io
-import os
-import random
+import json
 import shutil
-import signal
 import statistics
 import subprocess
 import sys
@@ -42,68 +44,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _perfbench_configs() -> dict:
-    """The seed-3 packet3d and lifecycle1d configs of perfbench/run.py, read-only."""
-    bench = ROOT / "perfbench"
-    sys.path.insert(0, str(bench))  # run.py imports its sibling tracer.py
-    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
-        run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(str(bench))
-    return {"perfbench-packet3d-seed3": run._packet3d_config(random.Random(3)),
-            "perfbench-lifecycle1d-seed3": run._lifecycle1d_config(random.Random(3))}
-
-
-# call name -> config text; None runs `photonlab verify` with no config
-CALLS = {
-    "verify-default": None,
-    "verify-dispersion-fault": "[verify]\ninject_dispersion_error = 0.05\n",
-    **{f"{kind}-default": f"[{kind}]\n" for kind in
-       ("packet3d", "helicity", "gauge", "boost", "medium1d", "lifecycle1d", "fock")},
-    "helicity-par": "[helicity]\nlambda = par\n",
-    "packet3d-par": "[packet3d]\nlambda = par\n",
-    "packet3d-refused": "[packet3d]\nn_x = 4\n",
-    "packet3d-k0-inf": "[packet3d]\nk0 = (0, 0, inf)\n",
-    # finite packets whose normalization fails (amplitudes underflow, dk^3
-    # overflows): refused with exit 2 since the pre-flight builds the packet
-    "packet3d-sigma-underflow": "[packet3d]\nsigma = 1e-300\nn_k = 4\nn_x = 8\n",
-    "packet3d-dk-overflow": "[packet3d]\ndk = 1e300\n",
-    # the scan and fields.csv in 16 slabs of 4 planes, the scan's x-neighbour
-    # planes carried from slab to slab
-    "packet3d-nx64": "[packet3d]\nn_x = 64\n",
-    # n_x not a multiple of 4: slabs of 4 planes and a last one of 2
-    "packet3d-nx18": "[packet3d]\nn_x = 18\n",
-    "packet3d-nx50": "[packet3d]\nn_k = 6\nn_x = 50\nt_steps = 1\n",
-    "packet3d-nx66": "[packet3d]\nn_k = 8\nn_x = 66\nt_steps = 1\n",
-    # one plane over a multiple of 4, joined to the last slab (7 x 4 + 5 planes)
-    "packet3d-nx33": "[packet3d]\nn_x = 33\n",
-    "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
-    # the gauge law on 16 slabs of 4 planes, and on boxes whose last slab
-    # leaves 2 planes over (4 x 4 + 2 and 16 x 4 + 2 planes)
-    "gauge-nx64": "[gauge]\nn_x = 64\n",
-    "gauge-nx18": "[gauge]\nn_x = 18\n",
-    "gauge-nx66": "[gauge]\nn_x = 66\n",
-    # the one call on which [gauge] scales its lone t_stop by `units`
-    "gauge-si-t-stop": "[gauge]\nunits = si\nt_stop = 2e-9\n",
-    "lifecycle1d-si": "[lifecycle1d]\nunits = si\n",
-    "lifecycle1d-no-detector": "[lifecycle1d]\n[detector]\nenabled = false\n",
-    "lifecycle1d-acausal": "[lifecycle1d]\n[detector]\ntime = 1.0\n",
-    "lifecycle1d-numeric-events": "[lifecycle1d]\n[emitter]\nwidth = 0.08\nduration = 0.15\n"
-                                  "[detector]\nwidth = 0.08\nduration = 0.15\n",
-    # a detector wider and longer than the pulse drains density outside the
-    # cone: causality fails (exit 1) and names its worst cell
-    "lifecycle1d-wide-detector": "[lifecycle1d]\n[emitter]\nwidth = 0.08\nduration = 0.15\n"
-                                 "[detector]\nwidth = 0.1\nduration = 0.3\n",
-    # windows clipped at the line's start: the residual takes whole periodic rows
-    "lifecycle1d-seam": "[lifecycle1d]\n[emitter]\ncenter = -4.95\n[detector]\ncenter = 24.9\n",
-    "medium1d-eps3-mu1.5": "[medium1d]\nepsilon_rel = 3.0\nmu_rel = 1.5\n",
-}
+from output_calls import MANIFEST, ROOT, all_calls, call, manifest
 
 
 def _export(rev: str, dest: Path) -> None:
@@ -111,42 +52,6 @@ def _export(rev: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
-
-
-def _left_running(pgid: int) -> bool:
-    """Whether the process group pgid still has a member; if so, the group is killed."""
-    try:
-        os.killpg(pgid, 0)
-    except ProcessLookupError:
-        return False
-    os.killpg(pgid, signal.SIGKILL)
-    return True
-
-
-def _call(src: Path, config: Path | None,
-          outdir: Path) -> tuple[int, bytes, float, bytes, int, float, bool]:
-    """Run one CLI call from outdir, the config's output directory ('.').
-
-    Returns the exit code, stdout, the call's peak RSS in MB, stderr, the
-    call's minor page faults, its CPU seconds (user plus system), and whether
-    a process of its own process group outlived it.
-    """
-    args = ["verify"] if config is None else \
-        ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    # stdout and stderr go to files, so neither a full pipe nor a process left
-    # holding one can stall the call; its own session makes it a process group
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen([sys.executable, "-m", "photonlab", *args], cwd=outdir,
-                                env=env, stdout=out, stderr=err, start_new_session=True)
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        stray = _left_running(proc.pid)
-        out.seek(0)
-        err.seek(0)
-        stdout, stderr = out.read(), err.read()
-    return (proc.returncode, stdout, usage.ru_maxrss / 1024.0, stderr, usage.ru_minflt,
-            usage.ru_utime + usage.ru_stime, stray)
 
 
 def _differences(name: str, ref: Path, new: Path, ref_run, new_run) -> list[str]:
@@ -185,7 +90,11 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    calls = {**CALLS, **_perfbench_configs()}
+    calls = all_calls()
+    if argv[0] == "--record":
+        MANIFEST.write_text(json.dumps(manifest(ROOT / "src", calls), indent=1) + "\n")
+        print(f"{len(calls)} calls recorded in {MANIFEST.relative_to(ROOT)}")
+        return 0
     diffs, moved = [], []
     firsts = ([], [])  # each call's first run at the revision and here
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
@@ -199,10 +108,10 @@ def main(argv=None) -> int:
                 config.write_text(text)
             # both sides write to the same path, so the echoed `output` matches
             out.mkdir()
-            ref_run = _call(tmp / "rev" / "src", config, out)
+            ref_run = call(tmp / "rev" / "src", config, out)
             out.rename(ref)
             out.mkdir()
-            new_run = _call(ROOT / "src", config, out)
+            new_run = call(ROOT / "src", config, out)
             found = _differences(name, ref, out, ref_run, new_run)
             print(f"{name}: exit {new_run[0]}, " + ("DIFFERS" if found else "identical"))
             print(f"{name}: peak RSS {ref_run[2]:.1f} MB, {ref_run[4]} minor faults, "
@@ -219,7 +128,7 @@ def main(argv=None) -> int:
                 for first in (0, 1):  # this side first, then the revision first
                     for src, runs in sides[first:] + sides[:first]:
                         out.mkdir()
-                        runs.append(_call(src, config, out))
+                        runs.append(call(src, config, out))
                         shutil.rmtree(out)
                 ref_med, new_med = (f"{statistics.median(r[2] for r in runs):.1f} MB, "
                                     f"{statistics.median(r[4] for r in runs):.0f} minor faults"
