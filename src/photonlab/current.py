@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fdops
-from .fields import FieldSnapshot, SpatialGrid, centered_span
+from .fields import FieldSnapshot, SpatialGrid
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,20 @@ def photon_current(snap: FieldSnapshot, eps: float = 1.0, mu: float = 1.0) -> Cu
 def position_norm(rho: np.ndarray, grid: SpatialGrid) -> float:
     """Box Riemann sum of the density rho; spectrally exact for band-limited periodic fields."""
     return float(np.sum(rho) * grid.cell_volume)
+
+
+def centered_span(prev, now, nxt) -> float:
+    """(now - prev) + (nxt - now), the divisor of a centered time difference.
+
+    The three samples (snapshots or currents) share one grid and are equally
+    spaced in time.
+    """
+    if not prev.grid == now.grid == nxt.grid:
+        raise ValueError("samples must share one spatial grid")
+    dt_lo, dt_hi = now.time - prev.time, nxt.time - now.time
+    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
+        raise ValueError("samples must be equally spaced in time")
+    return dt_lo + dt_hi
 
 
 def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField,

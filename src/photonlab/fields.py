@@ -4,7 +4,8 @@ A+(x,t) = i sqrt(2) sum_lambda sum_k w(k) c_lambda(k) e_lambda(k) e^{i(k.x - w t
 in natural units (c = hbar = eps0 = 1), with w(k) the invariant measure weight.
 E+ and B+ come from exact k-space derivatives (multiplication by i omega, i k);
 finite differences are reserved for the verification stencils so the checks
-stay independent of the synthesis path. phi+ = c A+_par throughout.
+stay independent of the synthesis path (dE/dt there is E(t0 + dt) - E(t0 - dt),
+one sum of the coefficients' difference, over 2 dt). phi+ = c A+_par throughout.
 
 The k-lattice and the sample box are tensor products of 1D axes, so the mode
 sum factors into one contraction per axis with an n_k x n_x table of
@@ -311,84 +312,57 @@ def _mode_sum(coeffs: np.ndarray, kgrid: KGrid, grid: SpatialGrid, planes=None) 
     return t.reshape(ncomp, math.prod(t.shape[1:]))
 
 
-def _span(t_prev: float, t_now: float, t_next: float) -> float:
-    """(t_now - t_prev) + (t_next - t_now); the three times must be equally spaced."""
-    dt_lo = t_now - t_prev
-    dt_hi = t_next - t_now
-    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
-        raise ValueError("samples must be equally spaced in time")
-    return dt_lo + dt_hi
-
-
 def _on_grid(s, grid: SpatialGrid):
-    """s, a snapshot or a current, checked to lie on grid."""
+    """s, a snapshot, checked to lie on grid."""
     if s.grid != grid:
         raise ValueError("samples must share one spatial grid")
     return s
 
 
-def centered_span(prev, now, nxt) -> float:
-    """(now - prev) + (nxt - now), the divisor of a centered time difference.
-
-    The three samples (snapshots or currents) share one grid and are equally
-    spaced in time.
-    """
-    for s in (now, nxt):
-        _on_grid(s, prev.grid)
-    return _span(prev.time, now.time, nxt.time)
-
-
-def maxwell_residual(sample, plan, times):
+def maxwell_residual(sample, plan, span):
     """Yield (first plane, k, residual) pieces of the source-free Maxwell equations on E+ and B+.
 
     In natural units (c = eps0 = 1), with a centered difference in time and
     second-order centered differences in space: k = 0 is div E, 1 dE/dt -
     curl B, 2 div B, each built only when the caller asks for it. plan is
-    slab_plan of one box; sample(t, groups, planes) is the snapshot of the
-    named field groups on those planes (a slab's, or last_group's) at t, and
-    times are t0 - dt, t0, t0 + dt. The residuals come in the pieces of
-    fdops.Lag, in plane order, whole for a box of one slab. The box is walked
-    once for E at t0 and once for B at t0; each walk first sums its group at
-    t0 on last_group(plan) and keeps plane n_x - 1, which plane 0 reads. Each
-    snapshot belongs to the law, and dE/dt is written over a slab's E sum at
-    t0 - dt, dE/dt - curl B over that (a view with a trailing component
-    axis). So a slab holds one field group at t0 beside dE/dt at most.
+    slab_plan of one box; sample(key, groups, planes) is the snapshot of the
+    named field groups on those planes (a slab's, or last_group's): key "now"
+    the fields at t0, key "step" E(t0 + dt) - E(t0 - dt), which span, 2 dt,
+    divides into dE/dt. The residuals come in the pieces of fdops.Lag, in
+    plane order, whole for a box of one slab. The box is walked once for E
+    at t0 and once for B at t0; each walk first sums its group at t0 on
+    last_group(plan) and keeps plane n_x - 1, which plane 0 reads. Each
+    snapshot belongs to the law: dE/dt is written over the step's sum, piece
+    by piece, dE/dt - curl B over that (a view with a trailing component
+    axis). So a slab holds one field group at t0 beside the step at most.
     """
-    span, grid, last = _span(*times), None, last_group(plan)
+    grid, last = None, last_group(plan)
 
-    def residuals(pieces):  # div f, after dE/dt - curl f where dE/dt comes along (f is B)
-        for p, (f, *dt_e), (ends,) in pieces:
-            if dt_e:
-                curl_b = None
+    def residuals(pieces):  # div f, after dE/dt - curl f where E's step comes along (f is B)
+        for p, (f, *step), (ends,) in pieces:
+            if step:
+                dt_e, curl_b = np.divide(step[0], span, out=step[0]), None
                 for comp in range(3):
                     curl_b = fdops.curl(f, grid.spacing, grid.dimension, twists, comp, curl_b, ends)
-                    dt_e[0][..., comp] -= curl_b
+                    dt_e[..., comp] -= curl_b
                 del curl_b
-                yield p, 1, dt_e[0]
-            yield p, 2 if dt_e else 0, fdops.divergence(f, grid.spacing, grid.dimension, twists,
+                yield p, 1, dt_e
+            yield p, 2 if step else 0, fdops.divergence(f, grid.spacing, grid.dimension, twists,
                                                         ends)
 
     for group in ("e", "b"):
         lag = before = None
         if last is not None:
-            now = sample(times[1], (group,), last)
+            now = sample("now", (group,), last)
             grid = _on_grid(now, grid or now.grid).grid
             before = [np.moveaxis(now.rows[group][:, -1:], 0, -1).copy()]
             del now  # freed before the first slab is summed
         for p0, planes in plan:
-            fields = []
-            if group == "b":
-                prev = _on_grid(sample(times[0], ("e",), planes), grid)
-                nxt = _on_grid(sample(times[2], ("e",), planes), grid)
-                dt_e = prev.rows["e"]
-                for comp in range(3):
-                    np.subtract(nxt.rows["e"][comp], dt_e[comp], out=dt_e[comp])
-                    dt_e[comp] /= span
-                fields.append(np.moveaxis(dt_e, 0, -1))
-                del prev, nxt, dt_e  # E at t0 + dt freed before B is summed
-            now = sample(times[1], (group,), planes)
+            step = [_on_grid(sample("step", ("e",), planes), grid)] if group == "b" else []
+            now = sample("now", (group,), planes)
             grid, twists = _on_grid(now, grid or now.grid).grid, now.twists()
-            lag = lag or fdops.Lag(grid.n_per_axis, before, twists[0], local=len(fields))
-            yield from residuals(lag.step(p0, [np.moveaxis(now.rows[group], 0, -1)] + fields))
-            del now, fields  # freed before the next slab is summed
+            lag = lag or fdops.Lag(grid.n_per_axis, before, twists[0], local=len(step))
+            fields = [np.moveaxis(s.rows[g], 0, -1) for s, g in zip([now] + step, (group, "e"))]
+            yield from residuals(lag.step(p0, fields))
+            del now, step, fields  # freed before the next slab is summed
         yield from residuals(lag.close())

@@ -367,7 +367,8 @@ def lifecycle_checks(rep, emit, detect, med, grid, tol):
     checks, info = [], []
     times, v = rep.times, med.v
     margin = TRUNC_SIGMAS * (emit.duration + emit.width / v)
-    end = detect.time - margin if detect is not None else times[-1]
+    # an acausal detector absorbs nothing, so it does not end the transit
+    end = times[-1] if detect is None or rep.acausal else detect.time - margin
     transit = (times >= emit.time + margin) & (times <= end)
     if transit.any():
         dev = np.abs(rep.norm[transit] - emit.strength).max()
@@ -471,21 +472,25 @@ def _maxwell_packet():
 def _maxwell_level(m, n_x, scale):
     """Max |residual| and worst point of Gauss, Ampere and div B on an n_x^3 dual box.
 
-    maxwell_residual yields each residual k (0, 1, 2: Gauss, Ampere, div B)
-    in pieces in plane order; each piece is reduced as it comes and dropped
-    before the next is built. The worst point is the first NaN, else the
-    first largest value, as np.argmax picks it on the whole box.
+    The "step" sample sums the mode coefficients at t0 + dt less those at
+    t0 - dt: E(t0 + dt) - E(t0 - dt) in one mode sum, the centered difference
+    reassociated, not the synthesis's analytic -i omega. maxwell_residual
+    yields each residual k (0, 1, 2: Gauss, Ampere, div B) in pieces in plane
+    order; each piece is reduced as it comes and dropped before the next is
+    built. The worst point is the first NaN, else the first largest value, as
+    np.argmax picks it on the whole box.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
-    times = (t0 - dt, t0, t0 + dt)
-    coeffs = {t: mode_coefficients(m, t, scale) for t in times}
+    step = mode_coefficients(m, t0 + dt, scale) - mode_coefficients(m, t0 - dt, scale)
+    # a step's snapshot carries its end time; only the fields at t0 carry t0
+    at = {"now": (t0, mode_coefficients(m, t0, scale)), "step": (t0 + dt, step)}
 
-    def sample(t, groups, planes):
-        return synthesize(m, sg, t, scale, groups, planes, coeffs[t])
+    def sample(key, groups, planes):
+        return synthesize(m, sg, at[key][0], scale, groups, planes, at[key][1])
 
     plane, worst = n_x * n_x, [None] * 3  # (max |residual|, its point) per residual
-    for p, k, res in maxwell_residual(sample, slab_plan(sg), times):
+    for p, k, res in maxwell_residual(sample, slab_plan(sg), 2.0 * dt):
         point_max = np.abs(res).reshape(len(res) * plane, -1).max(axis=1)
         i = int(np.argmax(point_max))
         if worst[k] is None or not (np.isnan(worst[k][0]) or point_max[i] <= worst[k][0]):

@@ -16,6 +16,7 @@ from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, 
 from photonlab.relativity import polarization_bases
 
 from helpers import same_bits, slab_widths, zero_state
+from test_verify import whole_vector_maxwell_residual
 
 
 def single_mode(kz, pol, c):
@@ -25,9 +26,11 @@ def single_mode(kz, pol, c):
     return ModeAmplitudes(grid, amps)
 
 
-def synth_triplet(m, grid, t0, dt, omega_scale=1.0):
-    return tuple(synthesize(m, grid, t0 + k * dt, omega_scale=omega_scale)
-                 for k in (-1, 0, 1))
+def now_and_step(m, grid, t0, dt, omega_scale=1.0):
+    """The fields at t0, E(t0 + dt) - E(t0 - dt) as one sum of the coefficient difference, 2 dt."""
+    step = mode_coefficients(m, t0 + dt, omega_scale) - mode_coefficients(m, t0 - dt, omega_scale)
+    return (synthesize(m, grid, t0, omega_scale),
+            synthesize(m, grid, t0 + dt, omega_scale, coeffs=step), 2.0 * dt)
 
 
 def test_zero_amplitudes_zero_snapshot():
@@ -172,24 +175,24 @@ def test_gauge_shift_leaves_e_and_b_exactly():
     assert np.abs(s1.a_plus - s2.a_plus).max() > 1e-6
 
 
-def residuals(*snaps):
-    """div E, dE/dt - curl B and div B of three ready snapshots, in time order.
+def residuals(now, step, span):
+    """div E, dE/dt - curl B and div B of the fields at t0 and their step over span.
 
     The law owns what sample returns and writes dE/dt over it, so it gets copies.
     """
-    by_time = {s.time: s for s in snaps}
+    by_key = {"now": now, "step": step}
 
-    def sample(t, groups, planes):
-        return dataclasses.replace(by_time[t], rows={g: by_time[t].rows[g].copy() for g in groups})
+    def sample(key, groups, planes):
+        s = by_key[key]
+        return dataclasses.replace(s, rows={g: s.rows[g].copy() for g in groups})
     # a whole box is one slab, so each residual comes whole, at plane 0
-    return [r for _, _, r in maxwell_residual(sample, [(0, None)], [s.time for s in snaps])]
+    return [r for _, _, r in maxwell_residual(sample, [(0, None)], span)]
 
 
 def test_maxwell_residual_zero_fields():
     grid = KGrid(n_per_axis=4, spacing=0.5, dimension=1, center=(0.0, 0.0, 2.0))
     sg = dual_grid(grid, 16)
-    snaps = [synthesize(zero_state(grid), sg, t) for t in (0.0, 0.1, 0.2)]
-    gauss, ampere, divb = residuals(*snaps)
+    gauss, ampere, divb = residuals(*now_and_step(zero_state(grid), sg, 0.1, 0.1))
     assert np.all(gauss == 0.0)
     assert np.all(ampere == 0.0)
     assert np.all(divb == 0.0)
@@ -202,7 +205,7 @@ def test_maxwell_residual_convergence_3d():
     for n_x in (32, 64):
         sg = dual_grid(grid, n_x)
         dt = sg.spacing / 2.0
-        gauss, ampere, _ = residuals(*synth_triplet(m, sg, 0.4, dt))
+        gauss, ampere, _ = residuals(*now_and_step(m, sg, 0.4, dt))
         maxes.append(max(np.abs(gauss).max(), np.abs(ampere).max()))
     order = math.log2(maxes[0] / maxes[1])
     assert order >= 1.9
@@ -215,10 +218,10 @@ def test_maxwell_residual_linear_in_dispersion_fault():
     m = gaussian_packet(grid, (0.0, 0.0, 0.875), 0.3, 1)
     sg = dual_grid(grid, 24)
     dt = sg.spacing / 2.0
-    _, base, _ = residuals(*synth_triplet(m, sg, 0.4, dt))
+    _, base, _ = residuals(*now_and_step(m, sg, 0.4, dt))
     shifts = []
     for delta in (0.01, 0.02):
-        _, ampere, _ = residuals(*synth_triplet(m, sg, 0.4, dt, omega_scale=1.0 + delta))
+        _, ampere, _ = residuals(*now_and_step(m, sg, 0.4, dt, omega_scale=1.0 + delta))
         shifts.append(np.abs(ampere - base).max())
     assert shifts[0] > 0.0
     assert abs(shifts[1] / shifts[0] - 2.0) <= 1e-9
@@ -229,16 +232,11 @@ def test_maxwell_residual_validates_inputs():
     m = gaussian_packet(grid, (0.0, 0.0, 2.0), 0.4, 1)
     sg = dual_grid(grid, 16)
     other = dual_grid(grid, 32)
-    a = synthesize(m, sg, 0.0)
-    b = synthesize(m, sg, 0.1)
-    c = synthesize(m, other, 0.2)
+    now, step, span = now_and_step(m, sg, 0.1, 0.1)
     with pytest.raises(ValueError, match="grid"):
-        residuals(a, b, c)
+        residuals(now, synthesize(m, other, 0.2), span)
     with pytest.raises(ValueError, match="grid"):
-        residuals(a, synthesize(m, other, 0.1), synthesize(m, sg, 0.2))
-    d = synthesize(m, sg, 0.35)
-    with pytest.raises(ValueError, match="spaced"):
-        residuals(a, b, d)
+        residuals(synthesize(m, other, 0.1), step, span)
 
 
 def spectral_maxwell_residuals(m, sg, times, omega_scale):
@@ -313,21 +311,34 @@ def test_streamed_maxwell_residuals_match_the_spectral_oracle(case):
     # twist: every piece, in plane order, within rounding of the oracle
     m, n_x, width, t0, omega_scale = case
     sg = dual_grid(m.grid, n_x)
-    times = (t0 - sg.spacing / 2.0, t0, t0 + sg.spacing / 2.0)
-    coeffs = {t: mode_coefficients(m, t, omega_scale) for t in times}
+    dt = sg.spacing / 2.0
+    times = (t0 - dt, t0, t0 + dt)
+    coeffs = [mode_coefficients(m, t, omega_scale) for t in times]
+    at = {"now": (t0, coeffs[1]), "step": (t0 + dt, coeffs[2] - coeffs[0])}
     want, floor = spectral_maxwell_residuals(m, sg, times, omega_scale)
+    # the three-sum form, E summed at t0 -+ dt apart, is the same difference in
+    # exact arithmetic: its sums and the step's round apart by a few ulps of
+    # their terms' magnitudes (under 3 eps in 400 cases), bounded with room
+    _, three_sum = whole_vector_maxwell_residual(
+        *(synthesize(m, sg, t, omega_scale, ("e", "b")) for t in times))
+    terms = (np.abs(coeffs[0][:, GROUPS["e"]]) + np.abs(coeffs[2][:, GROUPS["e"]])).sum(axis=0)
+    rounding = 8.0 * np.finfo(float).eps * terms / (2.0 * dt)
 
-    def sample(t, groups, planes):
-        return synthesize(m, sg, t, omega_scale, groups, planes, coeffs[t])
+    def sample(key, groups, planes):
+        t, c = at[key]
+        return synthesize(m, sg, t, omega_scale, groups, planes, c)
 
     with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
         plan = slab_plan(sg)
     done = [0, 0, 0]  # planes done per residual
-    for p, k, r in maxwell_residual(sample, plan, times):
+    for p, k, r in maxwell_residual(sample, plan, 2.0 * dt):
         assert p == done[k], (p, k)
         done[k] += len(r)
         err = np.abs(r - want[k][p:p + len(r)]).max()
         assert err <= 1e-15 * floor, (p, k, err / floor)
+        if k == 1:
+            err = np.abs(r - three_sum[p:p + len(r)]).reshape(-1, 3).max(axis=0)
+            assert np.all(err <= rounding), (p, err / rounding)
     assert done == [n_x] * 3
 
 

@@ -190,8 +190,11 @@ def test_lifecycle_scenario_flags_acausal_detector(tmp_path):
               "[detector]\ntime = 2.0\n")
     assert out.all_passed
     assert any("acausal detection" in line for line in out.info)
-    # the early detector absorbs nothing, so the photon survives
+    # the early detector absorbs nothing, so the photon survives and the
+    # transit runs to the last checkpoint
     assert abs(info_value(out, "final norm") - 1.0) <= 1e-6
+    assert {"lifecycle_norm_transit", "peak_speed_cells"} <= set(check_map(out))
+    assert not any("transit window empty" in line for line in out.info)
 
 
 def test_fock_scenario_outputs(tmp_path):

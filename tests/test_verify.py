@@ -20,11 +20,11 @@ import photonlab
 from photonlab import fields, medium, scenarios, verify
 from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
 from photonlab.csvio import report_text, write_report_files
-from photonlab.current import number_density, position_norm
+from photonlab.current import centered_span, number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
 from photonlab.fock import LadderPair
-from photonlab.fields import (FieldSnapshot, SpatialGrid, _slab_width, centered_span, dual_grid,
-                              maxwell_residual, slab_plan, synthesize)
+from photonlab.fields import (FieldSnapshot, SpatialGrid, _slab_width, dual_grid, maxwell_residual,
+                              mode_coefficients, slab_plan, synthesize)
 from photonlab.medium import MediumSpec, SourceEvent, arrival_time, lifecycle_1d
 from photonlab.modes import KGrid, gauge_shift, gaussian_packet, lambda_row, norm
 from photonlab.scenarios import run_scenario
@@ -203,19 +203,19 @@ def whole_vector_curl(vf, spacing, dimension, twists):
     return out
 
 
-def whole_vector_maxwell_residual(prev, now, nxt):
-    """Oracle: (div E, dE/dt - curl B) of three snapshots held at once, curl B a whole vector."""
-    span = centered_span(prev, now, nxt)
+def whole_vector_residuals(now, dt_e):
+    """Oracle: (div E, dE/dt - curl B) of the fields at t0 and dE/dt, curl B a whole vector."""
     twists = now.twists()
     grid = now.grid
     gauss = divergence(now.e_plus, grid.spacing, grid.dimension, twists)
     ampere = whole_vector_curl(now.b_plus, grid.spacing, grid.dimension, twists)
-    dt_e = np.empty_like(ampere[..., 0])
-    for comp in range(3):
-        np.subtract(nxt.e_plus[..., comp], prev.e_plus[..., comp], out=dt_e)
-        dt_e /= span
-        np.subtract(dt_e, ampere[..., comp], out=ampere[..., comp])
+    np.subtract(dt_e, ampere, out=ampere)
     return gauss, ampere
+
+
+def whole_vector_maxwell_residual(prev, now, nxt):
+    """Oracle: the three-sum form, E at t0 -+ dt summed apart and differenced, all held at once."""
+    return whole_vector_residuals(now, (nxt.e_plus - prev.e_plus) / centered_span(prev, now, nxt))
 
 
 @st.composite
@@ -229,7 +229,7 @@ def residual_cases(draw):
                    for _ in range(dim))
     shape = (3,) + grid.field_shape()
     # few levels, signed zeros among them, so that differences of equal
-    # samples give +-0 in every stencil and in dE/dt
+    # samples give +-0 in every stencil, and dE/dt is +-0 where the step is
     levels = np.array([0.0, -0.0, 1.0, -1.0]) if draw(st.booleans()) else None
 
     def rows():
@@ -243,28 +243,29 @@ def residual_cases(draw):
             f[rng.integers(3)] = 0.0  # an all-zero row, as a dead component sums
         return f
 
-    t0, dt = draw(st.floats(0.0, 6.0)), draw(st.floats(0.01, 1.0))
-    return [FieldSnapshot(grid, t, {"e": rows(), "b": rows()}, 1.0, twists, frozenset())
-            for t in (t0 - dt, t0, t0 + dt)]
+    t0, span = draw(st.floats(0.0, 6.0)), draw(st.floats(0.02, 2.0))
+    now, step = (FieldSnapshot(grid, t, {"e": rows(), "b": rows()}, 1.0, twists, frozenset())
+                 for t in (t0, t0 + span / 2.0))
+    return now, step, span
 
 
-def owned_copies(snaps):
+def owned_copies(now, step):
     """maxwell_residual's sample: fresh copies of the groups asked for, the law's to overwrite."""
-    by_time = {s.time: s for s in snaps}
+    by_key = {"now": now, "step": step}
 
-    def sample(t, groups, planes):
-        s = by_time[t]
+    def sample(key, groups, planes):
+        s = by_key[key]
         return replace(s, rows={g: s.rows[g].copy() for g in groups})
     return sample
 
 
 @settings(max_examples=200, deadline=None)
 @given(residual_cases())
-def test_streamed_maxwell_residuals_match_whole_vector_oracle(snaps):
+def test_streamed_maxwell_residuals_match_whole_vector_oracle(case):
+    now, step, span = case
     # a whole box is one slab, so each residual comes whole, at plane 0
-    streamed = list(maxwell_residual(owned_copies(snaps), [(0, None)], [s.time for s in snaps]))
-    gauss, ampere = whole_vector_maxwell_residual(*snaps)
-    now = snaps[1]
+    streamed = list(maxwell_residual(owned_copies(now, step), [(0, None)], span))
+    gauss, ampere = whole_vector_residuals(now, step.e_plus / span)
     divb = divergence(now.b_plus, now.grid.spacing, now.grid.dimension, now.twists())
     assert [(p, k) for p, k, _ in streamed] == [(0, 0), (0, 1), (0, 2)]
     for (_, _, got), want in zip(streamed, (gauss, ampere, divb)):
@@ -275,14 +276,14 @@ def test_maxwell_residual_sums_e_and_b_at_t0_apart():
     m = _maxwell_packet()
     sg = dual_grid(m.grid, 8)
     dt = sg.spacing / 2.0
-    times = (_MAXWELL_T0 - dt, _MAXWELL_T0, _MAXWELL_T0 + dt)
+    at = {"now": _MAXWELL_T0, "step": _MAXWELL_T0 + dt}
     calls, snaps, alive_at_b = [], [], []
 
-    def sample(t, groups, planes):
-        calls.append((t, groups, list(planes)))
+    def sample(key, groups, planes):
+        calls.append((key, groups, list(planes)))
         if groups == ("b",):
             alive_at_b.extend(ref() is not None for ref in snaps)
-        snap = synthesize(m, sg, t, groups=groups, planes=planes)
+        snap = synthesize(m, sg, at[key], groups=groups, planes=planes)
         snaps.append(weakref.ref(snap))
         return snap
 
@@ -290,17 +291,18 @@ def test_maxwell_residual_sums_e_and_b_at_t0_apart():
         plan = slab_plan(sg)
     first, last = [list(planes) for _, planes in plan]
     assert first == [0, 1, 2, 3] and last == [4, 5, 6, 7]
-    pieces = [(p, k) for p, k, _ in maxwell_residual(sample, plan, times)]
+    pieces = [(p, k) for p, k, _ in maxwell_residual(sample, plan, 2.0 * dt)]
     # each walk sums its group at t0 on the last 4 planes for plane 7 first,
-    # then walks the slabs: E at t0 alone for div E, then per slab E at
-    # t0 -+ dt for dE/dt and B at t0
-    assert calls == [(times[1], ("e",), last), (times[1], ("e",), first),
-                     (times[1], ("e",), last), (times[1], ("b",), last)] + [
-        (t, g, planes) for planes in (first, last)
-        for t, g in ((times[0], ("e",)), (times[2], ("e",)), (times[1], ("b",)))]
+    # then walks the slabs: E at t0 alone for div E, then per slab two sums,
+    # the step of E for dE/dt and B at t0
+    assert calls == [("now", ("e",), last), ("now", ("e",), first),
+                     ("now", ("e",), last), ("now", ("b",), last)] + [
+        (key, g, planes) for planes in (first, last)
+        for key, g in (("step", ("e",)), ("now", ("b",)))]
     # every earlier snapshot, E at t0 and each walk's 4-plane sum for plane 7
-    # included, is gone before B at t0 is summed
-    assert len(alive_at_b) == 3 + 6 + 9 and not any(alive_at_b)
+    # included, is gone before B at t0 is summed, but the slab's own step of E
+    step_alive = [False] * 4 + [True]
+    assert alive_at_b == [False] * 3 + step_alive + [False] * 2 + step_alive
     # each residual in plane order: planes 0-2, 3, 4-6 and 7
     assert pieces == [(p, 0) for p in (0, 3, 4, 7)] + [
         (p, k) for p in (0, 3, 4, 7) for k in (1, 2)]
@@ -309,14 +311,16 @@ def test_maxwell_residual_sums_e_and_b_at_t0_apart():
 def whole_box_maxwell_level(m, n_x, scale):
     """Oracle: Gauss, Ampere and div B on the whole n_x^3 dual box at once.
 
-    Returns the three residual arrays, their maxima and their worst points.
+    dE/dt is the sum of the same coefficient difference as _maxwell_level's,
+    on the whole box. Returns the three residual arrays, their maxima and
+    their worst points.
     """
     sg = dual_grid(m.grid, n_x)
     t0, dt = _MAXWELL_T0, sg.spacing / 2.0
-    prev = synthesize(m, sg, t0 - dt, omega_scale=scale, groups=("e",))
     now = synthesize(m, sg, t0, omega_scale=scale, groups=("e", "b"))
-    nxt = synthesize(m, sg, t0 + dt, omega_scale=scale, groups=("e",))
-    gauss, ampere = whole_vector_maxwell_residual(prev, now, nxt)
+    step = mode_coefficients(m, t0 + dt, scale) - mode_coefficients(m, t0 - dt, scale)
+    dt_e = synthesize(m, sg, t0 + dt, scale, ("e",), coeffs=step).e_plus / (2.0 * dt)
+    gauss, ampere = whole_vector_residuals(now, dt_e)
     divb = divergence(now.b_plus, sg.spacing, sg.dimension, now.twists())
     res = (gauss, ampere, divb)
     return res, [np.abs(r).max() for r in res], [_worst_point(r, sg) for r in res]
@@ -360,7 +364,7 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
 
         def recorded(*args):
             for p, k, r in maxwell_residual(*args):
-                pieces[k].append((p, r.copy()))  # Ampere is a view of the t0 - dt sum
+                pieces[k].append((p, r.copy()))  # Ampere is a view of the step's sum
                 yield p, k, r
 
         with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x), \
@@ -375,6 +379,35 @@ def test_slab_streamed_maxwell_level_matches_whole_box(case):
             assert np.array_equal(got, res[k]), (width, k)
 
 
+def test_streamed_ampere_is_the_three_sum_form_to_rounding():
+    # the default packet at 48^3: E(t0 + dt) - E(t0 - dt) summed as one
+    # coefficient difference is the three-sum form's difference of two sums
+    # in exact arithmetic; the sums round apart by a few ulps of their terms'
+    # magnitudes (under 3 eps here and on the spectral cases), bounded with room
+    m, n_x = _maxwell_packet(), 48
+    sg = dual_grid(m.grid, n_x)
+    dt = sg.spacing / 2.0
+    times = (_MAXWELL_T0 - dt, _MAXWELL_T0, _MAXWELL_T0 + dt)
+    _, three_sum = whole_vector_maxwell_residual(
+        *(synthesize(m, sg, t, groups=("e", "b")) for t in times))
+    terms = sum(np.abs(mode_coefficients(m, t)[:, fields.GROUPS["e"]]).sum(axis=0)
+                for t in (times[0], times[2]))
+    rounding = 8.0 * np.finfo(float).eps * terms / (2.0 * dt)
+    ampere = []
+
+    def recorded(*args):
+        for p, k, r in maxwell_residual(*args):
+            if k == 1:
+                ampere.append(r.copy())
+            yield p, k, r
+
+    with mock.patch.object(verify, "maxwell_residual", recorded):
+        _maxwell_level(m, n_x, 1.0)
+    err = np.abs(np.concatenate(ampere) - three_sum).reshape(-1, 3).max(axis=0)
+    assert np.all(err <= rounding), err / rounding
+    assert np.abs(three_sum).max() > 1e6 * rounding.max()  # a residual well above the bound
+
+
 def test_maxwell_level_picks_the_first_worst_point_across_pieces():
     # pieces in plane order: a tie goes to the lower point, and the first NaN
     # wins over larger values and NaNs on either side, as np.argmax picks
@@ -384,7 +417,7 @@ def test_maxwell_level_picks_the_first_worst_point_across_pieces():
     planted_values = ((1.0, 2.0, 1.0, 2.0), (1.0, np.nan, 3.0, np.nan),
                       (1.0, 2.0, 3.0, np.nan))
 
-    def planted(sample, plan, times):
+    def planted(sample, plan, span):
         for k, values in enumerate(planted_values):
             for p, n, v in zip(firsts, widths, values):
                 yield p, k, np.full((n, 16, 16), v)
@@ -397,11 +430,11 @@ def test_maxwell_level_picks_the_first_worst_point_across_pieces():
 
 
 def test_fine_maxwell_level_memory_stays_near_its_snapshots():
-    # a 4-plane slab of the 96^3 box holds dE/dt in its sum of E at t0 - dt
-    # and B at t0 (E at t0 has a walk of its own), one residual at a time and
-    # its stencil temporaries, and the x-neighbour planes carried between
-    # slabs: about 5 slabs of 3 components, where the haloed plan's 12-plane
-    # slabs held about one whole-box component
+    # a 4-plane slab of the 96^3 box holds dE/dt in the step's E sum and B at
+    # t0 (E at t0 has a walk of its own), one residual at a time and its
+    # stencil temporaries, and the x-neighbour planes carried between slabs:
+    # about 5 slabs of 3 components, where the haloed plan's 12-plane slabs
+    # held about one whole-box component
     slab = 3 * _slab_width(96) * 96 * 96 * np.dtype(np.complex128).itemsize
     tracemalloc.start()
     try:
@@ -710,6 +743,24 @@ def test_a_gauge_shift_that_leaks_into_a_transverse_row_fails_the_gauge_checks(m
     assert [c.name for c in checks if not c.passed] == [
         "gauge_field", "gauge_norm", "gauge_transverse_amps"]
     assert checks[2].measured > 1e-3
+
+
+@pytest.mark.parametrize("scale, measured", [(1.0, 0.9046), (1.05, 0.9498)])
+def test_swapped_helicity_vectors_fail_helicity_pointwise(monkeypatch, scale, measured):
+    # e_+ and e_- swapped: the lambda = +1 packet carries helicity -1, so S = -rho e_k and
+    # S - rho e_k peaks at twice the largest density; the longitudinal packet still carries
+    # none, with or without the dispersion fault
+    exact = fields.polarization_bases
+
+    def swapped(k):
+        bases = exact(k)
+        return replace(bases, e_plus=bases.e_minus, e_minus=bases.e_plus)
+
+    monkeypatch.setattr(fields, "polarization_bases", swapped)
+    checks, info = verify._helicity_block(dict(TOLERANCE_DEFAULTS), scale)
+    assert [c.name for c in checks if not c.passed] == ["helicity_pointwise"]
+    assert checks[0].measured == pytest.approx(measured, abs=1e-4)
+    assert info[-1].startswith("helicity_pointwise worst point at t = 1: index ")
 
 
 @pytest.mark.parametrize("group, failing", [

@@ -172,23 +172,28 @@ def manifest(src: Path, calls: dict) -> dict:
     return {"environment": environment(), "calls": found}
 
 
-def first_difference(want: dict, got: dict) -> str | None:
-    """The first call and output whose digest differs between two manifests, or None.
+def differences(want: dict, got: dict):
+    """Yield each call and output whose digest differs between two manifests, in recorded order.
 
     The environment is compared first: outputs made with another numpy or
     BLAS are not comparable, and the line names both.
     """
     if want["environment"] != got["environment"]:
-        return f"environment: recorded {want['environment']}, here {got['environment']}"
+        yield f"environment: recorded {want['environment']}, here {got['environment']}"
     for name in dict.fromkeys([*want["calls"], *got["calls"]]):  # in the recorded order
         if name not in got["calls"] or name not in want["calls"]:
-            return f"{name}: a call on one side only"
+            yield f"{name}: a call on one side only"
+            continue
         a, b = want["calls"][name], got["calls"][name]
         if a["exit"] != b["exit"]:
-            return f"{name}: exit code {a['exit']} recorded, {b['exit']} here"
+            yield f"{name}: exit code {a['exit']} recorded, {b['exit']} here"
         if a["stdout"] != b["stdout"]:
-            return f"{name}: stdout"
+            yield f"{name}: stdout"
         for f in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(f) != b["files"].get(f):
-                return f"{name}/{f}"
-    return None
+                yield f"{name}/{f}"
+
+
+def first_difference(want: dict, got: dict) -> str | None:
+    """The first of differences(want, got), or None."""
+    return next(differences(want, got), None)

@@ -28,7 +28,9 @@ Stdlib only; the 34 call pairs take about 25 s on two cores.
 
 The calls are output_calls.all_calls(). With --record, the working tree's
 outputs are not compared with a revision's: their digests are written to
-tests/outputs.sha256.json, which tests/test_outputs.py holds the tree to.
+tests/outputs.sha256.json, which tests/test_outputs.py holds the tree to,
+and each output whose digest moved against the manifest replaced is named,
+in recorded order, or "none".
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-from output_calls import MANIFEST, ROOT, all_calls, call, manifest
+from output_calls import MANIFEST, ROOT, all_calls, call, differences, manifest
 
 
 def _export(rev: str, dest: Path) -> None:
@@ -92,8 +94,13 @@ def main(argv=None) -> int:
         return 2
     calls = all_calls()
     if argv[0] == "--record":
-        MANIFEST.write_text(json.dumps(manifest(ROOT / "src", calls), indent=1) + "\n")
+        before = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else None
+        found = manifest(ROOT / "src", calls)
+        MANIFEST.write_text(json.dumps(found, indent=1) + "\n")
         print(f"{len(calls)} calls recorded in {MANIFEST.relative_to(ROOT)}")
+        moved = ["no manifest before"] if before is None else list(differences(before, found))
+        for line in moved or ["none"]:
+            print(f"moved: {line}")
         return 0
     diffs, moved = [], []
     firsts = ([], [])  # each call's first run at the revision and here
