@@ -250,11 +250,11 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, config):
     removed, so the child lanes (packet3d's fields.csv, verify's Maxwell study)
     run in process, in the serial order.
 
-    The default packet3d box is cut into 4 slabs of 8 planes, and the gauge
-    boxes, whose n_x is not a multiple of 4, into slabs of 4 planes and a
-    last one of 2 (4 x 4 + 2 at n_x = 18, 16 x 4 + 2 at n_x = 66), so
-    fields.slab_plan's multiple-of-4 rule is checked at 1 and 2 threads too,
-    on boxes with leftover planes. With the thresholds set, np.empty and the
+    The default packet3d box is cut into 4 slabs of 8 planes. The gauge
+    boxes' n_x is not a multiple of 4: n_x = 18 is one slab, whose sum leaves
+    2 planes over a multiple of 4, and n_x = 66 is 16 slabs of 4 planes and a
+    last one of 2. So fields.slab_plan's multiple-of-4 rule is checked at 1
+    and 2 threads too, on boxes with leftover planes. With the thresholds set, np.empty and the
     scratch buffers come from recycled heap memory rather than freshly zeroed
     pages, so a read before a write would show as a difference.
     """

@@ -184,6 +184,34 @@ def test_a_pulse_advected_too_fast_fails_peak_speed_cells(monkeypatch, speedup, 
     assert checks["peak_speed_cells"].measured > 1.5
 
 
+def test_envelopes_renormalized_off_their_truncated_mass_fail_lifecycle_norm_transit(
+        monkeypatch):
+    # the truncated envelopes renormalized 1% off: emitter and matched detector
+    # each move 1/1.01^2 of their strength, so the pulse in transit holds about
+    # 2% too little (0.0197 against 1e-6; 6.66e-16 clean), while the detector
+    # still drains what arrives and the transport still converges
+    monkeypatch.setattr(medium, "_TRUNC_MASS", 1.01 * medium._TRUNC_MASS)
+    checks = {c.name: c for c in verify._lifecycle_block(TOLERANCE_DEFAULTS)[0]}
+    assert {name for name, c in checks.items() if not c.passed} == {"lifecycle_norm_transit"}
+    assert checks["lifecycle_norm_transit"].measured > 0.01
+    assert checks["lifecycle_residual_order"].measured > 1.9
+
+
+def test_a_detector_weaker_than_matched_fails_lifecycle_final_norm(monkeypatch):
+    # the detector's resolved "matched" strength 1% short leaves 1% of the
+    # pulse on the line (0.01 against 1e-6; 3.08e-17 clean)
+    events = verify.line_events
+
+    def weak(*args):
+        emit, det = events(*args)
+        return emit, replace(det, strength=0.99 * det.strength)
+
+    monkeypatch.setattr(verify, "line_events", weak)
+    checks = {c.name: c for c in verify._lifecycle_block(TOLERANCE_DEFAULTS)[0]}
+    assert {name for name, c in checks.items() if not c.passed} == {"lifecycle_final_norm"}
+    assert abs(checks["lifecycle_final_norm"].measured - 0.01) < 1e-6
+
+
 def whole_vector_curl(vf, spacing, dimension, twists):
     """Oracle: curl V as one whole vector, each off-diagonal derivative added as it exists."""
     out = None

@@ -1,12 +1,14 @@
 """The photonlab CLI calls whose outputs are pinned byte for byte, and how to make one.
 
-`tools/same_outputs.py REV` makes every call with REV's `src` and with the
-working tree's and compares the outputs. `tests/test_outputs.py` makes them
-with the working tree's `src` and compares their digests with those in
-`tests/outputs.sha256.json`, which `python3 tools/same_outputs.py --record`
-rewrites. A call's digests are its exit code and the SHA-256 of its stdout
-and of each file it writes. The manifest also records the numpy version and
-the BLAS numpy was built with, since another BLAS may round apart.
+`tests/test_outputs.py` makes every call with the working tree's `src` and
+compares their digests with those in `tests/outputs.sha256.json`, which
+`python3 tools/same_outputs.py --record` rewrites. `tools/same_outputs.py
+REV` makes every call with REV's `src`, exported by export(), and with the
+working tree's, and compares the two sides' digests. Both make each call
+through run() and compare through differences(). A call's digests are its
+exit code and the SHA-256 of its stdout and of each file it writes. The
+manifest also records the numpy version and the BLAS numpy was built with,
+since another BLAS may round apart.
 Stdlib only, but for environment(), which asks numpy.
 """
 
@@ -14,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import importlib.util
+import io
 import os
 import random
 import shutil
 import signal
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -60,15 +64,17 @@ CALLS = {
     # the scan and fields.csv in 16 slabs of 4 planes, the scan's x-neighbour
     # planes carried from slab to slab
     "packet3d-nx64": "[packet3d]\nn_x = 64\n",
-    # n_x not a multiple of 4: slabs of 4 planes and a last one of 2
+    # n_x not a multiple of 4: 18 is one slab, whose sum leaves 2 planes over a
+    # multiple of 4; 50 and 66 are slabs of 4 planes and a last one of 2 (12 x 4
+    # + 2 and 16 x 4 + 2 planes)
     "packet3d-nx18": "[packet3d]\nn_x = 18\n",
     "packet3d-nx50": "[packet3d]\nn_k = 6\nn_x = 50\nt_steps = 1\n",
     "packet3d-nx66": "[packet3d]\nn_k = 8\nn_x = 66\nt_steps = 1\n",
     # one plane over a multiple of 4, joined to the last slab (7 x 4 + 5 planes)
     "packet3d-nx33": "[packet3d]\nn_x = 33\n",
     "packet3d-si-steps5": "[packet3d]\nunits = si\nt_steps = 5\n",
-    # the gauge law on 16 slabs of 4 planes, and on boxes whose last slab
-    # leaves 2 planes over (4 x 4 + 2 and 16 x 4 + 2 planes)
+    # the gauge law on 16 slabs of 4 planes, on one slab of 18 planes, and on
+    # 16 x 4 + 2 planes, the last slab's 2 planes over
     "gauge-nx64": "[gauge]\nn_x = 64\n",
     "gauge-nx18": "[gauge]\nn_x = 18\n",
     "gauge-nx66": "[gauge]\nn_x = 66\n",
@@ -94,6 +100,14 @@ def all_calls() -> dict:
     return {**CALLS, **perfbench_configs()}
 
 
+def export(rev: str, dest: Path) -> None:
+    """Extract `git archive rev` into dest; a git failure raises CalledProcessError (its .stderr)."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
 def _left_running(pgid: int) -> bool:
     """Whether the process group pgid still has a member; if so, the group is killed."""
     try:
@@ -110,7 +124,10 @@ def call(src: Path, config: Path | None,
 
     Returns the exit code, stdout, the call's peak RSS in MB, stderr, the
     call's minor page faults, its CPU seconds (user plus system), and whether
-    a process of its own process group outlived it.
+    a process of its own process group outlived it. The peak RSS (ru_maxrss)
+    is at least this process's own high-water RSS at the fork: on Linux with
+    CPython 3.11, a `python -c pass` child read 13.6 MB, and 213.6 MB once its
+    parent had touched 200 MB, freed or not. So digests() hashes in chunks.
     """
     args = ["verify"] if config is None else \
         ["verify" if config.read_text().startswith("[verify]") else "run", "--config", str(config)]
@@ -138,37 +155,56 @@ def environment() -> dict:
             "blas": blas.get("openblas configuration", f"{blas['name']} {blas['version']}")}
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _sha256(path: Path) -> str:
+    """The file's SHA-256, read in 64 KiB chunks, so no whole file raises this process's RSS."""
+    sha = hashlib.sha256()
+    with path.open("rb") as f:
+        while chunk := f.read(1 << 16):
+            sha.update(chunk)
+    return sha.hexdigest()
 
 
-def digests(run, outdir: Path) -> dict:
+def digests(result, outdir: Path) -> dict:
     """A call's exit code and the SHA-256 of its stdout and of each file it wrote."""
-    return {"exit": run[0], "stdout": _sha256(run[1]),
-            "files": {p.name: _sha256(p.read_bytes()) for p in sorted(outdir.iterdir())}}
+    return {"exit": result[0], "stdout": hashlib.sha256(result[1]).hexdigest(),
+            "files": {p.name: _sha256(p) for p in sorted(outdir.iterdir())}}
+
+
+def run(src: Path, name: str, text: str | None, tmp: Path) -> tuple[tuple, dict]:
+    """Make call name (config text, None: default verify) with src's photonlab in a fresh tmp/out.
+
+    Returns call()'s result and the call's digests; tmp/out is removed after.
+    """
+    config = None
+    if text is not None:
+        config = tmp / f"{name}.ini"
+        config.write_text(text)
+    outdir = tmp / "out"
+    outdir.mkdir()
+    result = call(src, config, outdir)
+    found = digests(result, outdir)
+    shutil.rmtree(outdir)
+    return result, found
+
+
+def faults(result) -> list[str]:
+    """What a call did wrong beside its outputs: a traceback on stderr, a process left running."""
+    return ((["traceback on stderr"] if b"Traceback" in result[3] else [])
+            + (["a process left running in its group"] if result[6] else []))
 
 
 def manifest(src: Path, calls: dict) -> dict:
-    """The environment and every call's digests with src's photonlab, each in a fresh directory.
+    """The environment and every call's digests with src's photonlab.
 
-    A call with a traceback on stderr or a process left in its group raises.
+    A call with a fault (faults()) raises, with its stderr.
     """
     found = {}
     with tempfile.TemporaryDirectory(prefix="output_calls-") as tmp:
-        tmp = Path(tmp)
         for name, text in calls.items():
-            config = None
-            if text is not None:
-                config = tmp / f"{name}.ini"
-                config.write_text(text)
-            outdir = tmp / name
-            outdir.mkdir()
-            run = call(src, config, outdir)
-            if b"Traceback" in run[3] or run[6]:
-                raise RuntimeError(f"{name}: " + ("a process left running in its group"
-                                                  if run[6] else run[3].decode(errors="replace")))
-            found[name] = digests(run, outdir)
-            shutil.rmtree(outdir)
+            result, found[name] = run(src, name, text, Path(tmp))
+            if bad := faults(result):
+                raise RuntimeError(f"{name}: {'; '.join(bad)}\n"
+                                   + result[3].decode(errors="replace"))
     return {"environment": environment(), "calls": found}
 
 
@@ -192,8 +228,3 @@ def differences(want: dict, got: dict):
         for f in sorted(a["files"].keys() | b["files"].keys()):
             if a["files"].get(f) != b["files"].get(f):
                 yield f"{name}/{f}"
-
-
-def first_difference(want: dict, got: dict) -> str | None:
-    """The first of differences(want, got), or None."""
-    return next(differences(want, got), None)
