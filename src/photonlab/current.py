@@ -25,14 +25,14 @@ class CurrentField:
     """Real densities on a spatial grid at one time.
 
     rho is the photon number density, j its flux partner in the continuity
-    equation, s_hel the helicity density. s_hel is None for a snapshot that
-    mixes polarizations; j and s_hel are None only for a density built alone.
+    equation, s_hel the helicity density, None for a snapshot that mixes
+    polarizations.
     """
 
     grid: SpatialGrid
     time: float
     rho: np.ndarray
-    j: np.ndarray | None
+    j: np.ndarray
     s_hel: np.ndarray | None = None
 
 
@@ -106,24 +106,13 @@ def position_norm(rho: np.ndarray, grid: SpatialGrid) -> float:
     return float(np.sum(rho) * grid.cell_volume)
 
 
-def centered_span(prev, now, nxt) -> float:
-    """(now - prev) + (nxt - now), the divisor of a centered time difference.
+def continuity_residual(now: CurrentField, drho: np.ndarray, span: float,
+                        ends=None) -> np.ndarray:
+    """d rho/dt + div J at now's time t, centered: drho / span + div J(now), periodic wrap.
 
-    The three samples (snapshots or currents) share one grid and are equally
-    spaced in time.
+    drho is rho(t + dt) - rho(t - dt) on now's points and span the time
+    between the two; ends as fdops.Lag's.
     """
-    if not prev.grid == now.grid == nxt.grid:
-        raise ValueError("samples must share one spatial grid")
-    dt_lo, dt_hi = now.time - prev.time, nxt.time - now.time
-    if abs(dt_hi - dt_lo) > 1e-12 * max(abs(dt_lo), abs(dt_hi)):
-        raise ValueError("samples must be equally spaced in time")
-    return dt_lo + dt_hi
-
-
-def continuity_residual(cf_prev: CurrentField, cf_now: CurrentField,
-                        cf_next: CurrentField, ends=None) -> np.ndarray:
-    """d rho/dt + div J with centered differences, periodic wrap; ends as fdops.Lag's."""
-    span = centered_span(cf_prev, cf_now, cf_next)
-    g = cf_now.grid
-    div_j = fdops.divergence(cf_now.j, g.spacing, g.dimension, (1.0,) * g.dimension, ends)
-    return (cf_next.rho - cf_prev.rho) / span + div_j
+    g = now.grid
+    div_j = fdops.divergence(now.j, g.spacing, g.dimension, (1.0,) * g.dimension, ends)
+    return drho / span + div_j

@@ -166,27 +166,26 @@ def field_scan(m, grid, times, med=VACUUM):
     """Yield current.csv records (first plane, current, |residual|), in plane order per time.
 
     The current is current_in_medium of the snapshot at t; at t -+ dt, dt half
-    a grid cell, only the density is built, scaled by med.epsilon_rel, since
-    the continuity residual reads nothing else there. Each time walks the
-    slabs of slab_plan in plane order, and J's x-neighbours come from the
-    adjacent slabs (fdops.Lag, twist 1): a slab completes the previous slab's
-    last plane and its own planes but the last, and each such piece is
-    yielded at once. J on plane n_x - 1, which plane 0 reads, is summed
-    first, on fields.last_group's planes, so no record waits for the end of
-    the walk. A record's rho is its own copy, so a caller that keeps the
-    densities keeps only their planes.
+    a grid cell, only the density is built, scaled by med.epsilon_rel, and
+    each slab keeps only their difference, which is all the continuity
+    residual reads there. Each time walks the slabs of slab_plan in plane
+    order, and J's x-neighbours come from the adjacent slabs (fdops.Lag,
+    twist 1): a slab completes the previous slab's last plane and its own
+    planes but the last, and each such piece is yielded at once. J on plane
+    n_x - 1, which plane 0 reads, is summed first, on fields.last_group's
+    planes, so no record waits for the end of the walk. A record's rho is its
+    own copy, so a caller that keeps the densities keeps only their planes.
     """
     dt, plan = grid.spacing / 2.0, slab_plan(grid)
 
-    def records(t, steps, pieces):
-        for p, (j, prev, rho, nxt, s), (ends,) in pieces:
-            at = [CurrentField(grid, u, r, jj) for u, r, jj in zip(steps, (prev, rho, nxt),
-                                                                   (None, j, None))]
-            res = np.abs(continuity_residual(*at, ends=ends))
-            yield p, CurrentField(grid, t, rho.copy(), j, s), res
+    def records(t, span, pieces):
+        for p, (j, drho, rho, s), (ends,) in pieces:
+            cf = CurrentField(grid, t, rho.copy(), j, s)
+            yield p, cf, np.abs(continuity_residual(cf, drho, span, ends=ends))
 
     for t in times:
         steps = [t + k * dt for k in (-1, 0, 1)]
+        span = (steps[1] - steps[0]) + (steps[2] - steps[1])
         coeffs = [mode_coefficients(m, s) for s in steps]
 
         def density(k, planes):
@@ -199,13 +198,15 @@ def field_scan(m, grid, times, med=VACUUM):
 
         last = last_group(plan)
         lag = Lag(grid.n_per_axis, None if last is None else [current(last).j[-1:].copy()],
-                  local=4)
+                  local=3)
         for p0, planes in plan:
-            prev, nxt = density(0, planes), density(2, planes)
+            prev = density(0, planes)
+            drho = density(2, planes) - prev
+            del prev
             cf = current(planes)
-            yield from records(t, steps, lag.step(p0, [cf.j, prev, cf.rho, nxt, cf.s_hel]))
-            del prev, cf, nxt  # freed before the next slab is summed
-        yield from records(t, steps, lag.close())
+            yield from records(t, span, lag.step(p0, [cf.j, drho, cf.rho, cf.s_hel]))
+            del drho, cf  # freed before the next slab is summed
+        yield from records(t, span, lag.close())
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +439,12 @@ def _continuity_block(tol, scale):
     def level(n_x):
         sg = dual_grid(m.grid, n_x)
         dt = sg.spacing / 2.0
-        prev, nxt = (CurrentField(sg, t0 + k * dt, number_density(
-            synthesize(m, sg, t0 + k * dt, scale, ("a", "e"))), j=None) for k in (-1, 1))
-        res = continuity_residual(prev, photon_current(synthesize(m, sg, t0, scale)), nxt)
-        drho = np.abs(nxt.rho - prev.rho).max() / (2.0 * dt)
-        return np.abs(res).max(), drho, _worst_point(res, sg)
+        prev, nxt = (number_density(synthesize(m, sg, t0 + k * dt, scale, ("a", "e")))
+                     for k in (-1, 1))
+        drho = nxt - prev
+        res = continuity_residual(photon_current(synthesize(m, sg, t0, scale)), drho,
+                                  (t0 - (t0 - dt)) + ((t0 + dt) - t0))
+        return np.abs(res).max(), np.abs(drho).max() / (2.0 * dt), _worst_point(res, sg)
 
     r_coarse, _, _ = level(2048)
     r_fine, drho_fine, where = level(4096)

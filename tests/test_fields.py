@@ -15,7 +15,7 @@ from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, 
                              kmagnitudes, kvectors, lambda_row, measure_weights)
 from photonlab.relativity import polarization_bases
 
-from helpers import same_bits, slab_widths, zero_state
+from helpers import owned_copies, same_bits, slab_widths, zero_state
 from test_verify import whole_vector_maxwell_residual
 
 
@@ -180,13 +180,8 @@ def residuals(now, step, span):
 
     The law owns what sample returns and writes dE/dt over it, so it gets copies.
     """
-    by_key = {"now": now, "step": step}
-
-    def sample(key, groups, planes):
-        s = by_key[key]
-        return dataclasses.replace(s, rows={g: s.rows[g].copy() for g in groups})
     # a whole box is one slab, so each residual comes whole, at plane 0
-    return [r for _, _, r in maxwell_residual(sample, [(0, None)], span)]
+    return [r for _, _, r in maxwell_residual(owned_copies(now, step), [(0, None)], span)]
 
 
 def test_maxwell_residual_zero_fields():

@@ -324,7 +324,8 @@ def solved_events(emit, det, rep):
 REPORT_ARRAYS = ("norm", "peak_z", "residual_max", "outside_peak", "outside_cell", "final_norm")
 
 
-def same_bits(a, b):
+def same_float_bits(a, b):
+    """Equal shape and bytes once cast to float64; unlike helpers.same_bits, no dtype check."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -371,9 +372,9 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
     emit, det, med, grid, times = case
     fast = lifecycle_1d(emit, det, med, grid, times)
     slow, full_rho = full_grid_lifecycle_1d(emit, det, med, grid, times)
-    assert same_bits(streamed_rho(solved_events(emit, det, slow), med, grid, times), full_rho)
+    assert same_float_bits(streamed_rho(solved_events(emit, det, slow), med, grid, times), full_rho)
     for name in REPORT_ARRAYS:
-        assert same_bits(getattr(fast, name), getattr(slow, name)), name
+        assert same_float_bits(getattr(fast, name), getattr(slow, name)), name
     assert fast.acausal is slow.acausal
     # the causality check on the per-row reductions is the whole-array one,
     # located wherever it measures more than zero
@@ -385,7 +386,7 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
     assert bool(causality) == (whole is not None)
     if whole is not None:
         measured, row, cell = whole
-        assert same_bits(causality[0].measured, measured)
+        assert same_float_bits(causality[0].measured, measured)
         assert located == ([f"causality worst density outside the cone: row {row} at "
                             f"t = {times[row]:.6g}, cell {cell} at "
                             f"z = {grid.axis_positions()[cell]:.6g}"] if measured > 0.0 else [])
@@ -393,7 +394,7 @@ def test_windowed_lifecycle_matches_full_grid_oracle(case):
     rho = green_response(emit.time, emit.center, med, grid, times, emit.duration, emit.width)
     xi = grid.axis_positions()[None, :] - emit.center - med.v * (times[:, None] - emit.time)
     full = _advected_pulse(xi, (times - emit.time)[:, None], med.v, emit.duration, emit.width)
-    assert same_bits(rho, full)
+    assert same_float_bits(rho, full)
 
 
 @settings(max_examples=100, deadline=None)
@@ -408,9 +409,9 @@ def test_pulse_row_blocks_match_full_grid_oracle(case, rows, block_rows):
             mock.patch.object(medium, "_BLOCK_CELLS", block_rows * grid.n_points):
         fast = lifecycle_1d(emit, det, med, grid, times)
         rho = streamed_rho(solved_events(emit, det, slow), med, grid, times)
-    assert same_bits(rho, full_rho)
+    assert same_float_bits(rho, full_rho)
     for name in REPORT_ARRAYS:
-        assert same_bits(getattr(fast, name), getattr(slow, name)), name
+        assert same_float_bits(getattr(fast, name), getattr(slow, name)), name
 
 
 def test_pulse_memory_does_not_grow_with_rows():
@@ -506,7 +507,7 @@ def test_windowed_residual_matches_full_line_oracle(case, blocks, few):
         events = solved_events(emit, det, rep)
         slow = full_line_residual_max(streamed_rho(events, med, grid, times), events,
                                       grid.axis_positions(), times, med.v, grid.spacing)
-    assert same_bits(rep.residual_max, slow)
+    assert same_float_bits(rep.residual_max, slow)
 
 
 def array_blocks(rho, col_lo, col_hi):
@@ -553,7 +554,7 @@ def test_residual_max_reads_only_the_windows(n_t, n_z, blocks, few, narrow, seed
         fast = np.concatenate([medium._residual_rows(block, r0, c0, c1, terms, times, v, dz)
                                for r0, block, c0, c1 in array_blocks(rho, col_lo, col_hi)])
         slow = full_line_residual_max(rho, events, z, times, v, dz)
-    assert same_bits(fast, slow)
+    assert same_float_bits(fast, slow)
 
 
 def where_pulse(xi, tau_max, v, sigma_t, sigma_z):
@@ -582,7 +583,7 @@ def test_live_cell_pulse_matches_masked_full_form(n_t, n_z, v, sigma_t, sigma_z,
     xi = rng.uniform(-1.5 * reach, 1.5 * reach, (n_t, n_z))
     tau_max = rng.uniform(-1.5 * TRUNC_SIGMAS * sigma_t, 1.5 * TRUNC_SIGMAS * sigma_t, (n_t, 1))
     fast = _advected_pulse(xi, tau_max, v, sigma_t, sigma_z)
-    assert same_bits(fast, where_pulse(xi, tau_max, v, sigma_t, sigma_z))
+    assert same_float_bits(fast, where_pulse(xi, tau_max, v, sigma_t, sigma_z))
     assert not np.signbit(fast[fast == 0.0]).any()
 
 

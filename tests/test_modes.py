@@ -5,20 +5,11 @@ import numpy as np
 import pytest
 
 from photonlab.modes import (KGrid, ModeAmplitudes, boost_amplitudes, gauge_shift, gaussian_packet,
-                             kvectors, lambda_row, measure_weights, norm, normalize)
+                             kvectors, measure_weights, norm, normalize)
 
-from helpers import zero_state
+from helpers import single_cell_state, zero_state
 
 TWO_PI = 2.0 * math.pi
-
-
-def single_cell_state(kz=2.0, pol=1, dk=1.0, dimension=1):
-    """Norm-one state occupying exactly one lattice cell at (0, 0, kz)."""
-    grid = KGrid(n_per_axis=1, spacing=dk, dimension=dimension, center=(0.0, 0.0, kz))
-    amps = np.zeros((3, 1), dtype=np.complex128)
-    omega = abs(kz)
-    amps[lambda_row(pol), 0] = math.sqrt(TWO_PI ** dimension * 2.0 * omega / dk ** dimension)
-    return ModeAmplitudes(grid, amps)
 
 
 def test_grid_excludes_zero_mode():

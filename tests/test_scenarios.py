@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from photonlab import fields, scenarios, verify
 from photonlab.config import default_verify_config, parse_config
 from photonlab.csvio import write_current_csv, write_fields_csv, write_modes_csv
-from photonlab.current import continuity_residual, photon_current, position_norm
+from photonlab.current import photon_current, position_norm
 from photonlab.fields import dual_grid, slab_plan, synthesize
 from photonlab.medium import VACUUM, current_in_medium
 from photonlab.modes import norm
 from photonlab.scenarios import run_scenario
 from photonlab.verify import field_scan, norm_check, packet_state, run_verify
 
-from helpers import slab_widths
+from helpers import slab_widths, three_current_residual
 
 
 def run(tmp_path, kind, body="", extra=""):
@@ -223,7 +223,7 @@ def whole_box_field_scan(m, grid, times):
     for t in times:
         snaps = [synthesize(m, grid, t + k * dt) for k in (-1, 0, 1)]
         cfs = [photon_current(s) for s in snaps]
-        yield snaps[1], cfs, continuity_residual(*cfs)
+        yield snaps[1], cfs, three_current_residual(*cfs)
 
 
 def whole_box_packet3d(cfg, us):
@@ -305,7 +305,7 @@ def test_density_only_neighbours_give_the_full_residual(eps, mu):
     for i, (_, cf, res) in enumerate(scanned):
         t = cf.time
         full = [current_in_medium(synthesize(m, sg, t + k * dt), med) for k in (-1, 0, 1)]
-        assert res.tobytes() == np.abs(continuity_residual(*full)).tobytes()
+        assert res.tobytes() == np.abs(three_current_residual(*full)).tobytes()
         got = [neighbours[2 * i], cf.rho, neighbours[2 * i + 1]]
         assert [rho.tobytes() for rho in got] == [f.rho.tobytes() for f in full]
 

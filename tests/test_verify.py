@@ -17,10 +17,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import photonlab
-from photonlab import fields, medium, scenarios, verify
+from photonlab import current, fields, medium, scenarios, verify
 from photonlab.config import TOLERANCE_DEFAULTS, ConfigError, parse_config
 from photonlab.csvio import report_text, write_report_files
-from photonlab.current import centered_span, number_density, position_norm
+from photonlab.current import number_density, position_norm
 from photonlab.fdops import axis_directions, centered_diff, divergence
 from photonlab.fock import LadderPair
 from photonlab.fields import (FieldSnapshot, SpatialGrid, _slab_width, dual_grid, maxwell_residual,
@@ -33,7 +33,7 @@ from photonlab.verify import (_MAXWELL_T0, _maxwell_level, _maxwell_packet, _nor
                               _worst_point, check_le, gauge_checks, lifecycle_checks, line_events,
                               line_setup, norm_check, packet_state, run_verify)
 
-from helpers import same_bits, slab_widths
+from helpers import owned_copies, same_bits, slab_widths
 
 
 def test_run_verify_requires_verify_kind():
@@ -243,7 +243,8 @@ def whole_vector_residuals(now, dt_e):
 
 def whole_vector_maxwell_residual(prev, now, nxt):
     """Oracle: the three-sum form, E at t0 -+ dt summed apart and differenced, all held at once."""
-    return whole_vector_residuals(now, (nxt.e_plus - prev.e_plus) / centered_span(prev, now, nxt))
+    span = (now.time - prev.time) + (nxt.time - now.time)
+    return whole_vector_residuals(now, (nxt.e_plus - prev.e_plus) / span)
 
 
 @st.composite
@@ -275,16 +276,6 @@ def residual_cases(draw):
     now, step = (FieldSnapshot(grid, t, {"e": rows(), "b": rows()}, 1.0, twists, frozenset())
                  for t in (t0, t0 + span / 2.0))
     return now, step, span
-
-
-def owned_copies(now, step):
-    """maxwell_residual's sample: fresh copies of the groups asked for, the law's to overwrite."""
-    by_key = {"now": now, "step": step}
-
-    def sample(key, groups, planes):
-        s = by_key[key]
-        return replace(s, rows={g: s.rows[g].copy() for g in groups})
-    return sample
 
 
 @settings(max_examples=200, deadline=None)
@@ -789,6 +780,30 @@ def test_swapped_helicity_vectors_fail_helicity_pointwise(monkeypatch, scale, me
     assert [c.name for c in checks if not c.passed] == ["helicity_pointwise"]
     assert checks[0].measured == pytest.approx(measured, abs=1e-4)
     assert info[-1].startswith("helicity_pointwise worst point at t = 1: index ")
+
+
+def test_a_reversed_current_fails_continuity_and_medium_current(monkeypatch):
+    # J -> -J: div J adds to d rho/dt where it cancelled it, so the residual is
+    # twice |d rho/dt| and no longer converges, and in the medium J = -v rho e_k;
+    # every other check passes on default verify
+    exact = current.current_density
+    monkeypatch.setattr(current, "current_density", lambda *args: -exact(*args))
+    rep = run_verify(parse_config("[verify]\n"))
+    failed = {c.name: c.measured for c in rep.checks if not c.passed}
+    assert set(failed) == {"continuity_order", "continuity_residual", "medium_current"}
+    assert failed["continuity_order"] == pytest.approx(-1.0e-4, abs=1e-5)
+    assert failed["continuity_residual"] == pytest.approx(2.0, abs=1e-4)
+    assert failed["medium_current"] == pytest.approx(1.28, abs=1e-2)
+
+    # the law's callers form rho(t + dt) - rho(t - dt); one taken the wrong way
+    # round negates the residual, so both continuity checks read the same bits
+    monkeypatch.undo()
+    law = verify.continuity_residual
+    monkeypatch.setattr(verify, "continuity_residual",
+                        lambda now, drho, span, ends=None: law(now, -drho, span, ends))
+    checks, _ = verify._continuity_block(dict(TOLERANCE_DEFAULTS), 1.0)
+    assert [(c.name, c.measured, c.passed) for c in checks] == [
+        (name, failed[name], False) for name in ("continuity_order", "continuity_residual")]
 
 
 @pytest.mark.parametrize("group, failing", [

@@ -54,6 +54,9 @@ CALLS = {
     **{f"{kind}-default": f"[{kind}]\n" for kind in
        ("packet3d", "helicity", "gauge", "boost", "medium1d", "lifecycle1d", "fock")},
     "helicity-par": "[helicity]\nlambda = par\n",
+    # the line scan at lambda = -1; 3D pins it only through the perfbench packet
+    "helicity-minus": "[helicity]\nlambda = -1\n",
+    "medium1d-minus": "[medium1d]\nlambda = -1\n",
     "packet3d-par": "[packet3d]\nlambda = par\n",
     "packet3d-refused": "[packet3d]\nn_x = 4\n",
     "packet3d-k0-inf": "[packet3d]\nk0 = (0, 0, inf)\n",

@@ -24,7 +24,7 @@ twice more on each side, alternating sides, and is named on the summary
 line only if the median of its three runs a side moved by more than 10%.
 Before that summary, one totals line a side sums the minor faults and CPU
 seconds of every call's first run and names the largest peak RSS.
-Stdlib only; the 34 call pairs take about 12 s on two cores.
+Stdlib only; the 36 call pairs take about 15 s on two cores.
 
 The calls are output_calls.all_calls(). With --record, the working tree's
 outputs are not compared with a revision's: their digests are written to
