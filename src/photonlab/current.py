@@ -111,7 +111,7 @@ def continuity_residual(now: CurrentField, drho: np.ndarray, span: float,
     """d rho/dt + div J at now's time t, centered: drho / span + div J(now), periodic wrap.
 
     drho is rho(t + dt) - rho(t - dt) on now's points and span the time
-    between the two; ends as fdops.Lag's.
+    between the two; ends as fields.walk's.
     """
     g = now.grid
     div_j = fdops.divergence(now.j, g.spacing, g.dimension, (1.0,) * g.dimension, ends)

@@ -17,7 +17,8 @@ contraction. Each group is a view of that component-major sum, so the sum is
 the only copy of the fields; a group that was not requested cannot be read.
 A caller may also sum a few x-planes at a time, sharing one k-space prep
 (mode_coefficients); every 3D box is visited that way, in the x-slabs of
-slab_plan, the stencil scans taking x-neighbour planes from adjacent slabs.
+slab_plan, and the stencil scans walk them through walk, which carries the
+x-neighbour planes between adjacent slabs.
 """
 
 from __future__ import annotations
@@ -267,18 +268,63 @@ def slab_plan(grid: SpatialGrid) -> list:
     return [(a, np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
-def last_group(plan):
-    """The planes of slab_plan's plan that sum plane n_x - 1 alone bitwise as its slab does.
+def _last_group(plan):
+    """The planes of plan, of more than one slab, that sum plane n_x - 1 alone as its slab does.
 
     They are the last slab's last group of 4 planes with any planes over, so
-    they leave over the planes the slab does. A stencil scan sums plane
-    n_x - 1 from them ahead of its walk, for plane 0 to read; None for a plan
-    of one slab, which wraps itself.
+    they leave over the planes the slab does, and plane n_x - 1 sums bitwise.
     """
-    if len(plan) == 1:
-        return None
     last = plan[-1][1]
     return last[(len(last) - 2) // 4 * 4:]
+
+
+def walk(plan, wrap, sample):
+    """Yield (first plane, fields, ends) pieces of a stencil scan over plan, in plane order.
+
+    plan is slab_plan's; sample(planes) is the list of fields on those planes
+    (planes on axis 0), the first differentiated along x, the rest read point
+    by point. ends is that first field's (before, after) planes next to the
+    piece's ends, twisted across the seam as the whole box's wrap reads them:
+    plane -1 is plane n_x - 1 times conj(twist), plane n_x is plane 0 times
+    twist. A plan of one slab (a 1D line too) is one piece with ends None,
+    which wraps itself.
+
+    Otherwise wrap(planes) is (the first field, its x twist) on _last_group's
+    planes, called once ahead of the walk for plane n_x - 1, which plane 0
+    reads. Each slab completes the previous slab's last plane and its own
+    planes but the last; the last slab's last plane is completed from a copy
+    of plane 0. Only those planes and each slab's last planes are copied, and
+    a slab's fields are dropped before the next slab is sampled, so a
+    consumer must drop each piece before it asks for the next.
+    """
+    if len(plan) == 1:
+        yield plan[0][0], sample(plan[0][1]), None
+        return
+    n_x = int(plan[-1][1][-1]) + 1
+    first, twist = wrap(_last_group(plan))
+    before = first[-1:].copy()
+    del first
+
+    def piece(p, fields, before, after):
+        if twist != 1.0 and p == 0:
+            before = before * np.conj(twist)
+        if twist != 1.0 and p + len(fields[0]) == n_x:
+            after = after * twist
+        return p, fields, (before, after)
+
+    head = carried = None  # copies of plane 0, and of the last slab's planes from plane q
+    for p0, planes in plan:
+        fields = sample(planes)
+        n = len(fields[0])
+        if carried is None:
+            head = fields[0][:1].copy()
+        else:
+            yield piece(q, [c[-1:] for c in carried], carried[0][:1], fields[0][:1])
+            before = carried[0][-1:]
+        yield piece(p0, [f[:n - 1] for f in fields], before, fields[0][n - 1:])
+        q, carried = p0 + n - 1, [fields[0][n - 2:].copy()] + [f[-1:].copy() for f in fields[1:]]
+        del fields  # dropped before the next slab is sampled
+    yield piece(q, [c[-1:] for c in carried], carried[0][:1], head)
 
 
 def slabs(m: ModeAmplitudes, grid: SpatialGrid, t: float, omega_scale=1.0,
@@ -326,20 +372,24 @@ def maxwell_residual(sample, plan, span):
     second-order centered differences in space: k = 0 is div E, 1 dE/dt -
     curl B, 2 div B, each built only when the caller asks for it. plan is
     slab_plan of one box; sample(key, groups, planes) is the snapshot of the
-    named field groups on those planes (a slab's, or last_group's): key "now"
-    the fields at t0, key "step" E(t0 + dt) - E(t0 - dt), which span, 2 dt,
-    divides into dE/dt. The residuals come in the pieces of fdops.Lag, in
-    plane order, whole for a box of one slab. The box is walked once for E
-    at t0 and once for B at t0; each walk first sums its group at t0 on
-    last_group(plan) and keeps plane n_x - 1, which plane 0 reads. Each
+    named field groups on those planes: key "now" the fields at t0, key
+    "step" E(t0 + dt) - E(t0 - dt), which span, 2 dt, divides into dE/dt. The
+    residuals come in walk's pieces, in plane order. The box is walked once
+    for E at t0 and once for B at t0 beside the step of E, summed first. Each
     snapshot belongs to the law: dE/dt is written over the step's sum, piece
     by piece, dE/dt - curl B over that (a view with a trailing component
     axis). So a slab holds one field group at t0 beside the step at most.
     """
-    grid, last = None, last_group(plan)
+    grid = twists = None
+
+    def now_on(group, planes):  # the group at t0, with the grid and twists it sets
+        nonlocal grid, twists
+        now = sample("now", (group,), planes)
+        grid, twists = _on_grid(now, grid or now.grid).grid, now.twists()
+        return np.moveaxis(now.rows[group], 0, -1)
 
     def residuals(pieces):  # div f, after dE/dt - curl f where E's step comes along (f is B)
-        for p, (f, *step), (ends,) in pieces:
+        for p, (f, *step), ends in pieces:
             if step:
                 dt_e, curl_b = np.divide(step[0], span, out=step[0]), None
                 for comp in range(3):
@@ -347,22 +397,15 @@ def maxwell_residual(sample, plan, span):
                     dt_e[..., comp] -= curl_b
                 del curl_b
                 yield p, 1, dt_e
+                del dt_e
             yield p, 2 if step else 0, fdops.divergence(f, grid.spacing, grid.dimension, twists,
                                                         ends)
+            del f, step, ends  # dropped before walk samples the next slab
 
     for group in ("e", "b"):
-        lag = before = None
-        if last is not None:
-            now = sample("now", (group,), last)
-            grid = _on_grid(now, grid or now.grid).grid
-            before = [np.moveaxis(now.rows[group][:, -1:], 0, -1).copy()]
-            del now  # freed before the first slab is summed
-        for p0, planes in plan:
+        def fields_on(planes):  # E's step, if it comes along, is summed before the group at t0
             step = [_on_grid(sample("step", ("e",), planes), grid)] if group == "b" else []
-            now = sample("now", (group,), planes)
-            grid, twists = _on_grid(now, grid or now.grid).grid, now.twists()
-            lag = lag or fdops.Lag(grid.n_per_axis, before, twists[0], local=len(step))
-            fields = [np.moveaxis(s.rows[g], 0, -1) for s, g in zip([now] + step, (group, "e"))]
-            yield from residuals(lag.step(p0, fields))
-            del now, step, fields  # freed before the next slab is summed
-        yield from residuals(lag.close())
+            return [now_on(group, planes)] + [np.moveaxis(s.rows["e"], 0, -1) for s in step]
+
+        yield from residuals(walk(plan, lambda planes: (now_on(group, planes), twists[0]),
+                                  fields_on))

@@ -23,9 +23,8 @@ import numpy as np
 from .config import PacketParams, ScenarioConfig, parse_config
 from .current import (CurrentField, continuity_residual, number_density, photon_current,
                       position_norm)
-from .fdops import Lag
-from .fields import (SpatialGrid, dual_grid, last_group, maxwell_residual, mode_coefficients,
-                     slab_plan, slabs, synthesize)
+from .fields import (SpatialGrid, dual_grid, maxwell_residual, mode_coefficients, slab_plan,
+                     slabs, synthesize, walk)
 from .fock import basis_state, commutator_expectation, ladder_pair, n_photon_state
 from .medium import (TRUNC_SIGMAS, VACUUM, SourceEvent, arrival_time, current_in_medium,
                      lifecycle_1d)
@@ -168,20 +167,12 @@ def field_scan(m, grid, times, med=VACUUM):
     The current is current_in_medium of the snapshot at t; at t -+ dt, dt half
     a grid cell, only the density is built, scaled by med.epsilon_rel, and
     each slab keeps only their difference, which is all the continuity
-    residual reads there. Each time walks the slabs of slab_plan in plane
-    order, and J's x-neighbours come from the adjacent slabs (fdops.Lag,
-    twist 1): a slab completes the previous slab's last plane and its own
-    planes but the last, and each such piece is yielded at once. J on plane
-    n_x - 1, which plane 0 reads, is summed first, on fields.last_group's
-    planes, so no record waits for the end of the walk. A record's rho is its
-    own copy, so a caller that keeps the densities keeps only their planes.
+    residual reads there. Each time is one fields.walk over slab_plan (J
+    differentiated, twist 1), J on plane n_x - 1 summed ahead of it, and each
+    piece is yielded as a record at once. A record's rho is its own copy, so
+    a caller that keeps the densities keeps only their planes.
     """
     dt, plan = grid.spacing / 2.0, slab_plan(grid)
-
-    def records(t, span, pieces):
-        for p, (j, drho, rho, s), (ends,) in pieces:
-            cf = CurrentField(grid, t, rho.copy(), j, s)
-            yield p, cf, np.abs(continuity_residual(cf, drho, span, ends=ends))
 
     for t in times:
         steps = [t + k * dt for k in (-1, 0, 1)]
@@ -196,17 +187,18 @@ def field_scan(m, grid, times, med=VACUUM):
         def current(planes):
             return current_in_medium(synthesize(m, grid, t, planes=planes, coeffs=coeffs[1]), med)
 
-        last = last_group(plan)
-        lag = Lag(grid.n_per_axis, None if last is None else [current(last).j[-1:].copy()],
-                  local=3)
-        for p0, planes in plan:
+        def fields_on(planes):  # J, the density difference, rho and S
             prev = density(0, planes)
             drho = density(2, planes) - prev
             del prev
             cf = current(planes)
-            yield from records(t, span, lag.step(p0, [cf.j, drho, cf.rho, cf.s_hel]))
-            del drho, cf  # freed before the next slab is summed
-        yield from records(t, span, lag.close())
+            return [cf.j, drho, cf.rho, cf.s_hel]
+
+        for p, (j, drho, rho, s), ends in walk(plan, lambda planes: (current(planes).j, 1.0),
+                                                fields_on):
+            cf = CurrentField(grid, t, rho.copy(), j, s)
+            yield p, cf, np.abs(continuity_residual(cf, drho, span, ends=ends))
+            del j, drho, rho, s, ends, cf  # dropped before walk samples the next slab
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photonlab.fdops import Lag, axis_directions, curl, divergence
+from photonlab.fdops import axis_directions, curl, divergence
 
 from helpers import same_bits
 
@@ -102,38 +102,3 @@ def test_slice_stencils_match_roll_oracle(case):
         buf = curl(vf, spacing, dim, twists, comp, buf)
         comps.append(buf.copy())
     assert same_bits(np.stack(comps, axis=-1), roll_curl(vf, spacing, dim, twists))
-
-
-
-@st.composite
-def slab_walks(draw):
-    """A stencil case cut into x-slabs of at least 2 planes."""
-    vf, spacing, dim, twists = draw(stencil_cases())
-    n = len(vf)
-    bounds = [0]
-    while n - bounds[-1] >= 4 and draw(st.booleans()):
-        bounds.append(bounds[-1] + draw(st.integers(2, n - bounds[-1] - 2)))
-    bounds.append(n)
-    return vf, spacing, dim, twists, bounds
-
-
-@settings(max_examples=300, deadline=None)
-@given(slab_walks())
-@example((np.arange(24.0).reshape(2, 2, 2, 3) * (1 - 2j), 0.5, 3,
-          (cmath.exp(0.4j), cmath.exp(-2.0j), cmath.exp(3.0j)), [0, 2]))
-def test_lagged_slab_stencils_match_the_whole_box(case):
-    # every plane once, in plane order, from pieces whose x-neighbours the Lag
-    # carried between slabs walked from plane 0, given plane n_x - 1 before
-    # the walk: bitwise the whole box
-    vf, spacing, dim, twists, bounds = case
-    lag, pieces = Lag(len(vf), [vf[-1:]], twists[0]), []
-    for step in [lag.step(a, [vf[a:b]]) for a, b in zip(bounds, bounds[1:])] + [lag.close()]:
-        for p, (g,), ends in step:
-            curls = [curl(g, spacing, dim, twists, comp, ends=ends[0]) for comp in range(3)]
-            pieces.append((p, divergence(g, spacing, dim, twists, ends[0]),
-                           np.stack(curls, axis=-1)))
-    firsts = [p for p, _, _ in pieces]
-    assert firsts == [0] + list(np.cumsum([len(d) for _, d, _ in pieces])[:-1])
-    got = [np.concatenate([piece[i] for piece in pieces]) for i in (1, 2)]
-    assert same_bits(got[0], divergence(vf, spacing, dim, twists))
-    assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))

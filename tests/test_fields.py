@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 from unittest import mock
@@ -8,14 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import fields
-from photonlab.fields import (AMPLITUDE_SCALE, GROUPS, SpatialGrid, _mode_sum, dual_grid, is_dual,
-                              last_group, maxwell_residual, mode_coefficients, slab_plan,
-                              synthesize)
+from photonlab.fdops import curl, divergence
+from photonlab.fields import (AMPLITUDE_SCALE, GROUPS, SpatialGrid, _last_group, _mode_sum,
+                              dual_grid, is_dual, maxwell_residual, mode_coefficients, slab_plan,
+                              synthesize, walk)
 from photonlab.modes import (KGrid, ModeAmplitudes, POLARIZATIONS, gauge_shift, gaussian_packet,
                              kmagnitudes, kvectors, lambda_row, measure_weights)
 from photonlab.relativity import polarization_bases
 
 from helpers import owned_copies, same_bits, slab_widths, zero_state
+from test_fdops import roll_curl, stencil_cases
 from test_verify import whole_vector_maxwell_residual
 
 
@@ -302,7 +305,7 @@ def spectral_cases(draw):
 @example(spectral_case(35, 12, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 0.95))
 @example(spectral_case(17, 40, None, 8, 0.25, (0.37, -0.21, 5.13), 1.0, 0.5, 1.0))
 def test_streamed_maxwell_residuals_match_the_spectral_oracle(case):
-    # an independent second side for the stencils and for fdops.Lag's seam
+    # an independent second side for the stencils and for walk's seam
     # twist: every piece, in plane order, within rounding of the oracle
     m, n_x, width, t0, omega_scale = case
     sg = dual_grid(m.grid, n_x)
@@ -351,9 +354,8 @@ def test_last_group_sums_plane_n_x_minus_1_as_its_slab_does():
             with mock.patch.object(fields, "_SLAB_POINTS", width * n_x * n_x):
                 plan = slab_plan(sg)
             if len(plan) == 1:
-                assert last_group(plan) is None
                 continue
-            last = last_group(plan)
+            last = _last_group(plan)
             slab = synthesize(m, sg, 0.5, planes=plan[-1][1], coeffs=coeffs)
             alone = synthesize(m, sg, 0.5, planes=last, coeffs=coeffs)
             assert last[-1] == n_x - 1 and set(last) <= set(plan[-1][1])
@@ -361,6 +363,51 @@ def test_last_group_sums_plane_n_x_minus_1_as_its_slab_does():
                 assert same_bits(alone.rows[g][:, -1], slab.rows[g][:, -1]), (n_x, width, g)
             checked.add(n_x)
     assert checked == set(range(6, 41))  # n_x = 4 and 5 are one slab at every width
+
+
+@st.composite
+def slab_walks(draw):
+    """A stencil case cut into x-slabs of at least 2 planes."""
+    vf, spacing, dim, twists = draw(stencil_cases())
+    n = len(vf)
+    bounds = [0]
+    while n - bounds[-1] >= 4 and draw(st.booleans()):
+        bounds.append(bounds[-1] + draw(st.integers(2, n - bounds[-1] - 2)))
+    bounds.append(n)
+    return vf, spacing, dim, twists, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(slab_walks())
+@example((np.arange(24.0).reshape(2, 2, 2, 3) * (1 - 2j), 0.5, 3,
+          (cmath.exp(0.4j), cmath.exp(-2.0j), cmath.exp(3.0j)), [0, 2]))
+def test_walked_slab_stencils_match_the_whole_box(case):
+    # every plane once, in plane order, from pieces whose x-neighbours walk
+    # carried between slabs walked from plane 0, wrap giving plane n_x - 1
+    # before the walk: bitwise the whole box
+    vf, spacing, dim, twists, bounds = case
+    plan = [(a, np.arange(a, b)) for a, b in zip(bounds, bounds[1:])]
+    wrapped, sampled, pieces = [], [], []
+
+    def wrap(planes):
+        wrapped.append(list(planes))
+        return vf[planes], twists[0]
+
+    def sample(planes):
+        sampled.append(list(planes))
+        return [vf[planes]]
+
+    for p, (g,), ends in walk(plan, wrap, sample):
+        curls = [curl(g, spacing, dim, twists, comp, ends=ends) for comp in range(3)]
+        pieces.append((p, divergence(g, spacing, dim, twists, ends), np.stack(curls, axis=-1)))
+    # wrap once ahead of a walk of slabs, never for one slab; each slab sampled once, in order
+    assert wrapped == ([list(_last_group(plan))] if len(plan) > 1 else [])
+    assert sampled == [list(planes) for _, planes in plan]
+    firsts = [p for p, _, _ in pieces]
+    assert firsts == [0] + list(np.cumsum([len(d) for _, d, _ in pieces])[:-1])
+    got = [np.concatenate([piece[i] for piece in pieces]) for i in (1, 2)]
+    assert same_bits(got[0], divergence(vf, spacing, dim, twists))
+    assert same_bits(got[1], roll_curl(vf, spacing, dim, twists))
 
 
 def test_dual_grid_geometry():

@@ -856,6 +856,21 @@ def test_a_bloch_twist_of_one_fails_every_maxwell_order():
     assert all(c.measured < 0.0 for c in checks)
 
 
+def test_a_wrap_plane_off_by_one_fails_every_maxwell_order():
+    # fields.walk takes plane n_x - 1, which plane 0 reads, as the last of
+    # _last_group's planes; one plane short, it reads plane n_x - 2 as plane
+    # -1, and each level keeps a seam residual that does not shrink at second
+    # order as the spacing halves (the orders read about 1.25, 0.23 and 1.25)
+    last_group = fields._last_group
+    m = _maxwell_packet()
+    with mock.patch.object(fields, "_last_group", lambda plan: last_group(plan)[:-1]):
+        levels = [_maxwell_level(m, n_x, 1.0) for n_x in (48, 96)]
+    checks, _ = verify._maxwell_checks(*levels, dict(TOLERANCE_DEFAULTS))
+    assert [c.name for c in checks if not c.passed] == [
+        "maxwell_gauss_order", "maxwell_ampere_order", "maxwell_divb_order"]
+    assert all(c.measured < 1.5 for c in checks)
+
+
 def test_nan_residuals_fail_the_order_checks(monkeypatch):
     assert verify._order(4.0, 1.0) == 2.0 and verify._order(1.0, 0.0) == float("inf")
     for coarse, fine in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, np.inf)):
